@@ -14,7 +14,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .walks import KIND_HESITANT_LAMBDA, WalkWitness, lambda_walk_from_positive_entry
-from .weightword import DEFAULT_N_CAP, TwistData, Word
+from .weightword import DEFAULT_N_CAP, TwistData, Word, bound
 
 MINUS = "-"
 PLUS = "+"
@@ -87,9 +87,7 @@ def compute_m(d: TwistData, sigma: SignVector) -> CartierVector:
     m = [0] * d.n
     for k in range(d.n, 0, -1):
         if sigma.signs[k - 1] == MINUS:
-            m[k - 1] = d.ell[k - 1] - sum(
-                v * m[s - 1] for (j, s), v in d.c.items() if j == k
-            )
+            m[k - 1] = bound(d, k, m)
     return CartierVector(tuple(m))
 
 
@@ -157,7 +155,8 @@ def witness_sigma_from_walk(
                 )
     sigma = SignVector.minus_at(d.n, J)
     mv = compute_m(d, sigma)
-    assert mv.m[J[0] - 1] < 0, "minimal walk failed to certify twistedness"
+    if mv.m[J[0] - 1] >= 0:
+        raise NotMinimalWitness(f"walk {J} gives m[{J[0]}] = {mv.m[J[0] - 1]}, not negative")
     return sigma, mv
 
 

@@ -23,6 +23,20 @@ EXIT_TWISTED = 1
 EXIT_ERROR = 2
 
 
+def _int(field: str, value) -> int:
+    """value itself if it is an int; bools, floats and strings are rejected,
+    not coerced."""
+    if type(value) is not int:  # noqa: E721 - bool is an int subclass
+        raise MalformedInput(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def _ints(field: str, values) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise MalformedInput(f"{field} must be a list of integers, got {values!r}")
+    return tuple(_int(field, v) for v in values)
+
+
 def load_instance(path: str):
     """Read an instance file; returns (twist_data, context) where context is
     (lie_type, word, weight) for derived instances and None for raw ones."""
@@ -38,19 +52,24 @@ def load_instance(path: str):
     if derived_keys <= obj.keys():
         if raw_keys & obj.keys():
             raise MalformedInput("instance mixes derived and raw fields")
+        if not isinstance(obj["type"], str):
+            raise MalformedInput(f"type must be a string, got {obj['type']!r}")
         t = parse_lie_type(obj["type"])
-        w = Word(tuple(obj["word"]))
-        lam = DominantWeight(tuple(obj["weight"]))
+        w = Word(_ints("word", obj["word"]))
+        lam = DominantWeight(_ints("weight", obj["weight"]))
         return derive_twist_data(t, w, lam), (t, w, lam)
     if raw_keys <= obj.keys():
+        raw_c = obj.get("c", {})
+        if not isinstance(raw_c, dict):
+            raise MalformedInput(f"c must be an object, got {raw_c!r}")
         c: dict[tuple[int, int], int] = {}
-        for key, value in obj.get("c", {}).items():
+        for key, value in raw_c.items():
             try:
                 j, k = (int(part) for part in key.split(","))
             except ValueError as exc:
                 raise MalformedInput(f"bad c key {key!r}; expected 'j,k'") from exc
-            c[(j, k)] = int(value)
-        return TwistData(n=int(obj["n"]), c=c, ell=tuple(obj["ell"])), None
+            c[(j, k)] = _int(f"c[{key!r}]", value)
+        return TwistData(n=_int("n", obj["n"]), c=c, ell=_ints("ell", obj["ell"])), None
     raise MalformedInput(
         "instance must be {type, word, weight} or {n, c, ell}"
     )
@@ -153,9 +172,7 @@ def cmd_verify(args) -> int:
 def cmd_atlas(args) -> int:
     merged = harness.AtlasReport()
     for spec in _load_specs(args.spec):
-        block = harness.atlas(spec)
-        merged.instances += block.instances
-        merged.counts.update(block.counts)
+        merged.merge(harness.atlas(spec))
     print(json.dumps(merged.to_json(), sort_keys=True))
     return EXIT_UNTWISTED
 

@@ -90,8 +90,9 @@ def iter_instances(spec: SweepSpec):
                     yield (str(t), word, weight)
 
 
-def check_instance(inst: Instance) -> list[dict]:
-    """All per-instance assertions; returns a list of counterexample records."""
+def _worker(inst: Instance) -> tuple[bool, list[dict]]:
+    """The criterion's verdict and all per-instance checks, from one
+    criterion call."""
     type_name, word_entries, weight_coeffs = inst
     problems: list[str] = []
     t = parse_lie_type(type_name)
@@ -135,15 +136,12 @@ def check_instance(inst: Instance) -> list[dict]:
             problems.append("untwisted census point escapes the weak-inequality polytope")
 
     instance_json = {"type": type_name, "word": list(word_entries), "weight": list(weight_coeffs)}
-    return [{"instance": instance_json, "problem": p} for p in problems]
+    return result.untwisted, [{"instance": instance_json, "problem": p} for p in problems]
 
 
-def _worker(inst: Instance) -> tuple[bool, list[dict]]:
-    type_name, word_entries, weight_coeffs = inst
-    d = derive_twist_data(
-        parse_lie_type(type_name), Word(word_entries), DominantWeight(weight_coeffs)
-    )
-    return cartier.is_untwisted(d).untwisted, check_instance(inst)
+def check_instance(inst: Instance) -> list[dict]:
+    """All per-instance assertions; returns a list of counterexample records."""
+    return _worker(inst)[1]
 
 
 def verify_equivalence(spec: SweepSpec, jobs: int = 1) -> SweepReport:
@@ -202,6 +200,20 @@ class AtlasReport:
     def to_json(self) -> dict:
         return {"instances": self.instances, "counts": self.counts}
 
+    def merge(self, other: "AtlasReport") -> None:
+        """Add other's tallies slot by slot; blocks may share types and weights."""
+        self.instances += other.instances
+        _add_counts(self.counts, other.counts)
+
+
+def _add_counts(into: dict, other: dict) -> None:
+    """Add the nested tallies of other to into, creating missing keys."""
+    for key, value in other.items():
+        if isinstance(value, dict):
+            _add_counts(into.setdefault(key, {}), value)
+        else:
+            into[key] = into.get(key, 0) + value
+
 
 def atlas(spec: SweepSpec) -> AtlasReport:
     """Tally hesitant-lambda-walk-avoiding words across the sweep."""
@@ -212,13 +224,8 @@ def atlas(spec: SweepSpec) -> AtlasReport:
         lam = DominantWeight(weight_coeffs)
         avoiding = walks.find_hesitant_lambda_walk(t, w, lam) is None
         weight_key = ",".join(str(c) for c in weight_coeffs)
-        slot = (
-            report.counts.setdefault(type_name, {})
-            .setdefault(weight_key, {})
-            .setdefault(str(len(w)), {"avoiding": 0, "total": 0})
-        )
-        slot["total"] += 1
-        slot["avoiding"] += int(avoiding)
+        tally = {"avoiding": int(avoiding), "total": 1}
+        _add_counts(report.counts, {type_name: {weight_key: {str(len(w)): tally}}})
         report.instances += 1
     return report
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import IndexOutOfRange, RankOutOfRange
-from ._cartan_literals import _LITERAL_TABLES
 
 #: Hard upper bound on rank; everything of interest lives at tiny rank.
 MAX_RANK = 32
@@ -84,8 +83,10 @@ def _diagram_edges(t: LieType) -> list[tuple[int, int]]:
     return [(1, 2)]  # G2
 
 
-def _generate_cartan(t: LieType) -> tuple[tuple[int, ...], ...]:
-    """Build the Cartan matrix from the diagram plus short/long-edge rules."""
+@lru_cache(maxsize=None)
+def cartan_table(t: LieType) -> tuple[tuple[int, ...], ...]:
+    """The full Cartan matrix of t, built from the diagram plus short/long-edge
+    rules."""
     r = t.rank
     m = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
     for i, j in _diagram_edges(t):
@@ -102,16 +103,6 @@ def _generate_cartan(t: LieType) -> tuple[tuple[int, ...], ...]:
     elif t.family == "G":
         m[1][0] = -3
     return tuple(tuple(row) for row in m)
-
-
-@lru_cache(maxsize=None)
-def cartan_table(t: LieType) -> tuple[tuple[int, ...], ...]:
-    """The full Cartan matrix of t, cross-checked against literals at rank <= 9."""
-    table = _generate_cartan(t)
-    literal = _LITERAL_TABLES.get(str(t))
-    if literal is not None:
-        assert table == literal, f"generated Cartan table for {t} disagrees with literal"
-    return table
 
 
 def cartan_pairing(t: LieType, i: int, j: int) -> int:

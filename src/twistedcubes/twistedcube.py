@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from numbers import Rational
 from typing import Iterable, Sequence
 
-from .errors import CapExceeded, DimensionMismatch, IndexOutOfRange
-from .weightword import DEFAULT_N_CAP, TwistData
+from .errors import CapExceeded, DimensionMismatch, IndexOutOfRange, PreconditionViolated
+from .weightword import DEFAULT_N_CAP, TwistData, bound
 
 Coord = Rational  # int or Fraction
 
@@ -31,7 +31,7 @@ def eval_A(d: TwistData, j: int, x: Sequence[Coord]):
     if not 1 <= j <= d.n:
         raise IndexOutOfRange(f"index {j} outside [1, {d.n}]")
     _check_dim(d, x)
-    return d.ell[j - 1] - sum(v * x[k - 1] for (jj, k), v in d.c.items() if jj == j)
+    return bound(d, j, x)
 
 
 def _coordinate_ok(a, xj) -> bool:
@@ -42,13 +42,13 @@ def _coordinate_ok(a, xj) -> bool:
 def contains(d: TwistData, x: Sequence[Coord]) -> bool:
     """Whether x lies in the twisted cube C(c, ell)."""
     _check_dim(d, x)
-    return all(_coordinate_ok(eval_A(d, j, x), x[j - 1]) for j in range(1, d.n + 1))
+    return all(_coordinate_ok(bound(d, j, x), x[j - 1]) for j in range(1, d.n + 1))
 
 
 def contains_PD(d: TwistData, x: Sequence[Coord]) -> bool:
     """Whether x lies in the all-weak-inequalities polytope 0 <= x_j <= A_j(x)."""
     _check_dim(d, x)
-    return all(0 <= x[j - 1] <= eval_A(d, j, x) for j in range(1, d.n + 1))
+    return all(0 <= x[j - 1] <= bound(d, j, x) for j in range(1, d.n + 1))
 
 
 def _sgn(v) -> int:
@@ -79,10 +79,6 @@ class LatticeCensus:
         return self.num_positive - self.num_negative
 
 
-def _c_row(d: TwistData, j: int) -> list[tuple[int, int]]:
-    return [(k, v) for (jj, k), v in d.c.items() if jj == j]
-
-
 def lattice_points(d: TwistData, cap: int = DEFAULT_N_CAP) -> LatticeCensus:
     """Enumerate the integer points of C(c, ell) exactly, back to front.
 
@@ -92,25 +88,24 @@ def lattice_points(d: TwistData, cap: int = DEFAULT_N_CAP) -> LatticeCensus:
     """
     if d.n > cap:
         raise CapExceeded(f"n = {d.n} exceeds cap {cap}")
-    rows = [_c_row(d, j) for j in range(1, d.n + 1)]
     points: list[tuple[int, ...]] = []
+    x = [0] * d.n
 
-    def descend(j: int, tail: dict[int, int]) -> None:
+    def descend(j: int) -> None:
         if j == 0:
-            coords = tuple(tail[k] for k in range(1, d.n + 1))
-            points.append(coords)
+            points.append(tuple(x))
             return
-        a = d.ell[j - 1] - sum(v * tail[k] for k, v in rows[j - 1])
+        a = bound(d, j, x)
         values: Iterable[int] = range(0, a + 1) if a >= 0 else range(a + 1, 0)
         for xj in values:
-            tail[j] = xj
-            descend(j - 1, tail)
-        tail.pop(j, None)
+            x[j - 1] = xj
+            descend(j - 1)
 
-    descend(d.n, {})
+    descend(d.n)
     points.sort()
     tagged = tuple((p, density(d, p)) for p in points)
-    assert all(rho in (-1, 1) for _, rho in tagged)
+    if any(rho == 0 for _, rho in tagged):
+        raise PreconditionViolated("an enumerated lattice point lies outside the cube")
     pos = sum(1 for _, rho in tagged if rho == 1)
     return LatticeCensus(points=tagged, num_positive=pos, num_negative=len(tagged) - pos)
 
@@ -133,9 +128,8 @@ def brute_force_census(d: TwistData, box: int | None = None) -> LatticeCensus:
     else:
         bounds = [0] * d.n
         for j in range(d.n, 0, -1):
-            bounds[j - 1] = abs(d.ell[j - 1]) + sum(
-                abs(v) * bounds[k - 1] for (jj, k), v in d.c.items() if jj == j
-            )
+            row = d.rows[j - 1]
+            bounds[j - 1] = abs(d.ell[j - 1]) + sum(abs(v) * bounds[k - 1] for k, v in row)
     pts: list[tuple[tuple[int, ...], int]] = []
 
     def walk(coords: list[int]) -> None:

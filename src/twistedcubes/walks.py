@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapExceeded, NotAWitness, PreconditionViolated
+from .errors import CapExceeded, NotAWitness, NotMinimalWitness, PreconditionViolated
 from .rootdata import LieType, adjacent
 from .weightword import DominantWeight, TwistData, Word, appears_in_lambda
 
@@ -91,7 +91,8 @@ def find_hesitant_lambda_walk(t: LieType, w: Word, lam: DominantWeight) -> WalkW
                 cur = q
                 while not appears_in_lambda(lam, letters[cur - 1]):
                     cur = link[cur]
-                    assert cur is not None
+                    if cur is None:
+                        raise NotAWitness(f"lambda-walk chain from position {q} stops before lam")
                     positions.append(cur)
                 return WalkWitness.from_word(w, positions, KIND_HESITANT_LAMBDA)
     return None
@@ -194,7 +195,8 @@ def minimize(t: LieType, witness: WalkWitness, lam: DominantWeight) -> WalkWitne
         tuple(witness.subword[witness.positions.index(p)] for p in positions),
         KIND_HESITANT_LAMBDA,
     )
-    assert is_minimal(t, out, lam)
+    if not is_minimal(t, out, lam):
+        raise NotMinimalWitness(f"minimizing {witness.positions} left non-minimal {positions}")
     return out
 
 

@@ -72,30 +72,44 @@ class TwistData:
     """The integers c[j, k] (1 <= j < k <= n) and ell defining one twisted cube.
 
     Raw construction permits arbitrary integers; data derived from a dominant
-    weight always has ell >= 0.
+    weight always has ell >= 0.  ``rows[j - 1]`` holds the nonzero
+    ``(k, c[j, k])`` of row j in increasing k, for the bound kernel.
     """
 
     n: int
-    c: dict[tuple[int, int], int] = field(default_factory=dict)
+    c: dict[tuple[int, int], int] = field(default_factory=dict, hash=False)
     ell: tuple[int, ...] = ()
+    rows: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ell", tuple(self.ell))
         if len(self.ell) != self.n:
             raise DimensionMismatch(f"ell has length {len(self.ell)}, expected {self.n}")
         clean: dict[tuple[int, int], int] = {}
+        rows = [[] for _ in range(self.n)]
         for (j, k), v in self.c.items():
             if not 1 <= j < k <= self.n:
                 raise DimensionMismatch(f"c index ({j}, {k}) outside 1 <= j < k <= {self.n}")
             if v != 0:
                 clean[(j, k)] = v
+                rows[j - 1].append((k, v))
         object.__setattr__(self, "c", clean)
+        object.__setattr__(self, "rows", tuple(tuple(sorted(r)) for r in rows))
 
     def c_at(self, j: int, k: int) -> int:
         """c[j, k] for j < k; absent entries are 0."""
         if not 1 <= j < k <= self.n:
             raise DimensionMismatch(f"c index ({j}, {k}) outside 1 <= j < k <= {self.n}")
         return self.c.get((j, k), 0)
+
+
+def bound(d: TwistData, j: int, x):
+    """The affine bound A_j(x) = ell_j - sum_{k>j} c[j, k] x_k; it reads
+    only x[k - 1] for k > j, so x may hold just a known tail."""
+    a = d.ell[j - 1]
+    for k, v in d.rows[j - 1]:
+        a -= v * x[k - 1]
+    return a
 
 
 def derive_twist_data(t: LieType, w: Word, lam: DominantWeight) -> TwistData:

@@ -174,6 +174,18 @@ def raw_twist_data(max_n=5, bound=3):
     ).map(_raw)
 
 
+@given(raw_twist_data())
+def test_rows_list_the_nonzero_c_entries_in_increasing_k(d):
+    # rows feeds the bound kernel behind compute_m, eval_A and the lattice
+    # descent; it must not depend on the order c was given in.
+    expected = tuple(
+        tuple((k, d.c_at(j, k)) for k in range(j + 1, d.n + 1) if d.c_at(j, k) != 0)
+        for j in range(1, d.n + 1)
+    )
+    assert d.rows == expected
+    assert TwistData(n=d.n, c=dict(reversed(d.c.items())), ell=d.ell).rows == expected
+
+
 @given(raw_twist_data(), st.data())
 def test_m_depends_only_on_suffix(d, data):
     k = data.draw(st.integers(1, d.n))

@@ -103,6 +103,31 @@ def test_atlas_with_spec_file(tmp_path, capsys):
     assert report["counts"]["A1"]["1"]["2"] == {"avoiding": 0, "total": 1}
 
 
+def test_atlas_merges_blocks_that_share_a_type(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        json.dumps(
+            [
+                {"lie_types": ["A1", "A2"], "max_word_length": 2, "weight_alphabet": [0, 1]},
+                {"lie_types": ["A2"], "max_word_length": 3, "weight_alphabet": [1]},
+            ]
+        )
+    )
+    assert main(["atlas", "--spec", str(spec)]) == EXIT_UNTWISTED
+    report = json.loads(capsys.readouterr().out)
+    tallies = [
+        slot
+        for per_weight in report["counts"].values()
+        for per_length in per_weight.values()
+        for slot in per_length.values()
+    ]
+    assert sum(slot["total"] for slot in tallies) == report["instances"]
+    # A2 at weight (1, 1): four words of length 2 in each block.
+    assert report["counts"]["A2"]["1,1"]["2"] == {"avoiding": 4, "total": 8}
+    assert report["counts"]["A2"]["1,1"]["3"]["total"] == 8
+    assert report["counts"]["A2"]["0,0"]["2"]["total"] == 4
+
+
 def test_max_n_cap(derived_twisted, capsys):
     assert main(["check", "--instance", derived_twisted, "--max-n", "2"]) == EXIT_ERROR
     assert "error:" in capsys.readouterr().err
@@ -119,13 +144,22 @@ def test_max_n_cap(derived_twisted, capsys):
         json.dumps({"type": "Z9", "word": [], "weight": []}),
         json.dumps({"type": "A2", "word": [3], "weight": [0, 0]}),
         json.dumps({"type": "A2", "word": [1], "weight": [-1, 0]}),
+        # Non-integers must be rejected, never crash (exit 1) or be coerced.
+        json.dumps({"type": "A2", "word": "12", "weight": [1, 0]}),
+        json.dumps({"type": "A2", "word": [1.5, 2], "weight": [1, 0]}),
+        json.dumps({"type": "A2", "word": [1, 2], "weight": [1, "0"]}),
+        json.dumps({"n": 2, "c": {"1,2": "x"}, "ell": [3, 5]}),
+        json.dumps({"n": 2, "c": {"1,2": 1}, "ell": [3.5, 5]}),
+        json.dumps({"n": True, "c": {}, "ell": [3]}),
+        json.dumps({"n": 2, "c": [1], "ell": [3, 5]}),
+        json.dumps({"type": 2, "word": [1], "weight": [1, 0]}),
     ],
 )
 def test_malformed_inputs_exit_2(tmp_path, payload, capsys):
     path = tmp_path / "inst.json"
     path.write_text(payload)
     assert main(["check", "--instance", str(path)]) == EXIT_ERROR
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

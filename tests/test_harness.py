@@ -1,5 +1,6 @@
 import json
 
+from twistedcubes import cartier
 from twistedcubes.harness import (
     AtlasReport,
     SweepReport,
@@ -48,6 +49,20 @@ def test_sampled_sweep_is_deterministic():
 def test_check_instance_flags_nothing_on_known_cases():
     assert check_instance(("A2", (1, 2, 1), (2, 1))) == []
     assert check_instance(("A3", (1, 2, 3, 1, 2, 1), (0, 0, 3))) == []
+
+
+def test_sweep_runs_the_criterion_once_per_instance(monkeypatch):
+    calls = []
+    real = cartier.is_untwisted
+
+    def counted(d, *args, **kwargs):
+        calls.append(d)
+        return real(d, *args, **kwargs)
+
+    monkeypatch.setattr(cartier, "is_untwisted", counted)
+    report = verify_equivalence(SweepSpec(("A2", "B2"), 3, (0, 1)))
+    assert report.counterexamples == []
+    assert len(calls) == report.instances == 120
 
 
 def test_report_json_is_deterministic():

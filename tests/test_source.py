@@ -1,0 +1,18 @@
+"""Checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import twistedcubes
+
+MODULES = sorted(Path(twistedcubes.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # python -O strips assert; library invariants must raise TwistedCubeError.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name} uses assert at lines {lines}"

@@ -66,6 +66,15 @@ def test_raw_twist_data_permits_any_integers():
         d.c_at(2, 2)
 
 
+def test_twist_data_is_hashable_consistently_with_eq():
+    a = TwistData(n=3, c={(1, 2): -1, (2, 3): -1, (1, 3): 2}, ell=(2, 1, 2))
+    b = TwistData(n=3, c={(1, 3): 2, (2, 3): -1, (1, 2): -1}, ell=(2, 1, 2))
+    derived = derive_twist_data(parse_lie_type("A2"), Word((1, 2, 1)), DominantWeight((2, 1)))
+    assert a == b == derived
+    assert len({hash(a), hash(b), hash(derived)}) == 1
+    assert TwistData(n=3, c={(1, 2): -1}, ell=(2, 1, 2)) not in {a}
+
+
 TYPES = all_types_up_to_rank(5)
 
 
