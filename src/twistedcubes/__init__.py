@@ -43,7 +43,6 @@ from .cartier import (
 from .walks import (
     WalkWitness,
     find_hesitant_lambda_walk,
-    find_hesitant_lambda_walk_naive,
     is_diagram_walk,
     is_hesitant_lambda_walk,
     is_lambda_walk,

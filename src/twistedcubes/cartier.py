@@ -106,13 +106,13 @@ def is_untwisted(d: TwistData, cap: int = DEFAULT_N_CAP) -> UntwistResult:
     return UntwistResult(untwisted=True)
 
 
-def maximal_failing_index(d: TwistData, sigma: SignVector) -> int:
-    """The largest k with m_sigma[k] < 0; raises if m_sigma is nonnegative."""
-    m = compute_m(d, sigma).m
-    for k in range(d.n, 0, -1):
+def maximal_failing_index(m: tuple[int, ...]) -> int:
+    """The largest k with m[k] < 0, for the entries m of a Cartier vector;
+    raises if m is nonnegative."""
+    for k in range(len(m), 0, -1):
         if m[k - 1] < 0:
             return k
-    raise PreconditionViolated(f"m_sigma = {m} has no negative entry")
+    raise PreconditionViolated(f"m = {m} has no negative entry")
 
 
 def witness_sigma_from_walk(
@@ -161,15 +161,17 @@ def witness_sigma_from_walk(
 
 
 def hesitant_walk_from_twist_witness(
-    d: TwistData, w: Word, sigma: SignVector, k: int
+    d: TwistData, w: Word, m: tuple[int, ...], k: int
 ) -> WalkWitness:
-    """Rebuild a hesitant lambda-walk from a failing Cartier entry.
+    """Rebuild a hesitant lambda-walk from the negative entry m[k] of a
+    Cartier vector's entries m.
 
     Requires m[k] < 0 with a nonnegative tail (k the maximal failing index);
     picks the minimal later position with positive c-entry and positive m,
     then extends by the greedy lambda-walk construction.
     """
-    m = compute_m(d, sigma).m
+    if len(m) != d.n:
+        raise DimensionMismatch(f"m has length {len(m)}, expected {d.n}")
     if m[k - 1] >= 0:
         raise PreconditionViolated(f"m[{k}] = {m[k - 1]} is not negative")
     if any(v < 0 for v in m[k:]):
@@ -180,5 +182,5 @@ def hesitant_walk_from_twist_witness(
     )
     if p is None:
         raise PreconditionViolated(f"no repetition candidate after {k} (negative ell?)")
-    tail = lambda_walk_from_positive_entry(d, w, sigma, p)
+    tail = lambda_walk_from_positive_entry(d, w, m, p)
     return WalkWitness.from_word(w, (k,) + tail.positions, KIND_HESITANT_LAMBDA)

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import cartier, harness, walks
-from .errors import MalformedInput, TwistedCubeError
+from .errors import MalformedInput, TwistedCubeError, require_int, require_ints
 from .render import render_svg
 from .rootdata import parse_lie_type
 from .twistedcube import lattice_points
@@ -23,27 +23,14 @@ EXIT_TWISTED = 1
 EXIT_ERROR = 2
 
 
-def _int(field: str, value) -> int:
-    """value itself if it is an int; bools, floats and strings are rejected,
-    not coerced."""
-    if type(value) is not int:  # noqa: E721 - bool is an int subclass
-        raise MalformedInput(f"{field} must be an integer, got {value!r}")
-    return value
-
-
-def _ints(field: str, values) -> tuple[int, ...]:
-    if not isinstance(values, list):
-        raise MalformedInput(f"{field} must be a list of integers, got {values!r}")
-    return tuple(_int(field, v) for v in values)
-
-
 def load_instance(path: str):
     """Read an instance file; returns (twist_data, context) where context is
     (lie_type, word, weight) for derived instances and None for raw ones."""
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: bad JSON, or an integer with too many digits to convert.
+    except (OSError, ValueError) as exc:
         raise MalformedInput(f"cannot read instance file {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise MalformedInput("instance file must hold a JSON object")
@@ -55,8 +42,8 @@ def load_instance(path: str):
         if not isinstance(obj["type"], str):
             raise MalformedInput(f"type must be a string, got {obj['type']!r}")
         t = parse_lie_type(obj["type"])
-        w = Word(_ints("word", obj["word"]))
-        lam = DominantWeight(_ints("weight", obj["weight"]))
+        w = Word(require_ints("word", obj["word"]))
+        lam = DominantWeight(require_ints("weight", obj["weight"]))
         return derive_twist_data(t, w, lam), (t, w, lam)
     if raw_keys <= obj.keys():
         raw_c = obj.get("c", {})
@@ -68,8 +55,9 @@ def load_instance(path: str):
                 j, k = (int(part) for part in key.split(","))
             except ValueError as exc:
                 raise MalformedInput(f"bad c key {key!r}; expected 'j,k'") from exc
-            c[(j, k)] = _int(f"c[{key!r}]", value)
-        return TwistData(n=_int("n", obj["n"]), c=c, ell=_ints("ell", obj["ell"])), None
+            c[(j, k)] = require_int(f"c[{key!r}]", value)
+        n = require_int("n", obj["n"])
+        return TwistData(n=n, c=c, ell=require_ints("ell", obj["ell"])), None
     raise MalformedInput(
         "instance must be {type, word, weight} or {n, c, ell}"
     )
@@ -146,10 +134,10 @@ def _load_specs(path: str | None) -> list[harness.SweepSpec]:
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        blocks = obj if isinstance(obj, list) else [obj]
-        return [harness.SweepSpec.from_json(b) for b in blocks]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise MalformedInput(f"cannot read sweep spec {path}: {exc}") from exc
+    blocks = obj if isinstance(obj, list) else [obj]
+    return [harness.SweepSpec.from_json(b) for b in blocks]
 
 
 def cmd_verify(args) -> int:
@@ -185,34 +173,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance=True):
-        if instance:
-            p.add_argument("--instance", required=True, help="instance JSON file")
-        p.add_argument("--max-n", type=int, default=DEFAULT_N_CAP, help="sign-sweep cap")
-        p.add_argument("--format", choices=("json", "human"), default="json")
-
     p = sub.add_parser("check", help="decide the untwistedness criterion")
-    common(p)
+    p.add_argument("--instance", required=True, help="instance JSON file")
+    p.add_argument("--max-n", type=int, default=DEFAULT_N_CAP, help="sign-sweep cap")
+    p.add_argument("--format", choices=("json", "human"), default="json")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("lattice", help="stream the signed lattice-point census")
-    common(p)
+    p.add_argument("--instance", required=True, help="instance JSON file")
+    p.add_argument("--max-n", type=int, default=DEFAULT_N_CAP, help="enumeration cap on n")
     p.add_argument("--out", help="write JSON lines here instead of stdout")
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("render", help="render an n=2 instance as SVG")
-    common(p)
+    p.add_argument("--instance", required=True, help="instance JSON file")
     p.add_argument("--out", required=True, help="output SVG path")
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("verify", help="run the equivalence sweep")
-    common(p, instance=False)
     p.add_argument("--spec", help="sweep spec JSON (object or list); default sweep if omitted")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument("--format", choices=("json", "human"), default="json")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("atlas", help="tally avoiding words per type/weight/length")
-    common(p, instance=False)
     p.add_argument("--spec", help="sweep spec JSON (object or list); default sweep if omitted")
     p.set_defaults(func=cmd_atlas)
 

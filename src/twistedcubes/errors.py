@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer checks
+that the instance and sweep-spec loaders share."""
 
 
 class TwistedCubeError(Exception):
@@ -35,3 +36,17 @@ class PreconditionViolated(TwistedCubeError):
 
 class MalformedInput(TwistedCubeError):
     """Instance or sweep file does not match any accepted schema."""
+
+
+def require_int(field: str, value) -> int:
+    """value itself if it is an int; bools, floats and strings are rejected,
+    not coerced."""
+    if type(value) is not int:  # noqa: E721 - bool is an int subclass
+        raise MalformedInput(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def require_ints(field: str, values) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise MalformedInput(f"{field} must be a list of integers, got {values!r}")
+    return tuple(require_int(field, v) for v in values)

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from multiprocessing import Pool
 
 from . import cartier, walks
+from .errors import MalformedInput, require_int, require_ints
 from .rootdata import LieType, parse_lie_type
 from .twistedcube import contains_PD, lattice_points
 from .weightword import DominantWeight, Word, derive_twist_data
@@ -27,14 +28,41 @@ class SweepSpec:
     sample_count: int | None = None
 
     @classmethod
-    def from_json(cls, obj: dict) -> "SweepSpec":
+    def from_json(cls, obj) -> "SweepSpec":
+        """One block of a spec file.  Every known field is checked, and a
+        malformed one raises MalformedInput; other keys, such as a block's
+        name, are ignored."""
+        if not isinstance(obj, dict):
+            raise MalformedInput(f"sweep block must be an object, got {obj!r}")
+        missing = {"lie_types", "max_word_length"} - obj.keys()
+        if missing:
+            raise MalformedInput(f"sweep block lacks {sorted(missing)}")
+        lie_types = obj["lie_types"]
+        if not isinstance(lie_types, list) or not all(isinstance(x, str) for x in lie_types):
+            raise MalformedInput(f"lie_types must be a list of strings, got {lie_types!r}")
+        alphabet = require_ints("weight_alphabet", obj.get("weight_alphabet", [0, 1]))
+        if any(v < 0 for v in alphabet):
+            raise MalformedInput(f"weight_alphabet must be >= 0, got {list(alphabet)}")
+        seed = obj.get("seed")
+        sample_count = obj.get("sample_count")
+        if sample_count is not None:
+            sample_count = _nonnegative_int("sample_count", sample_count)
+            if sample_count and not (lie_types and alphabet):
+                raise MalformedInput("sampling needs a lie type and a weight value")
         return cls(
-            lie_types=tuple(obj["lie_types"]),
-            max_word_length=int(obj["max_word_length"]),
-            weight_alphabet=tuple(obj.get("weight_alphabet", (0, 1))),
-            seed=obj.get("seed"),
-            sample_count=obj.get("sample_count"),
+            lie_types=tuple(lie_types),
+            max_word_length=_nonnegative_int("max_word_length", obj["max_word_length"]),
+            weight_alphabet=alphabet,
+            seed=None if seed is None else require_int("seed", seed),
+            sample_count=sample_count,
         )
+
+
+def _nonnegative_int(field: str, value) -> int:
+    """value itself if it is an int >= 0, else MalformedInput."""
+    if require_int(field, value) < 0:
+        raise MalformedInput(f"{field} must be >= 0, got {value}")
+    return value
 
 
 @dataclass
@@ -121,8 +149,8 @@ def _worker(inst: Instance) -> tuple[bool, list[dict]]:
 
     if not result.untwisted:
         try:
-            k = cartier.maximal_failing_index(d, result.sigma)
-            rebuilt = cartier.hesitant_walk_from_twist_witness(d, w, result.sigma, k)
+            k = cartier.maximal_failing_index(result.m.m)
+            rebuilt = cartier.hesitant_walk_from_twist_witness(d, w, result.m.m, k)
             if not walks.is_hesitant_lambda_walk(t, Word(rebuilt.subword), lam):
                 problems.append(f"rebuilt walk {rebuilt} fails its predicate")
         except Exception as exc:  # noqa: BLE001
@@ -165,29 +193,6 @@ def verify_equivalence(spec: SweepSpec, jobs: int = 1) -> SweepReport:
     report.counterexamples.sort(key=lambda ce: json.dumps(ce, sort_keys=True))
     report.wall_ms = int((time.monotonic() - start) * 1000)
     return report
-
-
-def scaling_invariance_failures(spec: SweepSpec, factor: int = 3) -> list[dict]:
-    """Instances whose untwisted verdict changes when the weight is scaled;
-    the criterion depends on the weight only through its support, so this
-    must come back empty."""
-    failures: list[dict] = []
-    for type_name, word_entries, weight_coeffs in iter_instances(spec):
-        t = parse_lie_type(type_name)
-        w = Word(word_entries)
-        lam = DominantWeight(weight_coeffs)
-        base = cartier.is_untwisted(derive_twist_data(t, w, lam)).untwisted
-        scaled = cartier.is_untwisted(derive_twist_data(t, w, lam.scaled(factor))).untwisted
-        if base != scaled:
-            failures.append(
-                {
-                    "type": type_name,
-                    "word": list(word_entries),
-                    "weight": list(weight_coeffs),
-                    "factor": factor,
-                }
-            )
-    return failures
 
 
 @dataclass

@@ -56,7 +56,7 @@ def validate_lie_type(family: str, rank: int, max_rank: int = MAX_RANK) -> LieTy
     return LieType(family, rank)
 
 
-_TYPE_RE = re.compile(r"^([A-G])([0-9]+)$")
+_TYPE_RE = re.compile(r"^([A-G])([0-9]{1,9})$")
 
 
 def parse_lie_type(text: str) -> LieType:

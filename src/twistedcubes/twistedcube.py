@@ -114,35 +114,3 @@ def signed_count(d: TwistData, cap: int = DEFAULT_N_CAP) -> int:
     """Number of lattice points with density +1 minus those with -1."""
     return lattice_points(d, cap=cap).signed_count
 
-
-def brute_force_census(d: TwistData, box: int | None = None) -> LatticeCensus:
-    """Independent oracle: test every integer point of an enclosing box.
-
-    Per-coordinate half-widths default to the running worst-case bound
-    |x_j| <= |ell_j| + sum_{k>j} |c_jk| B_k; intended for tiny n only.
-    """
-    if d.n == 0:
-        return lattice_points(d)
-    if box is not None:
-        bounds = [box] * d.n
-    else:
-        bounds = [0] * d.n
-        for j in range(d.n, 0, -1):
-            row = d.rows[j - 1]
-            bounds[j - 1] = abs(d.ell[j - 1]) + sum(abs(v) * bounds[k - 1] for k, v in row)
-    pts: list[tuple[tuple[int, ...], int]] = []
-
-    def walk(coords: list[int]) -> None:
-        if len(coords) == d.n:
-            rho = density(d, coords)
-            if rho != 0:
-                pts.append((tuple(coords), rho))
-            return
-        b = bounds[len(coords)]
-        for v in range(-b, b + 1):
-            walk(coords + [v])
-
-    walk([])
-    pts.sort()
-    pos = sum(1 for _, rho in pts if rho == 1)
-    return LatticeCensus(points=tuple(pts), num_positive=pos, num_negative=len(pts) - pos)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapExceeded, NotAWitness, NotMinimalWitness, PreconditionViolated
+from .errors import DimensionMismatch, NotAWitness, NotMinimalWitness, PreconditionViolated
 from .rootdata import LieType, adjacent
 from .weightword import DominantWeight, TwistData, Word, appears_in_lambda
 
@@ -12,8 +12,6 @@ KIND_DIAGRAM = "diagram_walk"
 KIND_LAMBDA = "lambda_walk"
 KIND_HESITANT = "hesitant_walk"
 KIND_HESITANT_LAMBDA = "hesitant_lambda_walk"
-
-NAIVE_N_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -98,54 +96,6 @@ def find_hesitant_lambda_walk(t: LieType, w: Word, lam: DominantWeight) -> WalkW
     return None
 
 
-def find_hesitant_lambda_walk_naive(
-    t: LieType, w: Word, lam: DominantWeight
-) -> WalkWitness | None:
-    """Oracle by exhaustive subword enumeration; capped at n <= 16.
-
-    Returns some valid witness (not necessarily the canonical one) or None.
-    """
-    n = len(w)
-    if n > NAIVE_N_CAP:
-        raise CapExceeded(f"naive detector capped at n <= {NAIVE_N_CAP}, got {n}")
-    letters = w.entries
-    support = [appears_in_lambda(lam, i) for i in letters]
-    adj = {
-        (a, b)
-        for a in range(1, t.rank + 1)
-        for b in range(1, t.rank + 1)
-        if adjacent(t, a, b)
-    }
-    # Bit-twiddled subset scan; per-mask work is dominated by the early
-    # rejections (fewer than two set bits, or an unrepeated first letter).
-    for mask in range(3, 1 << n):
-        m = mask
-        low = m & -m
-        b0 = low.bit_length() - 1
-        m ^= low
-        if m == 0:
-            continue
-        low = m & -m
-        b1 = low.bit_length() - 1
-        if letters[b0] != letters[b1]:
-            continue
-        m ^= low
-        prev = b1
-        ok = True
-        while m:
-            low = m & -m
-            b = low.bit_length() - 1
-            m ^= low
-            if (letters[prev], letters[b]) not in adj:
-                ok = False
-                break
-            prev = b
-        if ok and support[prev]:
-            positions = [p + 1 for p in range(n) if mask >> p & 1]
-            return WalkWitness.from_word(w, positions, KIND_HESITANT_LAMBDA)
-    return None
-
-
 def _require_hesitant(t: LieType, witness: WalkWitness, lam: DominantWeight) -> None:
     if not is_hesitant_lambda_walk(t, Word(witness.subword), lam):
         raise NotAWitness(f"subword {witness.subword} is not a hesitant lambda-walk")
@@ -201,16 +151,16 @@ def minimize(t: LieType, witness: WalkWitness, lam: DominantWeight) -> WalkWitne
 
 
 def lambda_walk_from_positive_entry(
-    d: TwistData, w: Word, sigma, k: int
+    d: TwistData, w: Word, m: tuple[int, ...], k: int
 ) -> WalkWitness:
     """Greedy lambda-walk starting at a strictly positive Cartier entry.
 
-    Requires m[k] > 0 and m[i] >= 0 for i > k; while the current ell is zero,
-    steps to the minimal later index with negative c and positive m-entry.
+    Requires m[k] > 0 and m[i] >= 0 for i > k in the Cartier entries m; while
+    the current ell is zero, steps to the minimal later index with negative c
+    and positive m-entry.
     """
-    from .cartier import compute_m  # local import: cartier builds on this module
-
-    m = compute_m(d, sigma).m
+    if len(m) != d.n:
+        raise DimensionMismatch(f"m has length {len(m)}, expected {d.n}")
     if not (m[k - 1] > 0 and all(v >= 0 for v in m[k:])):
         raise PreconditionViolated(f"need m[{k}] > 0 and nonnegative tail, got {m}")
     positions = [k]

@@ -1,0 +1,124 @@
+"""Independent reference implementations that the tests compare the library
+against.  They are slow by design and are not part of the installed package."""
+
+from __future__ import annotations
+
+from twistedcubes.cartier import is_untwisted
+from twistedcubes.errors import CapExceeded
+from twistedcubes.harness import SweepSpec, iter_instances
+from twistedcubes.rootdata import LieType, adjacent, parse_lie_type
+from twistedcubes.twistedcube import LatticeCensus, density, lattice_points
+from twistedcubes.walks import KIND_HESITANT_LAMBDA, WalkWitness
+from twistedcubes.weightword import (
+    DominantWeight,
+    TwistData,
+    Word,
+    appears_in_lambda,
+    derive_twist_data,
+)
+
+NAIVE_N_CAP = 16
+
+
+def find_hesitant_lambda_walk_naive(
+    t: LieType, w: Word, lam: DominantWeight
+) -> WalkWitness | None:
+    """Oracle by exhaustive subword enumeration; capped at n <= 16.
+
+    Returns some valid witness (not necessarily the canonical one) or None.
+    """
+    n = len(w)
+    if n > NAIVE_N_CAP:
+        raise CapExceeded(f"naive detector capped at n <= {NAIVE_N_CAP}, got {n}")
+    letters = w.entries
+    support = [appears_in_lambda(lam, i) for i in letters]
+    adj = {
+        (a, b)
+        for a in range(1, t.rank + 1)
+        for b in range(1, t.rank + 1)
+        if adjacent(t, a, b)
+    }
+    # Bit-twiddled subset scan; per-mask work is dominated by the early
+    # rejections (fewer than two set bits, or an unrepeated first letter).
+    for mask in range(3, 1 << n):
+        m = mask
+        low = m & -m
+        b0 = low.bit_length() - 1
+        m ^= low
+        if m == 0:
+            continue
+        low = m & -m
+        b1 = low.bit_length() - 1
+        if letters[b0] != letters[b1]:
+            continue
+        m ^= low
+        prev = b1
+        ok = True
+        while m:
+            low = m & -m
+            b = low.bit_length() - 1
+            m ^= low
+            if (letters[prev], letters[b]) not in adj:
+                ok = False
+                break
+            prev = b
+        if ok and support[prev]:
+            positions = [p + 1 for p in range(n) if mask >> p & 1]
+            return WalkWitness.from_word(w, positions, KIND_HESITANT_LAMBDA)
+    return None
+
+
+def brute_force_census(d: TwistData, box: int | None = None) -> LatticeCensus:
+    """Independent oracle: test every integer point of an enclosing box.
+
+    Per-coordinate half-widths default to the running worst-case bound
+    |x_j| <= |ell_j| + sum_{k>j} |c_jk| B_k; intended for tiny n only.
+    """
+    if d.n == 0:
+        return lattice_points(d)
+    if box is not None:
+        bounds = [box] * d.n
+    else:
+        bounds = [0] * d.n
+        for j in range(d.n, 0, -1):
+            row = d.rows[j - 1]
+            bounds[j - 1] = abs(d.ell[j - 1]) + sum(abs(v) * bounds[k - 1] for k, v in row)
+    pts: list[tuple[tuple[int, ...], int]] = []
+
+    def walk(coords: list[int]) -> None:
+        if len(coords) == d.n:
+            rho = density(d, coords)
+            if rho != 0:
+                pts.append((tuple(coords), rho))
+            return
+        b = bounds[len(coords)]
+        for v in range(-b, b + 1):
+            walk(coords + [v])
+
+    walk([])
+    pts.sort()
+    pos = sum(1 for _, rho in pts if rho == 1)
+    return LatticeCensus(points=tuple(pts), num_positive=pos, num_negative=len(pts) - pos)
+
+
+def scaling_invariance_failures(spec: SweepSpec, factor: int = 3) -> list[dict]:
+    """Instances whose untwisted verdict changes when the weight is scaled;
+    the criterion depends on the weight only through its support, so this
+    must come back empty."""
+    failures: list[dict] = []
+    for type_name, word_entries, weight_coeffs in iter_instances(spec):
+        t = parse_lie_type(type_name)
+        w = Word(word_entries)
+        lam = DominantWeight(weight_coeffs)
+        base = is_untwisted(derive_twist_data(t, w, lam)).untwisted
+        scaled = is_untwisted(derive_twist_data(t, w, lam.scaled(factor))).untwisted
+        if base != scaled:
+            failures.append(
+                {
+                    "type": type_name,
+                    "word": list(word_entries),
+                    "weight": list(weight_coeffs),
+                    "factor": factor,
+                }
+            )
+    return failures

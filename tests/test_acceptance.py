@@ -22,12 +22,10 @@ from twistedcubes.cartier import (
 from twistedcubes.harness import (
     SweepSpec,
     default_specs,
-    scaling_invariance_failures,
     verify_equivalence,
 )
 from twistedcubes.rootdata import all_types_up_to_rank, parse_lie_type
 from twistedcubes.twistedcube import (
-    brute_force_census,
     contains,
     density,
     lattice_points,
@@ -35,10 +33,11 @@ from twistedcubes.twistedcube import (
 )
 from twistedcubes.walks import (
     find_hesitant_lambda_walk,
-    find_hesitant_lambda_walk_naive,
     is_hesitant_lambda_walk,
 )
 from twistedcubes.weightword import DominantWeight, TwistData, Word, derive_twist_data
+
+from oracles import brute_force_census, find_hesitant_lambda_walk_naive, scaling_invariance_failures
 
 
 _CAPSYS = None

@@ -118,13 +118,14 @@ def test_witness_sigma_rejects_non_minimal():
 
 def test_hesitant_walk_from_twist_witness_examples():
     w = Word((1, 2, 1))
-    rebuilt = hesitant_walk_from_twist_witness(A2_TWISTED, w, SignVector.from_string("-+-"), 1)
+    m = compute_m(A2_TWISTED, SignVector.from_string("-+-")).m
+    rebuilt = hesitant_walk_from_twist_witness(A2_TWISTED, w, m, 1)
     assert rebuilt.positions == (1, 3)
     assert rebuilt.subword == (1, 1)
 
     d = derived("A3", (1, 1, 2, 3), (0, 0, 1))
     rebuilt = hesitant_walk_from_twist_witness(
-        d, Word((1, 1, 2, 3)), SignVector.from_string("----"), 1
+        d, Word((1, 1, 2, 3)), compute_m(d, SignVector.from_string("----")).m, 1
     )
     assert rebuilt.positions == (1, 2, 3, 4)
 
@@ -132,14 +133,16 @@ def test_hesitant_walk_from_twist_witness_examples():
 def test_hesitant_walk_precondition():
     with pytest.raises(PreconditionViolated):
         hesitant_walk_from_twist_witness(
-            A2_TWISTED, Word((1, 2, 1)), SignVector.from_string("+++"), 1
+            A2_TWISTED, Word((1, 2, 1)), compute_m(A2_TWISTED, SignVector.from_string("+++")).m, 1
         )
+    with pytest.raises(DimensionMismatch):
+        hesitant_walk_from_twist_witness(A2_TWISTED, Word((1, 2, 1)), (-2, 0), 1)
 
 
 def test_maximal_failing_index():
-    assert maximal_failing_index(A2_TWISTED, SignVector.from_string("-+-")) == 1
+    assert maximal_failing_index(compute_m(A2_TWISTED, SignVector.from_string("-+-")).m) == 1
     with pytest.raises(PreconditionViolated):
-        maximal_failing_index(A2_TWISTED, SignVector.from_string("+++"))
+        maximal_failing_index(compute_m(A2_TWISTED, SignVector.from_string("+++")).m)
 
 
 def test_round_trip_witness_revalidates():
@@ -149,8 +152,8 @@ def test_round_trip_witness_revalidates():
     d = derive_twist_data(t, w, lam)
     res = is_untwisted(d)
     assert not res.untwisted
-    k = maximal_failing_index(d, res.sigma)
-    rebuilt = hesitant_walk_from_twist_witness(d, w, res.sigma, k)
+    k = maximal_failing_index(res.m.m)
+    rebuilt = hesitant_walk_from_twist_witness(d, w, res.m.m, k)
     assert is_hesitant_lambda_walk(t, Word(rebuilt.subword), lam)
 
 
@@ -205,6 +208,17 @@ def test_m_depends_only_on_suffix(d, data):
     }
     perturbed = compute_m(TwistData(n=d.n, c=new_c, ell=new_ell), SignVector(new_signs)).m
     assert perturbed[k - 1 :] == base[k - 1 :]
+
+
+@given(raw_twist_data())
+def test_criterion_witness_k_is_the_maximal_failing_index(d):
+    # m depends only on the suffix of sigma, so turning every sign before a
+    # negative entry into + keeps that entry and gives an earlier sigma.  The
+    # first failing sigma (+ before -) thus has no negative entry after its k,
+    # and the sweep worker can hand result.m to the sigma-to-walk direction.
+    r = is_untwisted(d)
+    if not r.untwisted:
+        assert maximal_failing_index(r.m.m) == r.k
 
 
 @settings(max_examples=80)

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistedcubes.cli import EXIT_ERROR, EXIT_TWISTED, EXIT_UNTWISTED, load_instance, main
 from twistedcubes.errors import MalformedInput
@@ -153,13 +158,61 @@ def test_max_n_cap(derived_twisted, capsys):
         json.dumps({"n": True, "c": {}, "ell": [3]}),
         json.dumps({"n": 2, "c": [1], "ell": [3, 5]}),
         json.dumps({"type": 2, "word": [1], "weight": [1, 0]}),
+        # Too many digits for int(): a ValueError that is not a JSONDecodeError.
+        '{"n": ' + "1" * 5000 + ', "c": {}, "ell": []}',
+        json.dumps({"type": "A" + "1" * 5000, "word": [], "weight": []}),
     ],
+    ids=lambda payload: payload if len(payload) < 80 else payload[:40] + "...",
 )
 def test_malformed_inputs_exit_2(tmp_path, payload, capsys):
     path = tmp_path / "inst.json"
     path.write_text(payload)
     assert main(["check", "--instance", str(path)]) == EXIT_ERROR
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        {"lie_types": ["A1"], "max_word_length": 1, "weight_alphabet": ["x"]},
+        {"lie_types": ["A1"], "max_word_length": 1.7},
+        {"lie_types": ["A1"], "max_word_length": -1},
+        {"lie_types": ["A1"], "max_word_length": 1, "sample_count": "3"},
+        {"lie_types": ["A1"], "max_word_length": 1, "seed": 1.5, "sample_count": 2},
+        # Sampling draws from both lists, so neither may be empty.
+        {"lie_types": [], "max_word_length": 1, "sample_count": 2},
+        {"lie_types": ["A1"], "max_word_length": 1, "weight_alphabet": [], "sample_count": 2},
+        [{"lie_types": ["A1"], "max_word_length": 1}, 3],
+        '{"lie_types": ["A1"], "max_word_length": ' + "9" * 5000 + "}",
+    ],
+    ids=lambda block: block[:50] + "..." if isinstance(block, str) else json.dumps(block),
+)
+def test_malformed_spec_exits_2(tmp_path, block, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(block if isinstance(block, str) else json.dumps(block))
+    assert main(["verify", "--spec", str(spec)]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lattice", "--format", "human"],
+        ["render", "--max-n", "3"],
+        ["render", "--format", "json"],
+        ["verify", "--max-n", "0"],
+        ["atlas", "--max-n", "3"],
+        ["atlas", "--format", "human"],
+    ],
+    ids=" ".join,
+)
+def test_options_a_command_does_not_read_are_rejected(raw_n2, tmp_path, argv, capsys):
+    if argv[0] in ("lattice", "render"):
+        argv = argv + ["--instance", raw_n2, "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_ERROR
+    capsys.readouterr()
 
 
 def test_missing_file_exits_2(tmp_path, capsys):
@@ -184,3 +237,93 @@ def test_load_instance_rejects_bad_spec_file(tmp_path, capsys):
 def test_load_instance_malformed_raises():
     with pytest.raises(MalformedInput):
         load_instance("/nonexistent/path.json")
+
+
+# Fuzzing the two loaders.  Junk strings use no capital letter, so they never
+# name a Lie type, and spec integers stay small, so no draw can ask for a
+# sweep that runs for more than a moment.
+_JUNK_TEXT = st.text(alphabet="01,x -", max_size=4)
+
+
+def _json(ints):
+    leaves = st.none() | st.booleans() | ints | st.floats() | _JUNK_TEXT
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_JUNK_TEXT, inner, max_size=3),
+        max_leaves=8,
+    )
+
+
+_DROP = object()
+
+
+def _mutations(valid: dict, domains: dict, junk):
+    """valid with each field kept, dropped, or replaced by a draw from its
+    domain or from junk."""
+    fields = {
+        key: st.just(value) | st.just(_DROP) | domains.get(key, st.nothing()) | junk
+        for key, value in valid.items()
+    }
+    return st.fixed_dictionaries(fields).map(
+        lambda obj: {k: v for k, v in obj.items() if v is not _DROP}
+    )
+
+
+_INSTANCE_JSON = _json(st.integers())
+_SPEC_JSON = _json(st.integers(-2, 3))
+_TYPES = st.sampled_from(["A1", "A2", "B2", "G2"])
+_SMALL = st.integers(-2, 3)
+
+INSTANCES = (
+    _INSTANCE_JSON
+    | _mutations(
+        {"type": "A2", "word": [1, 2, 1], "weight": [2, 1]},
+        {"type": _TYPES, "word": st.lists(_SMALL, max_size=4)},
+        _INSTANCE_JSON,
+    )
+    | _mutations({"n": 2, "c": {"1,2": 1}, "ell": [3, 5]}, {}, _INSTANCE_JSON)
+)
+
+_SPEC_BLOCKS = _mutations(
+    {
+        "name": "fuzz",
+        "lie_types": ["A2"],
+        "max_word_length": 2,
+        "weight_alphabet": [0, 1],
+        "seed": 1,
+        "sample_count": 2,
+    },
+    {
+        "lie_types": st.lists(_TYPES | _SPEC_JSON, max_size=2),
+        "max_word_length": _SMALL,
+        "weight_alphabet": st.lists(_SMALL, max_size=3),
+        "sample_count": _SMALL | st.none(),
+        "seed": st.integers() | st.none(),
+    },
+    _SPEC_JSON,
+)
+SPECS = _SPEC_JSON | _SPEC_BLOCKS | st.lists(_SPEC_BLOCKS, max_size=2)
+
+
+def _run_on_json(command: str, flag: str, value) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(value))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, flag, str(path)])
+    assert code in (EXIT_UNTWISTED, EXIT_TWISTED, EXIT_ERROR)
+    if code == EXIT_ERROR:
+        assert err.getvalue().startswith("error: ")
+
+
+@settings(deadline=None)
+@given(INSTANCES)
+def test_check_never_crashes_on_arbitrary_json(value):
+    _run_on_json("check", "--instance", value)
+
+
+@settings(deadline=None)
+@given(SPECS)
+def test_verify_never_crashes_on_arbitrary_json(value):
+    _run_on_json("verify", "--spec", value)

@@ -9,15 +9,32 @@ from twistedcubes.harness import (
     check_instance,
     default_specs,
     iter_instances,
-    scaling_invariance_failures,
     verify_equivalence,
 )
+
+from oracles import scaling_invariance_failures
 
 
 def test_empty_spec():
     report = verify_equivalence(SweepSpec((), 5))
     assert report.instances == 0
     assert report.counterexamples == []
+
+
+def test_from_json_ignores_unknown_keys():
+    # Benchmark and generator blocks carry a name and their expected counts.
+    block = {
+        "name": "g2-w01",
+        "expect": {"instances": 508},
+        "lie_types": ["G2"],
+        "max_word_length": 6,
+        "weight_alphabet": [0, 1],
+        "seed": None,
+        "sample_count": None,
+    }
+    assert SweepSpec.from_json(block) == SweepSpec(("G2",), 6, (0, 1))
+    sampled = {"lie_types": ["A2"], "max_word_length": 3, "seed": 5, "sample_count": 4}
+    assert SweepSpec.from_json(sampled) == SweepSpec(("A2",), 3, (0, 1), 5, 4)
 
 
 def test_small_exhaustive_sweep():

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from twistedcubes.errors import CapExceeded, DimensionMismatch, IndexOutOfRange
 from twistedcubes.rootdata import parse_lie_type
 from twistedcubes.twistedcube import (
-    brute_force_census,
     contains,
     contains_PD,
     density,
@@ -15,6 +14,8 @@ from twistedcubes.twistedcube import (
     signed_count,
 )
 from twistedcubes.weightword import DominantWeight, TwistData, Word, derive_twist_data
+
+from oracles import brute_force_census
 
 # The running n=2 instance: half-open region with one negative lattice point.
 EX1 = TwistData(n=2, c={(1, 2): 1}, ell=(3, 5))

@@ -1,14 +1,18 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistedcubes.cartier import SignVector
-from twistedcubes.errors import CapExceeded, NotAWitness, PreconditionViolated
+from twistedcubes.cartier import SignVector, compute_m
+from twistedcubes.errors import (
+    CapExceeded,
+    DimensionMismatch,
+    NotAWitness,
+    PreconditionViolated,
+)
 from twistedcubes.rootdata import all_types_up_to_rank, parse_lie_type
 from twistedcubes.walks import (
     KIND_HESITANT_LAMBDA,
     WalkWitness,
     find_hesitant_lambda_walk,
-    find_hesitant_lambda_walk_naive,
     is_diagram_walk,
     is_hesitant_lambda_walk,
     is_lambda_walk,
@@ -17,6 +21,8 @@ from twistedcubes.walks import (
     minimize,
 )
 from twistedcubes.weightword import DominantWeight, Word, derive_twist_data
+
+from oracles import find_hesitant_lambda_walk_naive
 
 A5 = parse_lie_type("A5")
 
@@ -132,19 +138,21 @@ def test_minimize_idempotent():
 def test_lambda_walk_from_positive_entry():
     a2 = parse_lie_type("A2")
     d = derive_twist_data(a2, Word((1, 2, 1)), DominantWeight((2, 1)))
-    walk = lambda_walk_from_positive_entry(d, Word((1, 2, 1)), SignVector.from_string("-+-"), 3)
+    m = compute_m(d, SignVector.from_string("-+-")).m
+    walk = lambda_walk_from_positive_entry(d, Word((1, 2, 1)), m, 3)
     assert walk.positions == (3,)
 
     a3 = parse_lie_type("A3")
     d = derive_twist_data(a3, Word((1, 1, 2, 3)), DominantWeight((0, 0, 1)))
-    walk = lambda_walk_from_positive_entry(
-        d, Word((1, 1, 2, 3)), SignVector.from_string("----"), 2
-    )
+    m = compute_m(d, SignVector.from_string("----")).m
+    walk = lambda_walk_from_positive_entry(d, Word((1, 1, 2, 3)), m, 2)
     assert walk.positions == (2, 3, 4)
     assert is_lambda_walk(a3, Word(walk.subword), DominantWeight((0, 0, 1)))
 
     with pytest.raises(PreconditionViolated):
-        lambda_walk_from_positive_entry(d, Word((1, 1, 2, 3)), SignVector.from_string("----"), 1)
+        lambda_walk_from_positive_entry(d, Word((1, 1, 2, 3)), m, 1)
+    with pytest.raises(DimensionMismatch):
+        lambda_walk_from_positive_entry(d, Word((1, 1, 2, 3)), m[1:], 2)
 
 
 TYPES = all_types_up_to_rank(6)
