@@ -102,8 +102,11 @@ def cmd_lattice(args) -> int:
     census = lattice_points(d, cap=args.max_n)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for point, rho in census.points:
-            out.write(json.dumps({"x": list(point), "rho": rho}) + "\n")
+        # Byte for byte what json.dumps({"x": list(point), "rho": rho}) writes.
+        out.writelines(
+            '{"x": [' + ", ".join(map(str, point)) + '], "rho": ' + str(rho) + "}\n"
+            for point, rho in census.points
+        )
         out.write(
             json.dumps(
                 {
@@ -141,8 +144,11 @@ def _load_specs(path: str | None) -> list[harness.SweepSpec]:
 
 
 def cmd_verify(args) -> int:
+    specs = _load_specs(args.spec)
+    for spec in specs:
+        harness.require_checkable(spec)
     merged = harness.SweepReport()
-    for spec in _load_specs(args.spec):
+    for spec in specs:
         merged.merge(harness.verify_equivalence(spec, jobs=args.jobs))
     if args.format == "json":
         print(json.dumps(merged.to_json()))
@@ -179,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "human"), default="json")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("lattice", help="stream the signed lattice-point census")
+    p = sub.add_parser("lattice", help="list the signed lattice-point census")
     p.add_argument("--instance", required=True, help="instance JSON file")
     p.add_argument("--max-n", type=int, default=DEFAULT_N_CAP, help="enumeration cap on n")
     p.add_argument("--out", help="write JSON lines here instead of stdout")

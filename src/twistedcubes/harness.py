@@ -11,10 +11,10 @@ from dataclasses import dataclass, field
 from multiprocessing import Pool
 
 from . import cartier, walks
-from .errors import MalformedInput, require_int, require_ints
-from .rootdata import LieType, parse_lie_type
+from .errors import CapExceeded, MalformedInput, require_int, require_ints
+from .rootdata import parse_lie_type
 from .twistedcube import contains_PD, lattice_points
-from .weightword import DominantWeight, Word, derive_twist_data
+from .weightword import DEFAULT_N_CAP, DominantWeight, Word, derive_twist_data
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,15 @@ class SweepSpec:
             weight_alphabet=alphabet,
             seed=None if seed is None else require_int("seed", seed),
             sample_count=sample_count,
+        )
+
+
+def require_checkable(spec: SweepSpec) -> None:
+    """CapExceeded when the block holds words longer than the criterion's
+    cap, so that a sweep fails before it checks any instance."""
+    if spec.max_word_length > DEFAULT_N_CAP:
+        raise CapExceeded(
+            f"sweep block max_word_length = {spec.max_word_length} exceeds cap {DEFAULT_N_CAP}"
         )
 
 
@@ -174,7 +183,9 @@ def check_instance(inst: Instance) -> list[dict]:
 
 def verify_equivalence(spec: SweepSpec, jobs: int = 1) -> SweepReport:
     """Run every per-instance check over the sweep; failures are report data,
-    never exceptions."""
+    never exceptions.  A block whose words outgrow the criterion's cap
+    raises CapExceeded before any check."""
+    require_checkable(spec)
     start = time.monotonic()
     report = SweepReport()
     instances = list(iter_instances(spec))

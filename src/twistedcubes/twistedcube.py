@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Rational
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Sequence
 
 from .errors import CapExceeded, DimensionMismatch, IndexOutOfRange, PreconditionViolated
 from .weightword import DEFAULT_N_CAP, TwistData, bound
@@ -84,30 +85,33 @@ def lattice_points(d: TwistData, cap: int = DEFAULT_N_CAP) -> LatticeCensus:
 
     At level j, with the tail coordinates fixed, the bound A_j is a known
     integer a; the admissible values are {0..a} when a >= 0 and the open-side
-    integers {a+1..-1} when a < 0 (empty at a = -1).
+    integers {a+1..-1} when a < 0 (empty at a = -1).  Each point's density is
+    the sign product taken along the way, and the points come sorted.
     """
     if d.n > cap:
         raise CapExceeded(f"n = {d.n} exceeds cap {cap}")
-    points: list[tuple[int, ...]] = []
-    x = [0] * d.n
+    points: list[tuple[tuple[int, ...], int]] = []
+    _descend(d, d.n, [0] * d.n, (-1) ** d.n, points)
+    points.sort(key=itemgetter(0))  # the points are distinct
+    pos = sum(1 for _, rho in points if rho == 1)
+    return LatticeCensus(points=tuple(points), num_positive=pos, num_negative=len(points) - pos)
 
-    def descend(j: int) -> None:
-        if j == 0:
-            points.append(tuple(x))
-            return
-        a = bound(d, j, x)
-        values: Iterable[int] = range(0, a + 1) if a >= 0 else range(a + 1, 0)
-        for xj in values:
-            x[j - 1] = xj
-            descend(j - 1)
 
-    descend(d.n)
-    points.sort()
-    tagged = tuple((p, density(d, p)) for p in points)
-    if any(rho == 0 for _, rho in tagged):
-        raise PreconditionViolated("an enumerated lattice point lies outside the cube")
-    pos = sum(1 for _, rho in tagged if rho == 1)
-    return LatticeCensus(points=tagged, num_positive=pos, num_negative=len(tagged) - pos)
+def _descend(d: TwistData, j: int, x: list[int], rho: int, points: list) -> None:
+    """Append every point with tail x[j:], each with rho times its signs.
+
+    Every chosen value is checked against the bound of its own tail, the
+    condition ``contains`` tests at that coordinate.
+    """
+    if j == 0:
+        points.append((tuple(x), rho))
+        return
+    a = bound(d, j, x)
+    for v in range(0, a + 1) if a >= 0 else range(a + 1, 0):
+        if not _coordinate_ok(a, v):
+            raise PreconditionViolated("an enumerated lattice point lies outside the cube")
+        x[j - 1] = v
+        _descend(d, j - 1, x, rho * _sgn(v), points)
 
 
 def signed_count(d: TwistData, cap: int = DEFAULT_N_CAP) -> int:

@@ -56,9 +56,6 @@ class DominantWeight:
     def rank(self) -> int:
         return len(self.coefficients)
 
-    def scaled(self, factor: int) -> "DominantWeight":
-        return DominantWeight(tuple(factor * c for c in self.coefficients))
-
 
 def appears_in_lambda(lam: DominantWeight, i: int) -> bool:
     """Whether the i-th simple root appears in lam (coefficient > 0)."""

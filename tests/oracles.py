@@ -111,7 +111,8 @@ def scaling_invariance_failures(spec: SweepSpec, factor: int = 3) -> list[dict]:
         w = Word(word_entries)
         lam = DominantWeight(weight_coeffs)
         base = is_untwisted(derive_twist_data(t, w, lam)).untwisted
-        scaled = is_untwisted(derive_twist_data(t, w, lam.scaled(factor))).untwisted
+        scaled_lam = DominantWeight(tuple(factor * c for c in lam.coefficients))
+        scaled = is_untwisted(derive_twist_data(t, w, scaled_lam)).untwisted
         if base != scaled:
             failures.append(
                 {

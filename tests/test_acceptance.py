@@ -20,7 +20,6 @@ from twistedcubes.cartier import (
     witness_sigma_from_walk,
 )
 from twistedcubes.harness import (
-    SweepSpec,
     default_specs,
     verify_equivalence,
 )

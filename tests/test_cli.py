@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twistedcubes import harness
 from twistedcubes.cli import EXIT_ERROR, EXIT_TWISTED, EXIT_UNTWISTED, load_instance, main
 from twistedcubes.errors import MalformedInput
 
@@ -192,6 +193,39 @@ def test_malformed_spec_exits_2(tmp_path, block, capsys):
     spec.write_text(block if isinstance(block, str) else json.dumps(block))
     assert main(["verify", "--spec", str(spec)]) == EXIT_ERROR
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# Every A1 word of positive length is twisted at weight 1, so a sweep that
+# checks these words anyway stops early on each and ends at length 21.
+_BEYOND_CAP = {"lie_types": ["A1"], "max_word_length": 21, "weight_alphabet": [1]}
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [_BEYOND_CAP],
+        [dict(_BEYOND_CAP, seed=1, sample_count=5)],
+        [{"lie_types": ["A1"], "max_word_length": 2}, _BEYOND_CAP],
+    ],
+    ids=["exhaustive", "sampled", "second-block"],
+)
+def test_verify_rejects_words_beyond_the_cap_before_any_check(tmp_path, blocks, monkeypatch, capsys):
+    calls = []
+    real = harness._worker
+    monkeypatch.setattr(harness, "_worker", lambda inst: calls.append(inst) or real(inst))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(blocks))
+    assert main(["verify", "--spec", str(spec)]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
+
+
+def test_atlas_accepts_words_beyond_the_cap(tmp_path, capsys):
+    # The walk detector has no cap.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_BEYOND_CAP))
+    assert main(["atlas", "--spec", str(spec)]) == EXIT_UNTWISTED
+    assert json.loads(capsys.readouterr().out)["counts"]["A1"]["1"]["21"]["total"] == 1
 
 
 @pytest.mark.parametrize(

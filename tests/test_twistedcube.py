@@ -1,9 +1,19 @@
+import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistedcubes.errors import CapExceeded, DimensionMismatch, IndexOutOfRange
+from twistedcubes import twistedcube
+from twistedcubes.cli import EXIT_UNTWISTED, main
+from twistedcubes.errors import (
+    CapExceeded,
+    DimensionMismatch,
+    IndexOutOfRange,
+    PreconditionViolated,
+)
 from twistedcubes.rootdata import parse_lie_type
 from twistedcubes.twistedcube import (
     contains,
@@ -105,6 +115,14 @@ def test_cap():
         lattice_points(d, cap=2)
 
 
+def test_enumeration_checks_every_chosen_value(monkeypatch):
+    # The descent tests each value against the bound of its own tail; a
+    # value that fails there must stop the census.
+    monkeypatch.setattr(twistedcube, "_coordinate_ok", lambda a, v: False)
+    with pytest.raises(PreconditionViolated):
+        lattice_points(EX1)
+
+
 def small_twist_data(max_n=3, bound=2):
     return st.integers(0, max_n).flatmap(
         lambda n: st.tuples(
@@ -153,3 +171,21 @@ def test_nonnegative_census_points_have_density_one(d):
     for p, rho in lattice_points(d).points:
         if all(v >= 0 for v in p):
             assert rho == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_twist_data(max_n=4))
+def test_census_densities_and_lines_match_the_oracles(d):
+    # The descent's sign products against density(), and the hand-built
+    # `lattice` lines against json.dumps.
+    census = lattice_points(d)
+    assert all(rho == density(d, x) != 0 for x, rho in census.points)
+    raw = {"n": d.n, "c": {f"{j},{k}": v for (j, k), v in d.c.items()}, "ell": list(d.ell)}
+    with tempfile.TemporaryDirectory() as tmp:
+        inst, out = Path(tmp) / "inst.json", Path(tmp) / "census.jsonl"
+        inst.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["lattice", "--instance", str(inst), "--out", str(out)]) == EXIT_UNTWISTED
+        lines = out.read_text(encoding="utf-8").splitlines()
+    parsed = [json.loads(line) for line in lines]
+    assert lines == [json.dumps(obj) for obj in parsed]
+    assert [(tuple(obj["x"]), obj["rho"]) for obj in parsed[:-1]] == list(census.points)
