@@ -32,12 +32,12 @@ from .twistedcube import (
 )
 from .cartier import (
     CartierVector,
-    SignVector,
     UntwistResult,
     compute_m,
     hesitant_walk_from_twist_witness,
     is_untwisted,
     maximal_failing_index,
+    minus_at,
     witness_sigma_from_walk,
 )
 from .walks import (

@@ -20,32 +20,10 @@ MINUS = "-"
 PLUS = "+"
 
 
-@dataclass(frozen=True)
-class SignVector:
-    """An element of {+, -}^n."""
-
-    signs: tuple[str, ...]
-
-    def __post_init__(self):
-        signs = tuple(self.signs)
-        if any(s not in (PLUS, MINUS) for s in signs):
-            raise DimensionMismatch(f"signs must be '+'/'-': {signs}")
-        object.__setattr__(self, "signs", signs)
-
-    def __str__(self) -> str:
-        return "".join(self.signs)
-
-    def __len__(self) -> int:
-        return len(self.signs)
-
-    @classmethod
-    def from_string(cls, text: str) -> "SignVector":
-        return cls(tuple(text))
-
-    @classmethod
-    def minus_at(cls, n: int, positions) -> "SignVector":
-        marked = set(positions)
-        return cls(tuple(MINUS if p in marked else PLUS for p in range(1, n + 1)))
+def minus_at(n: int, positions) -> str:
+    """The sign vector of length n with minus exactly at the 1-based positions."""
+    marked = set(positions)
+    return "".join(MINUS if p in marked else PLUS for p in range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -64,7 +42,7 @@ class UntwistResult:
     """Verdict of the nonnegativity criterion, with a failing witness if any."""
 
     untwisted: bool
-    sigma: SignVector | None = None
+    sigma: str | None = None
     k: int | None = None
     m: CartierVector | None = None
 
@@ -73,20 +51,22 @@ class UntwistResult:
             return {"untwisted": True}
         return {
             "untwisted": False,
-            "sigma": str(self.sigma),
+            "sigma": self.sigma,
             "k": self.k,
             "m": list(self.m.m),
         }
 
 
-def compute_m(d: TwistData, sigma: SignVector) -> CartierVector:
+def compute_m(d: TwistData, sigma: str) -> CartierVector:
     """Descending recursion: m_k is 0 at a plus sign, else the bound function
-    evaluated at the already-computed tail."""
+    evaluated at the already-computed tail.  sigma is a string over '+-'."""
+    if not isinstance(sigma, str) or sigma.strip(PLUS + MINUS):
+        raise DimensionMismatch(f"sigma must be a string of '+'/'-': {sigma!r}")
     if len(sigma) != d.n:
         raise DimensionMismatch(f"sigma has length {len(sigma)}, expected {d.n}")
     m = [0] * d.n
     for k in range(d.n, 0, -1):
-        if sigma.signs[k - 1] == MINUS:
+        if sigma[k - 1] == MINUS:
             m[k - 1] = bound(d, k, m)
     return CartierVector(tuple(m))
 
@@ -97,8 +77,7 @@ def is_untwisted(d: TwistData, cap: int = DEFAULT_N_CAP) -> UntwistResult:
     with + ordered before -."""
     if d.n > cap:
         raise CapExceeded(f"n = {d.n} exceeds cap {cap}")
-    for raw in itertools.product((PLUS, MINUS), repeat=d.n):
-        sigma = SignVector(raw)
+    for sigma in map("".join, itertools.product(PLUS + MINUS, repeat=d.n)):
         mv = compute_m(d, sigma)
         for k, value in enumerate(mv.m, start=1):
             if value < 0:
@@ -115,9 +94,7 @@ def maximal_failing_index(m: tuple[int, ...]) -> int:
     raise PreconditionViolated(f"m = {m} has no negative entry")
 
 
-def witness_sigma_from_walk(
-    d: TwistData, positions
-) -> tuple[SignVector, CartierVector]:
+def witness_sigma_from_walk(d: TwistData, positions) -> tuple[str, CartierVector]:
     """Sign vector with minus exactly on a minimal hesitant lambda-walk, and
     its Cartier vector; the leading entry is guaranteed negative.
 
@@ -153,7 +130,7 @@ def witness_sigma_from_walk(
                 raise NotMinimalWitness(
                     f"hesitation inconsistency: c[{J[0]}, {J[q]}] != c[{J[1]}, {J[q]}]"
                 )
-    sigma = SignVector.minus_at(d.n, J)
+    sigma = minus_at(d.n, J)
     mv = compute_m(d, sigma)
     if mv.m[J[0] - 1] >= 0:
         raise NotMinimalWitness(f"walk {J} gives m[{J[0]}] = {mv.m[J[0] - 1]}, not negative")

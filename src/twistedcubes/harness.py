@@ -7,6 +7,7 @@ import itertools
 import json
 import random
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
@@ -188,19 +189,21 @@ def verify_equivalence(spec: SweepSpec, jobs: int = 1) -> SweepReport:
     require_checkable(spec)
     start = time.monotonic()
     report = SweepReport()
-    instances = list(iter_instances(spec))
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            results = pool.map(_worker, instances, chunksize=256)
-    else:
-        results = map(_worker, instances)
-    for untwisted, problems in results:
-        report.instances += 1
-        if untwisted:
-            report.untwisted_count += 1
+    instances = iter_instances(spec)
+    # Instances stream in: imap feeds the workers through a pipe, so neither
+    # path holds a block's whole instance list.
+    with Pool(jobs) if jobs > 1 else nullcontext() as pool:
+        if pool is None:
+            results = map(_worker, instances)
         else:
-            report.twisted_count += 1
-        report.counterexamples.extend(problems)
+            results = pool.imap(_worker, instances, chunksize=256)
+        for untwisted, problems in results:
+            report.instances += 1
+            if untwisted:
+                report.untwisted_count += 1
+            else:
+                report.twisted_count += 1
+            report.counterexamples.extend(problems)
     report.counterexamples.sort(key=lambda ce: json.dumps(ce, sort_keys=True))
     report.wall_ms = int((time.monotonic() - start) * 1000)
     return report

@@ -8,9 +8,7 @@ from .errors import DimensionMismatch, NotAWitness, NotMinimalWitness, Precondit
 from .rootdata import LieType, adjacent
 from .weightword import DominantWeight, TwistData, Word, appears_in_lambda
 
-KIND_DIAGRAM = "diagram_walk"
 KIND_LAMBDA = "lambda_walk"
-KIND_HESITANT = "hesitant_walk"
 KIND_HESITANT_LAMBDA = "hesitant_lambda_walk"
 
 

@@ -14,9 +14,9 @@ import time
 import pytest
 
 from twistedcubes.cartier import (
-    SignVector,
     compute_m,
     is_untwisted,
+    minus_at,
     witness_sigma_from_walk,
 )
 from twistedcubes.harness import (
@@ -113,7 +113,7 @@ def test_criterion_3_running_example_census():
 def test_criterion_4_untwisted_example():
     d = _derived("A3", (1, 2, 3, 1, 2, 1), (0, 0, 3))
     vectors = [
-        compute_m(d, SignVector(sigma)) for sigma in itertools.product("+-", repeat=6)
+        compute_m(d, "".join(sigma)) for sigma in itertools.product("+-", repeat=6)
     ]
     ok = (
         len(vectors) == 64
@@ -156,7 +156,7 @@ def test_criterion_6_length_two_closed_form_randomized():
         ell = [rng.randint(0, 4) for _ in range(n)]
         ell[i - 1] = ell[j - 1] = shared
         d = TwistData(n=n, c=c, ell=tuple(ell))
-        mv = compute_m(d, SignVector.minus_at(n, [i, j]))
+        mv = compute_m(d, minus_at(n, [i, j]))
         if mv.m[i - 1] != shared * (1 - c[(i, j)]) or is_untwisted(d).untwisted:
             ok = False
             break

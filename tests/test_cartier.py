@@ -3,11 +3,11 @@ from hypothesis import given, settings, strategies as st
 
 from twistedcubes.cartier import (
     CartierVector,
-    SignVector,
     compute_m,
     hesitant_walk_from_twist_witness,
     is_untwisted,
     maximal_failing_index,
+    minus_at,
     witness_sigma_from_walk,
 )
 from twistedcubes.errors import (
@@ -29,24 +29,47 @@ A2_TWISTED = derived("A2", (1, 2, 1), (2, 1))
 
 
 def test_all_plus_gives_zero():
-    assert compute_m(A2_TWISTED, SignVector.from_string("+++")).m == (0, 0, 0)
+    assert compute_m(A2_TWISTED, "+++").m == (0, 0, 0)
 
 
 def test_compute_m_worked_example():
-    mv = compute_m(A2_TWISTED, SignVector.from_string("-+-"))
+    mv = compute_m(A2_TWISTED, "-+-")
     assert mv.m == (-2, 0, 2)
     assert mv.min_entry == -2
 
 
 def test_length_two_closed_form():
     d = TwistData(n=2, c={(1, 2): 2}, ell=(4, 4))
-    mv = compute_m(d, SignVector.from_string("--"))
+    mv = compute_m(d, "--")
     assert mv.m[0] == 4 * (1 - 2)
 
 
 def test_compute_m_length_mismatch():
     with pytest.raises(DimensionMismatch):
-        compute_m(A2_TWISTED, SignVector.from_string("--"))
+        compute_m(A2_TWISTED, "--")
+
+
+@pytest.mark.parametrize(
+    "sigma", ["x+-", "+x-", "-+-\n", ("-", "+", "-"), ["-", "+", "-"]], ids=repr
+)
+def test_compute_m_rejects_what_is_not_a_sign_string(sigma):
+    with pytest.raises(DimensionMismatch):
+        compute_m(A2_TWISTED, sigma)
+
+
+def test_criterion_sigma_is_a_string():
+    sigma = is_untwisted(A2_TWISTED).sigma
+    assert type(sigma) is str and sigma == "-+-"
+
+
+def test_witness_sigma_is_a_string():
+    sigma, _ = witness_sigma_from_walk(derived("A3", (1, 1, 2, 3), (0, 0, 1)), (1, 2, 3, 4))
+    assert type(sigma) is str and sigma == "----"
+
+
+def test_minus_at():
+    assert minus_at(4, [1, 3]) == "-+-+"
+    assert minus_at(3, []) == "+++"
 
 
 def test_untwisted_avoiding_example():
@@ -118,14 +141,14 @@ def test_witness_sigma_rejects_non_minimal():
 
 def test_hesitant_walk_from_twist_witness_examples():
     w = Word((1, 2, 1))
-    m = compute_m(A2_TWISTED, SignVector.from_string("-+-")).m
+    m = compute_m(A2_TWISTED, "-+-").m
     rebuilt = hesitant_walk_from_twist_witness(A2_TWISTED, w, m, 1)
     assert rebuilt.positions == (1, 3)
     assert rebuilt.subword == (1, 1)
 
     d = derived("A3", (1, 1, 2, 3), (0, 0, 1))
     rebuilt = hesitant_walk_from_twist_witness(
-        d, Word((1, 1, 2, 3)), compute_m(d, SignVector.from_string("----")).m, 1
+        d, Word((1, 1, 2, 3)), compute_m(d, "----").m, 1
     )
     assert rebuilt.positions == (1, 2, 3, 4)
 
@@ -133,16 +156,16 @@ def test_hesitant_walk_from_twist_witness_examples():
 def test_hesitant_walk_precondition():
     with pytest.raises(PreconditionViolated):
         hesitant_walk_from_twist_witness(
-            A2_TWISTED, Word((1, 2, 1)), compute_m(A2_TWISTED, SignVector.from_string("+++")).m, 1
+            A2_TWISTED, Word((1, 2, 1)), compute_m(A2_TWISTED, "+++").m, 1
         )
     with pytest.raises(DimensionMismatch):
         hesitant_walk_from_twist_witness(A2_TWISTED, Word((1, 2, 1)), (-2, 0), 1)
 
 
 def test_maximal_failing_index():
-    assert maximal_failing_index(compute_m(A2_TWISTED, SignVector.from_string("-+-")).m) == 1
+    assert maximal_failing_index(compute_m(A2_TWISTED, "-+-").m) == 1
     with pytest.raises(PreconditionViolated):
-        maximal_failing_index(compute_m(A2_TWISTED, SignVector.from_string("+++")).m)
+        maximal_failing_index(compute_m(A2_TWISTED, "+++").m)
 
 
 def test_round_trip_witness_revalidates():
@@ -193,7 +216,7 @@ def test_rows_list_the_nonzero_c_entries_in_increasing_k(d):
 def test_m_depends_only_on_suffix(d, data):
     k = data.draw(st.integers(1, d.n))
     signs = tuple(data.draw(st.sampled_from("+-")) for _ in range(d.n))
-    base = compute_m(d, SignVector(signs)).m
+    base = compute_m(d, "".join(signs)).m
     # Perturb everything strictly below k: prefix signs, prefix ells, and
     # c entries whose first index is below k.
     new_signs = tuple(
@@ -206,7 +229,7 @@ def test_m_depends_only_on_suffix(d, data):
         key: (data.draw(st.integers(-3, 3)) if key[0] < k else value)
         for key, value in d.c.items()
     }
-    perturbed = compute_m(TwistData(n=d.n, c=new_c, ell=new_ell), SignVector(new_signs)).m
+    perturbed = compute_m(TwistData(n=d.n, c=new_c, ell=new_ell), "".join(new_signs)).m
     assert perturbed[k - 1 :] == base[k - 1 :]
 
 
@@ -225,7 +248,7 @@ def test_criterion_witness_k_is_the_maximal_failing_index(d):
 @given(raw_twist_data(), st.data())
 def test_single_minus_gives_ell(d, data):
     k = data.draw(st.integers(1, d.n))
-    mv = compute_m(d, SignVector.minus_at(d.n, [k]))
+    mv = compute_m(d, minus_at(d.n, [k]))
     assert mv.m[k - 1] == d.ell[k - 1]
     assert all(v == 0 for p, v in enumerate(mv.m, start=1) if p != k)
 
@@ -235,7 +258,7 @@ def test_cartier_vector_zero_on_plus():
         import itertools
 
         for raw in itertools.product("+-", repeat=d.n):
-            mv = compute_m(d, SignVector(raw))
+            mv = compute_m(d, "".join(raw))
             assert all(
                 m == 0 for s, m in zip(raw, mv.m) if s == "+"
             ), CartierVector(mv.m)

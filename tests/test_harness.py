@@ -1,6 +1,6 @@
 import json
 
-from twistedcubes import cartier
+from twistedcubes import cartier, harness
 from twistedcubes.harness import (
     AtlasReport,
     SweepReport,
@@ -80,6 +80,29 @@ def test_sweep_runs_the_criterion_once_per_instance(monkeypatch):
     report = verify_equivalence(SweepSpec(("A2", "B2"), 3, (0, 1)))
     assert report.counterexamples == []
     assert len(calls) == report.instances == 120
+
+
+def test_verify_streams_its_instances(monkeypatch):
+    drawn = []
+    first_call = []
+    real_iter, real_worker = harness.iter_instances, harness._worker
+
+    def counting(spec):
+        for inst in real_iter(spec):
+            drawn.append(inst)
+            yield inst
+
+    def worker(inst):
+        if not first_call:
+            first_call.append(len(drawn))
+        return real_worker(inst)
+
+    monkeypatch.setattr(harness, "iter_instances", counting)
+    monkeypatch.setattr(harness, "_worker", worker)
+    report = verify_equivalence(SweepSpec(("A2", "B2"), 3, (0, 1)))
+    # The first check runs after one instance is drawn, not after all 120.
+    assert first_call == [1]
+    assert len(drawn) == report.instances == 120
 
 
 def test_report_json_is_deterministic():

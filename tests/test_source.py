@@ -8,6 +8,7 @@ import pytest
 import twistedcubes
 
 MODULES = sorted(Path(twistedcubes.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -49,3 +50,41 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported.items() if name not in used}
     assert unused == {}, f"{path.name} imports names it never uses: {unused}"
+
+
+def _public_top_level_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if not name.startswith("_"):
+                yield name, node.lineno
+
+
+def _loaded_names(paths):
+    loaded = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return loaded
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unreferenced_public_names(path):
+    # A public name that nothing in the package or its tests reads is dead
+    # code; a re-export in __init__.py is not a read.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    loaded = _loaded_names(MODULES + TESTS)
+    unread = {name: line for name, line in _public_top_level_names(tree) if name not in loaded}
+    assert unread == {}, f"{path.name} defines public names nothing reads: {unread}"

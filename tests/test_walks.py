@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistedcubes.cartier import SignVector, compute_m
+from twistedcubes.cartier import compute_m
 from twistedcubes.errors import (
     CapExceeded,
     DimensionMismatch,
@@ -138,13 +138,13 @@ def test_minimize_idempotent():
 def test_lambda_walk_from_positive_entry():
     a2 = parse_lie_type("A2")
     d = derive_twist_data(a2, Word((1, 2, 1)), DominantWeight((2, 1)))
-    m = compute_m(d, SignVector.from_string("-+-")).m
+    m = compute_m(d, "-+-").m
     walk = lambda_walk_from_positive_entry(d, Word((1, 2, 1)), m, 3)
     assert walk.positions == (3,)
 
     a3 = parse_lie_type("A3")
     d = derive_twist_data(a3, Word((1, 1, 2, 3)), DominantWeight((0, 0, 1)))
-    m = compute_m(d, SignVector.from_string("----")).m
+    m = compute_m(d, "----").m
     walk = lambda_walk_from_positive_entry(d, Word((1, 1, 2, 3)), m, 2)
     assert walk.positions == (2, 3, 4)
     assert is_lambda_walk(a3, Word(walk.subword), DominantWeight((0, 0, 1)))
