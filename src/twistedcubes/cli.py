@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager, nullcontext
 
 from . import cartier, harness, walks
 from .errors import MalformedInput, TwistedCubeError, require_int, require_ints
@@ -97,36 +98,39 @@ def cmd_check(args) -> int:
     return EXIT_UNTWISTED if result.untwisted else EXIT_TWISTED
 
 
+@contextmanager
+def _output(path: str | None):
+    """The file at path opened for writing, or stdout when path is None.  An
+    OSError from opening or writing it is malformed input (exit 2), not a
+    crash, which would exit 1 and read as "twisted"."""
+    try:
+        with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
+            yield out
+    except OSError as exc:
+        raise MalformedInput(f"cannot write {path or 'stdout'}: {exc}") from exc
+
+
 def cmd_lattice(args) -> int:
     d, _ = load_instance(args.instance)
     census = lattice_points(d, cap=args.max_n)
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        # Byte for byte what json.dumps({"x": list(point), "rho": rho}) writes.
-        out.writelines(
-            '{"x": [' + ", ".join(map(str, point)) + '], "rho": ' + str(rho) + "}\n"
-            for point, rho in census.points
-        )
-        out.write(
-            json.dumps(
-                {
-                    "positive": census.num_positive,
-                    "negative": census.num_negative,
-                    "signed": census.signed_count,
-                }
-            )
-            + "\n"
-        )
-    finally:
-        if args.out:
-            out.close()
+    # Byte for byte what json.dumps({"x": list(point), "rho": rho}) writes.
+    x = ", ".join(["%d"] * d.n)
+    line = {rho: f'{{"x": [{x}], "rho": {rho}}}\n' for rho in (1, -1)}
+    totals = {
+        "positive": census.num_positive,
+        "negative": census.num_negative,
+        "signed": census.signed_count,
+    }
+    with _output(args.out) as out:
+        out.writelines(line[rho] % point for point, rho in census.points)
+        out.write(json.dumps(totals) + "\n")
     return EXIT_UNTWISTED
 
 
 def cmd_render(args) -> int:
     d, _ = load_instance(args.instance)
     svg = render_svg(d)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _output(args.out) as fh:
         fh.write(svg)
     return EXIT_UNTWISTED
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Rational
-from operator import itemgetter
 from typing import Sequence
 
 from .errors import CapExceeded, DimensionMismatch, IndexOutOfRange, PreconditionViolated
@@ -81,37 +80,48 @@ class LatticeCensus:
 
 
 def lattice_points(d: TwistData, cap: int = DEFAULT_N_CAP) -> LatticeCensus:
-    """Enumerate the integer points of C(c, ell) exactly, back to front.
+    """Enumerate the integer points of C(c, ell) exactly, level by level.
 
-    At level j, with the tail coordinates fixed, the bound A_j is a known
-    integer a; the admissible values are {0..a} when a >= 0 and the open-side
-    integers {a+1..-1} when a < 0 (empty at a = -1).  Each point's density is
-    the sign product taken along the way, and the points come sorted.
+    At level j, with the tail x[j:] fixed, the bound A_j is a known integer
+    a; the admissible values of x_j are {0..a} when a >= 0 and the open-side
+    integers {a+1..-1} when a < 0 (empty at a = -1), all of sign _sgn(a).
+    Each sorted tail of level j+1 goes into the bucket of every admissible
+    x_j, and reading the buckets in increasing x_j gives the sorted tails of
+    level j: the points come sorted with no sort over them.  Every chosen
+    value is checked against the bound of its own tail, the condition
+    ``contains`` tests at that coordinate, and each point carries its density.
     """
     if d.n > cap:
         raise CapExceeded(f"n = {d.n} exceeds cap {cap}")
-    points: list[tuple[tuple[int, ...], int]] = []
-    _descend(d, d.n, [0] * d.n, (-1) ** d.n, points)
-    points.sort(key=itemgetter(0))  # the points are distinct
+    x = [0] * d.n
+    level = [((), (-1) ** d.n)]
+    for j in range(d.n, 0, -1):
+        buckets: dict[int, list] = {}
+        for tail, rho in level:
+            x[j:] = tail
+            a = bound(d, j, x)
+            item = (tail, rho * _sgn(a))
+            for v in range(0, a + 1) if a >= 0 else range(a + 1, 0):
+                if not _coordinate_ok(a, v):
+                    raise PreconditionViolated("an enumerated lattice point lies outside the cube")
+                if v in buckets:
+                    buckets[v].append(item)
+                else:
+                    buckets[v] = [item]
+        level = _read_buckets(buckets)
+    points = tuple(level)
     pos = sum(1 for _, rho in points if rho == 1)
-    return LatticeCensus(points=tuple(points), num_positive=pos, num_negative=len(points) - pos)
+    return LatticeCensus(points=points, num_positive=pos, num_negative=len(points) - pos)
 
 
-def _descend(d: TwistData, j: int, x: list[int], rho: int, points: list) -> None:
-    """Append every point with tail x[j:], each with rho times its signs.
-
-    Every chosen value is checked against the bound of its own tail, the
-    condition ``contains`` tests at that coordinate.
-    """
-    if j == 0:
-        points.append((tuple(x), rho))
-        return
-    a = bound(d, j, x)
-    for v in range(0, a + 1) if a >= 0 else range(a + 1, 0):
-        if not _coordinate_ok(a, v):
-            raise PreconditionViolated("an enumerated lattice point lies outside the cube")
-        x[j - 1] = v
-        _descend(d, j - 1, x, rho * _sgn(v), points)
+def _read_buckets(buckets: dict[int, list]):
+    """Yield the tails (v,) + tail of the buckets in increasing v, each
+    bucket in the order it was filled.  Levels are read lazily: a level is
+    consumed once, by the next one or by the final tuple of points."""
+    for v in sorted(buckets):
+        head = (v,)
+        for tail, rho in buckets[v]:
+            yield head + tail, rho
 
 
 def signed_count(d: TwistData, cap: int = DEFAULT_N_CAP) -> int:

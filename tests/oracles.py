@@ -14,6 +14,7 @@ from twistedcubes.weightword import (
     TwistData,
     Word,
     appears_in_lambda,
+    bound,
     derive_twist_data,
 )
 
@@ -96,6 +97,26 @@ def brute_force_census(d: TwistData, box: int | None = None) -> LatticeCensus:
             walk(coords + [v])
 
     walk([])
+    pts.sort()
+    pos = sum(1 for _, rho in pts if rho == 1)
+    return LatticeCensus(points=tuple(pts), num_positive=pos, num_negative=len(pts) - pos)
+
+
+def descent_census(d: TwistData) -> LatticeCensus:
+    """Order oracle for ``lattice_points``: a recursive descent from x_n,
+    one call per point, then one sort of all the points."""
+    pts: list[tuple[tuple[int, ...], int]] = []
+
+    def descend(j: int, x: list[int], rho: int) -> None:
+        if j == 0:
+            pts.append((tuple(x), rho))
+            return
+        a = bound(d, j, x)
+        for v in range(0, a + 1) if a >= 0 else range(a + 1, 0):
+            x[j - 1] = v
+            descend(j - 1, x, rho if v < 0 else -rho)
+
+    descend(d.n, [0] * d.n, (-1) ** d.n)
     pts.sort()
     pos = sum(1 for _, rho in pts if rho == 1)
     return LatticeCensus(points=tuple(pts), num_positive=pos, num_negative=len(pts) - pos)

@@ -92,6 +92,46 @@ def test_render_rejects_wrong_dimension(derived_twisted, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["lattice", "render"])
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_out_exits_2(raw_n2, tmp_path, command, where, capsys):
+    # Exit 1 would read as "twisted"; an output that cannot be written is
+    # malformed input.
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "out"
+    assert main([command, "--instance", raw_n2, "--out", str(out)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "raw, first, totals",
+    [
+        ({"n": 0, "ell": []}, {"x": [], "rho": 1}, {"positive": 1, "negative": 0, "signed": 1}),
+        ({"n": 1, "ell": [-12]}, {"x": [-11], "rho": -1}, {"positive": 0, "negative": 11, "signed": -11}),
+        # Both signs, and negative and multi-digit coordinates.
+        (
+            {"n": 3, "c": {"1,2": 3, "1,3": -2, "2,3": -4}, "ell": [2, -3, 4]},
+            {"x": [-28, 13, 4], "rho": -1},
+            {"positive": 63, "negative": 238, "signed": -175},
+        ),
+    ],
+)
+def test_lattice_line_bytes_at_the_edges(tmp_path, raw, first, totals):
+    inst, out = tmp_path / "inst.json", tmp_path / "census.jsonl"
+    inst.write_text(json.dumps(raw))
+    assert main(["lattice", "--instance", str(inst), "--out", str(out)]) == EXIT_UNTWISTED
+    lines = out.read_text(encoding="utf-8").splitlines()
+    parsed = [json.loads(line) for line in lines]
+    assert lines == [json.dumps(obj) for obj in parsed]
+    assert parsed[0] == first
+    xs = [obj["x"] for obj in parsed[:-1]]
+    assert all(a < b for a, b in zip(xs, xs[1:]))
+    assert parsed[-1] == totals
+    rhos = [obj["rho"] for obj in parsed[:-1]]
+    assert (rhos.count(1), rhos.count(-1)) == (totals["positive"], totals["negative"])
+
+
 def test_verify_with_spec_file(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"lie_types": ["A2"], "max_word_length": 3}))

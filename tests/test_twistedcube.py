@@ -4,7 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twistedcubes import twistedcube
 from twistedcubes.cli import EXIT_UNTWISTED, main
@@ -25,7 +25,7 @@ from twistedcubes.twistedcube import (
 )
 from twistedcubes.weightword import DominantWeight, TwistData, Word, derive_twist_data
 
-from oracles import brute_force_census
+from oracles import brute_force_census, descent_census
 
 # The running n=2 instance: half-open region with one negative lattice point.
 EX1 = TwistData(n=2, c={(1, 2): 1}, ell=(3, 5))
@@ -123,11 +123,12 @@ def test_enumeration_checks_every_chosen_value(monkeypatch):
         lattice_points(EX1)
 
 
-def small_twist_data(max_n=3, bound=2):
+def small_twist_data(max_n=3, bound=2, ell_bound=None):
+    ell_bound = bound if ell_bound is None else ell_bound
     return st.integers(0, max_n).flatmap(
         lambda n: st.tuples(
             st.just(n),
-            st.lists(st.integers(-bound, bound), min_size=n, max_size=n),
+            st.lists(st.integers(-ell_bound, ell_bound), min_size=n, max_size=n),
             st.lists(
                 st.integers(-bound, bound),
                 min_size=n * (n - 1) // 2,
@@ -147,6 +148,17 @@ def _build(args):
 @given(small_twist_data())
 def test_enumeration_matches_brute_force(d):
     assert lattice_points(d).points == brute_force_census(d).points
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_twist_data(max_n=5, bound=2, ell_bound=3))
+# A tail with no admissible value (a = -1) at the top, in the middle and
+# at the bottom level.
+@example(TwistData(n=2, c={}, ell=(0, -1)))
+@example(TwistData(n=3, c={(2, 3): 1}, ell=(2, 0, 1)))
+@example(TwistData(n=3, c={(1, 2): 1, (1, 3): -1}, ell=(0, 1, 2)))
+def test_enumeration_matches_the_descent_order_oracle(d):
+    assert lattice_points(d) == descent_census(d)
 
 
 @given(small_twist_data(), st.data())
