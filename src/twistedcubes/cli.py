@@ -16,7 +16,7 @@ from . import cartier, harness, walks
 from .errors import MalformedInput, TwistedCubeError, require_int, require_ints
 from .render import render_svg
 from .rootdata import parse_lie_type
-from .twistedcube import lattice_points
+from .twistedcube import census_buckets
 from .weightword import DEFAULT_N_CAP, DominantWeight, TwistData, Word, derive_twist_data
 
 EXIT_UNTWISTED = 0
@@ -82,18 +82,19 @@ def cmd_check(args) -> int:
         witness = walks.find_hesitant_lambda_walk(t, w, lam)
         if witness is not None:
             report["walk"] = _walk_json(t, lam, witness)
-    if args.format == "json":
-        print(json.dumps(report))
-    else:
-        if result.untwisted:
-            print("untwisted: every Cartier vector is entrywise nonnegative")
+    with _output(None) as out:
+        if args.format == "json":
+            print(json.dumps(report), file=out)
+        elif result.untwisted:
+            print("untwisted: every Cartier vector is entrywise nonnegative", file=out)
         else:
-            print(f"twisted: sigma={result.sigma} has m={list(result.m.m)} (k={result.k})")
+            print(f"twisted: sigma={result.sigma} has m={list(result.m.m)} (k={result.k})", file=out)
             if "walk" in report:
                 wj = report["walk"]
                 print(
                     f"hesitant lambda-walk at positions {wj['positions']} "
-                    f"(subword {wj['subword']})"
+                    f"(subword {wj['subword']})",
+                    file=out,
                 )
     return EXIT_UNTWISTED if result.untwisted else EXIT_TWISTED
 
@@ -101,28 +102,32 @@ def cmd_check(args) -> int:
 @contextmanager
 def _output(path: str | None):
     """The file at path opened for writing, or stdout when path is None.  An
-    OSError from opening or writing it is malformed input (exit 2), not a
-    crash, which would exit 1 and read as "twisted"."""
+    OSError from opening, writing or flushing it is malformed input (exit 2),
+    not a crash, which would exit 1 and read as "twisted".  The flush is
+    inside the try, so that a write error still held in stdout's buffer
+    surfaces here rather than at interpreter exit."""
     try:
         with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
             yield out
+            out.flush()
     except OSError as exc:
         raise MalformedInput(f"cannot write {path or 'stdout'}: {exc}") from exc
 
 
 def cmd_lattice(args) -> int:
     d, _ = load_instance(args.instance)
-    census = lattice_points(d, cap=args.max_n)
     # Byte for byte what json.dumps({"x": list(point), "rho": rho}) writes.
-    x = ", ".join(["%d"] * d.n)
-    line = {rho: f'{{"x": [{x}], "rho": {rho}}}\n' for rho in (1, -1)}
-    totals = {
-        "positive": census.num_positive,
-        "negative": census.num_negative,
-        "signed": census.signed_count,
-    }
+    # A level-2 tail's line end is formatted once and shared by every x_1
+    # it admits; a bucket's lines are its head joined with those ends.
+    end = ", %d" * (d.n - 1) + '], "rho": %d}\n'
+    buckets, positive, negative = census_buckets(
+        d, lambda tail, rho: end % (*tail, rho), cap=args.max_n
+    )
+    totals = {"positive": positive, "negative": negative, "signed": positive - negative}
     with _output(args.out) as out:
-        out.writelines(line[rho] % point for point, rho in census.points)
+        for head, ends in buckets:
+            start = '{"x": [' + ", ".join(map(str, head))
+            out.write(start + start.join(ends))
         out.write(json.dumps(totals) + "\n")
     return EXIT_UNTWISTED
 
@@ -154,16 +159,18 @@ def cmd_verify(args) -> int:
     merged = harness.SweepReport()
     for spec in specs:
         merged.merge(harness.verify_equivalence(spec, jobs=args.jobs))
-    if args.format == "json":
-        print(json.dumps(merged.to_json()))
-    else:
-        print(
-            f"{merged.instances} instances: {merged.untwisted_count} untwisted, "
-            f"{merged.twisted_count} twisted, "
-            f"{len(merged.counterexamples)} counterexamples ({merged.wall_ms} ms)"
-        )
-        for ce in merged.counterexamples:
-            print(f"  {json.dumps(ce)}")
+    with _output(None) as out:
+        if args.format == "json":
+            print(json.dumps(merged.to_json()), file=out)
+        else:
+            print(
+                f"{merged.instances} instances: {merged.untwisted_count} untwisted, "
+                f"{merged.twisted_count} twisted, "
+                f"{len(merged.counterexamples)} counterexamples ({merged.wall_ms} ms)",
+                file=out,
+            )
+            for ce in merged.counterexamples:
+                print(f"  {json.dumps(ce)}", file=out)
     return EXIT_UNTWISTED if not merged.counterexamples else EXIT_TWISTED
 
 
@@ -171,7 +178,8 @@ def cmd_atlas(args) -> int:
     merged = harness.AtlasReport()
     for spec in _load_specs(args.spec):
         merged.merge(harness.atlas(spec))
-    print(json.dumps(merged.to_json(), sort_keys=True))
+    with _output(None) as out:
+        print(json.dumps(merged.to_json(), sort_keys=True), file=out)
     return EXIT_UNTWISTED
 
 

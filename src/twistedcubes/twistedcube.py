@@ -79,52 +79,75 @@ class LatticeCensus:
         return self.num_positive - self.num_negative
 
 
-def lattice_points(d: TwistData, cap: int = DEFAULT_N_CAP) -> LatticeCensus:
-    """Enumerate the integer points of C(c, ell) exactly, level by level.
+def census_buckets(d: TwistData, leaf, cap: int = DEFAULT_N_CAP):
+    """The integer points of C(c, ell) as level-1 buckets, with their totals.
 
     At level j, with the tail x[j:] fixed, the bound A_j is a known integer
     a; the admissible values of x_j are {0..a} when a >= 0 and the open-side
     integers {a+1..-1} when a < 0 (empty at a = -1), all of sign _sgn(a).
     Each sorted tail of level j+1 goes into the bucket of every admissible
     x_j, and reading the buckets in increasing x_j gives the sorted tails of
-    level j: the points come sorted with no sort over them.  Every chosen
-    value is checked against the bound of its own tail, the condition
-    ``contains`` tests at that coordinate, and each point carries its density.
+    level j, so no sort over the points is needed.  Every chosen value is
+    checked against the bound of its own tail, the condition ``contains``
+    tests at that coordinate.
+
+    Level 1 calls ``leaf(tail, rho)`` once per level-2 tail (x_2, ..., x_n),
+    rho being the density of every point (x_1,) + tail, and files that one
+    object in the bucket of each admissible x_1.  Returns
+    ``(buckets, positive, negative)``: buckets is a list of ``(head, leaves)``
+    in increasing x_1, head being ``(x_1,)`` (``()`` when n = 0, whose one
+    point is the empty one), and the totals count points, not leaves.
     """
     if d.n > cap:
         raise CapExceeded(f"n = {d.n} exceeds cap {cap}")
+    if d.n == 0:
+        return [((), [leaf((), 1)])], 1, 0
     x = [0] * d.n
-    level = [((), (-1) ** d.n)]
+    buckets = [((), [((), (-1) ** d.n)])]
     for j in range(d.n, 0, -1):
-        buckets: dict[int, list] = {}
-        for tail, rho in level:
+        filled: dict[int, list] = {}
+        counts = [0, 0]  # points of density +1, -1
+        for tail, rho in _read_buckets(buckets):
             x[j:] = tail
             a = bound(d, j, x)
-            item = (tail, rho * _sgn(a))
-            for v in range(0, a + 1) if a >= 0 else range(a + 1, 0):
+            values = range(0, a + 1) if a >= 0 else range(a + 1, 0)
+            rho *= _sgn(a)
+            item = (tail, rho) if j > 1 else leaf(tail, rho)
+            for v in values:
                 if not _coordinate_ok(a, v):
                     raise PreconditionViolated("an enumerated lattice point lies outside the cube")
-                if v in buckets:
-                    buckets[v].append(item)
+                if v in filled:
+                    filled[v].append(item)
                 else:
-                    buckets[v] = [item]
-        level = _read_buckets(buckets)
-    points = tuple(level)
-    pos = sum(1 for _, rho in points if rho == 1)
-    return LatticeCensus(points=points, num_positive=pos, num_negative=len(points) - pos)
+                    filled[v] = [item]
+            counts[rho < 0] += len(values)
+        buckets = [((v,), filled[v]) for v in sorted(filled)]
+    return buckets, counts[0], counts[1]
 
 
-def _read_buckets(buckets: dict[int, list]):
-    """Yield the tails (v,) + tail of the buckets in increasing v, each
-    bucket in the order it was filled.  Levels are read lazily: a level is
-    consumed once, by the next one or by the final tuple of points."""
-    for v in sorted(buckets):
-        head = (v,)
-        for tail, rho in buckets[v]:
+def _read_buckets(buckets):
+    """Yield (head + tail, rho) for the items of the buckets, in order.  A
+    level is read lazily: it is consumed once, by the next level or by
+    ``lattice_points``."""
+    for head, items in buckets:
+        for tail, rho in items:
             yield head + tail, rho
+
+
+def _pair(tail, rho):
+    return tail, rho
+
+
+def lattice_points(d: TwistData, cap: int = DEFAULT_N_CAP) -> LatticeCensus:
+    """Enumerate the integer points of C(c, ell) exactly, sorted by x, each
+    tagged with its density (see ``census_buckets``)."""
+    buckets, positive, negative = census_buckets(d, _pair, cap=cap)
+    return LatticeCensus(
+        points=tuple(_read_buckets(buckets)), num_positive=positive, num_negative=negative
+    )
 
 
 def signed_count(d: TwistData, cap: int = DEFAULT_N_CAP) -> int:
     """Number of lattice points with density +1 minus those with -1."""
-    return lattice_points(d, cap=cap).signed_count
-
+    _, positive, negative = census_buckets(d, _pair, cap=cap)
+    return positive - negative

@@ -1,13 +1,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistedcubes import harness
+import twistedcubes
+from twistedcubes import harness, twistedcube
 from twistedcubes.cli import EXIT_ERROR, EXIT_TWISTED, EXIT_UNTWISTED, load_instance, main
 from twistedcubes.errors import MalformedInput
 
@@ -102,6 +106,41 @@ def test_unwritable_out_exits_2(raw_n2, tmp_path, command, where, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: cannot write {out}: ")
     assert captured.out == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["check", "verify", "atlas", "lattice"])
+def test_unwritable_stdout_exits_2(derived_untwisted, tmp_path, command):
+    # A stdout that cannot be written must not end in a traceback with exit
+    # 1, which reads as "twisted".  It takes a real process: the error shows
+    # only when the buffered stdout is flushed.
+    if command in ("verify", "atlas"):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"lie_types": ["A1"], "max_word_length": 1, "weight_alphabet": [1]}))
+        argv = [command, "--spec", str(spec)]
+    else:
+        argv = [command, "--instance", derived_untwisted]
+    env = dict(os.environ, PYTHONPATH=str(Path(twistedcubes.__file__).parents[1]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "twistedcubes.cli", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    assert proc.returncode == EXIT_ERROR
+    assert proc.stderr.startswith("error: cannot write stdout")
+
+
+def test_lattice_keeps_the_per_value_check(raw_n2, tmp_path, monkeypatch, capsys):
+    # The bucket writer checks every chosen value, as lattice_points does.
+    monkeypatch.setattr(twistedcube, "_coordinate_ok", lambda a, v: False)
+    out = tmp_path / "census.jsonl"
+    assert main(["lattice", "--instance", raw_n2, "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: an enumerated lattice point lies outside the cube\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from twistedcubes import twistedcube
 from twistedcubes.cli import EXIT_UNTWISTED, main
@@ -192,12 +192,83 @@ def test_census_densities_and_lines_match_the_oracles(d):
     # `lattice` lines against json.dumps.
     census = lattice_points(d)
     assert all(rho == density(d, x) != 0 for x, rho in census.points)
+    lines = _lattice_out(d).splitlines()
+    parsed = [json.loads(line) for line in lines]
+    assert lines == [json.dumps(obj) for obj in parsed]
+    assert [(tuple(obj["x"]), obj["rho"]) for obj in parsed[:-1]] == list(census.points)
+
+
+def _lattice_out(d: TwistData) -> str:
+    """What `lattice --out` writes for d, given as a raw instance file."""
     raw = {"n": d.n, "c": {f"{j},{k}": v for (j, k), v in d.c.items()}, "ell": list(d.ell)}
     with tempfile.TemporaryDirectory() as tmp:
         inst, out = Path(tmp) / "inst.json", Path(tmp) / "census.jsonl"
         inst.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["lattice", "--instance", str(inst), "--out", str(out)]) == EXIT_UNTWISTED
-        lines = out.read_text(encoding="utf-8").splitlines()
-    parsed = [json.loads(line) for line in lines]
-    assert lines == [json.dumps(obj) for obj in parsed]
-    assert [(tuple(obj["x"]), obj["rho"]) for obj in parsed[:-1]] == list(census.points)
+        return out.read_text(encoding="utf-8")
+
+
+def _oracle_lines(d: TwistData) -> list[str]:
+    """The `lattice` lines json.dumps writes for the descent oracle's census."""
+    census = descent_census(d)
+    totals = {
+        "positive": census.num_positive,
+        "negative": census.num_negative,
+        "signed": census.signed_count,
+    }
+    return [json.dumps({"x": list(x), "rho": rho}) for x, rho in census.points] + [json.dumps(totals)]
+
+
+def _box_size(d: TwistData) -> int:
+    """An upper bound on the number of lattice points: the product of the
+    ranges of x_n, ..., x_1 found by interval arithmetic on the bounds."""
+    lo, hi, size = [0] * d.n, [0] * d.n, 1
+    for j in range(d.n, 0, -1):
+        a_lo = a_hi = d.ell[j - 1]
+        for k, c in d.rows[j - 1]:
+            a_lo -= max(c * lo[k - 1], c * hi[k - 1])
+            a_hi -= min(c * lo[k - 1], c * hi[k - 1])
+        lo[j - 1], hi[j - 1] = min(0, a_lo + 1), max(-1, a_hi)
+        size *= hi[j - 1] - lo[j - 1] + 1
+    return size
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_twist_data(max_n=5, bound=3, ell_bound=4))
+def test_lattice_writer_matches_the_descent_oracle(d):
+    # The bucket writer against an independent oracle that never goes
+    # through lattice_points; instances too large to list are skipped.
+    assume(_box_size(d) <= 50_000)
+    assert _lattice_out(d) == "".join(line + "\n" for line in _oracle_lines(d))
+
+
+@pytest.mark.parametrize(
+    "d, shape",
+    [
+        # Every level-2 tail has A_1 = -1: the output is the totals line alone.
+        (TwistData(n=3, c={(2, 3): 1}, ell=(-1, 1, 2)), "totals only"),
+        # x_2 changes sign with x_3, so the x_1 = 0 bucket holds both signs.
+        (TwistData(n=3, c={(2, 3): 1}, ell=(1, 1, 3)), "mixed bucket"),
+        # A_1 = -3 - 3 x_2 reaches -15: multi-digit negative x_1.
+        (TwistData(n=2, c={(1, 2): 3}, ell=(-3, 4)), "negative x1"),
+    ],
+)
+def test_lattice_writer_at_the_edges(d, shape):
+    lines = _oracle_lines(d)
+    assert _lattice_out(d) == "".join(line + "\n" for line in lines)
+    points = [json.loads(line) for line in lines[:-1]]
+    signs: dict[int, set] = {}
+    for obj in points:
+        signs.setdefault(obj["x"][0], set()).add(obj["rho"])
+    if shape == "totals only":
+        assert points == []
+    elif shape == "mixed bucket":
+        assert signs[0] == {1, -1}
+    else:
+        assert min(signs) <= -10
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_twist_data(max_n=4))
+def test_signed_count_matches_the_census(d):
+    assert signed_count(d) == lattice_points(d).signed_count
