@@ -175,11 +175,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_atlas(args) -> int:
-    merged = harness.AtlasReport()
-    for spec in _load_specs(args.spec):
-        merged.merge(harness.atlas(spec))
+    report = harness.atlas(_load_specs(args.spec))
     with _output(None) as out:
-        print(json.dumps(merged.to_json(), sort_keys=True), file=out)
+        print(json.dumps(report, sort_keys=True), file=out)
     return EXIT_UNTWISTED
 
 

@@ -147,13 +147,13 @@ def _worker(inst: Instance) -> tuple[bool, list[dict]]:
         )
 
     if walk is not None:
+        # Each fact is checked once, where it is made: minimize raises
+        # NotAWitness on a detector walk that is not hesitant, and
+        # witness_sigma_from_walk raises NotMinimalWitness on a sigma whose
+        # leading Cartier entry is not negative.
         try:
-            if not walks.is_hesitant_lambda_walk(t, Word(walk.subword), lam):
-                problems.append(f"detector witness {walk} fails its predicate")
             minimal = walks.minimize(t, walk, lam)
-            sigma, mv = cartier.witness_sigma_from_walk(d, minimal.positions)
-            if mv.m[minimal.positions[0] - 1] >= 0:
-                problems.append(f"sigma witness from {minimal.positions} not negative")
+            cartier.witness_sigma_from_walk(d, minimal.positions)
         except Exception as exc:  # noqa: BLE001 - failures are data here
             problems.append(f"walk-to-sigma round trip raised {exc!r}")
 
@@ -209,57 +209,38 @@ def verify_equivalence(spec: SweepSpec, jobs: int = 1) -> SweepReport:
     return report
 
 
-@dataclass
-class AtlasReport:
-    """Per (type, weight, word-length) tallies of avoiding words."""
-
-    counts: dict = field(default_factory=dict)
-    instances: int = 0
-
-    def to_json(self) -> dict:
-        return {"instances": self.instances, "counts": self.counts}
-
-    def merge(self, other: "AtlasReport") -> None:
-        """Add other's tallies slot by slot; blocks may share types and weights."""
-        self.instances += other.instances
-        _add_counts(self.counts, other.counts)
-
-
-def _add_counts(into: dict, other: dict) -> None:
-    """Add the nested tallies of other to into, creating missing keys."""
-    for key, value in other.items():
-        if isinstance(value, dict):
-            _add_counts(into.setdefault(key, {}), value)
-        else:
-            into[key] = into.get(key, 0) + value
+def atlas(specs: list[SweepSpec]) -> dict:
+    """Tally hesitant-lambda-walk-avoiding words per (type, weight, word
+    length) slot across the blocks; blocks may share slots."""
+    counts: dict = {}
+    instances = 0
+    for spec in specs:
+        for type_name, word_entries, weight_coeffs in iter_instances(spec):
+            t = parse_lie_type(type_name)
+            w = Word(word_entries)
+            lam = DominantWeight(weight_coeffs)
+            avoiding = walks.find_hesitant_lambda_walk(t, w, lam) is None
+            weight_key = ",".join(str(c) for c in weight_coeffs)
+            slot = (
+                counts.setdefault(type_name, {})
+                .setdefault(weight_key, {})
+                .setdefault(str(len(w)), {"avoiding": 0, "total": 0})
+            )
+            slot["avoiding"] += avoiding
+            slot["total"] += 1
+            instances += 1
+    return {"instances": instances, "counts": counts}
 
 
-def atlas(spec: SweepSpec) -> AtlasReport:
-    """Tally hesitant-lambda-walk-avoiding words across the sweep."""
-    report = AtlasReport()
-    for type_name, word_entries, weight_coeffs in iter_instances(spec):
-        t = parse_lie_type(type_name)
-        w = Word(word_entries)
-        lam = DominantWeight(weight_coeffs)
-        avoiding = walks.find_hesitant_lambda_walk(t, w, lam) is None
-        weight_key = ",".join(str(c) for c in weight_coeffs)
-        tally = {"avoiding": int(avoiding), "total": 1}
-        _add_counts(report.counts, {type_name: {weight_key: {str(len(w)): tally}}})
-        report.instances += 1
-    return report
-
-
-def default_specs(extended: bool = True) -> list[SweepSpec]:
+def default_specs() -> list[SweepSpec]:
     """The desk-scale sweep: every case branch of the sufficiency analysis at
-    small rank, under 60 s single-threaded for the {0, 1} alphabet part."""
-    specs = [
+    small rank.  The first three blocks, over the {0, 1} alphabet, are the
+    core sweep of scripts/default_sweep_core.json, under 60 s
+    single-threaded; the last two widen the alphabet to {0, 1, 2}."""
+    return [
         SweepSpec(("A1", "A2", "A3", "B2", "B3", "C3"), 5, (0, 1)),
         SweepSpec(("D4", "F4"), 4, (0, 1)),
         SweepSpec(("G2",), 6, (0, 1)),
+        SweepSpec(("A1", "A2", "B2"), 5, (0, 1, 2)),
+        SweepSpec(("G2",), 6, (0, 1, 2)),
     ]
-    if extended:
-        specs += [
-            SweepSpec(("A1", "A2", "B2"), 5, (0, 1, 2)),
-            SweepSpec(("G2",), 6, (0, 1, 2)),
-        ]
-    return specs

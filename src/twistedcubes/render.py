@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch
 from .twistedcube import lattice_points
-from .weightword import TwistData
+from .weightword import TwistData, bound
 
 SCALE = 40  # px per lattice unit
 MARGIN_UNITS = 1
@@ -35,20 +35,12 @@ class _Piece:
     rho: int
 
 
-def _bound_line(d: TwistData):
-    c12 = d.c_at(1, 2)
-    return lambda x2: Fraction(d.ell[0]) - c12 * x2
-
-
 def _pieces(d: TwistData) -> list[_Piece]:
     ell2 = d.ell[1]
     if ell2 >= 0:
         x2_lo, x2_hi, lo_open, hi_open, x2_neg = Fraction(0), Fraction(ell2), False, False, False
     else:
         x2_lo, x2_hi, lo_open, hi_open, x2_neg = Fraction(ell2), Fraction(0), True, True, True
-        if x2_lo == x2_hi:
-            return []
-    a1 = _bound_line(d)
     c12 = d.c_at(1, 2)
     cuts = [x2_lo, x2_hi]
     if c12 != 0:
@@ -58,16 +50,12 @@ def _pieces(d: TwistData) -> list[_Piece]:
     out: list[_Piece] = []
     for lo, hi in zip(cuts, cuts[1:]):
         mid = (lo + hi) / 2
-        x1_neg = a1(mid) < 0
+        x1_neg = bound(d, 1, (0, mid)) < 0
         # Sign convention: both coordinates on the same side give +1.
         rho = 1 if x1_neg == x2_neg else -1
         out.append(
             _Piece(lo, hi, x1_neg, lo_open and lo == x2_lo, hi_open and hi == x2_hi, rho)
         )
-    if not out and x2_lo == x2_hi:  # degenerate segment at ell2 == 0
-        x1_neg = a1(x2_lo) < 0
-        rho = 1 if x1_neg == x2_neg else -1
-        out.append(_Piece(x2_lo, x2_hi, x1_neg, False, False, rho))
     return out
 
 
@@ -77,12 +65,11 @@ def render_svg(d: TwistData) -> str:
         raise DimensionMismatch(f"rendering requires n = 2, got n = {d.n}")
     census = lattice_points(d)
     pieces = _pieces(d)
-    a1 = _bound_line(d)
 
     xs = [Fraction(0)]
     ys = [Fraction(0)]
     for p in pieces:
-        xs += [a1(p.x2_lo), a1(p.x2_hi), Fraction(0)]
+        xs += [bound(d, 1, (0, p.x2_lo)), bound(d, 1, (0, p.x2_hi)), Fraction(0)]
         ys += [p.x2_lo, p.x2_hi]
     for (x1, x2), _ in census.points:
         xs.append(Fraction(x1))
@@ -117,8 +104,8 @@ def render_svg(d: TwistData) -> str:
     for p in pieces:
         corners = [
             (Fraction(0), p.x2_lo),
-            (a1(p.x2_lo), p.x2_lo),
-            (a1(p.x2_hi), p.x2_hi),
+            (bound(d, 1, (0, p.x2_lo)), p.x2_lo),
+            (bound(d, 1, (0, p.x2_hi)), p.x2_hi),
             (Fraction(0), p.x2_hi),
         ]
         fill = "#9db8e8" if p.rho == 1 else "url(#hatch)"

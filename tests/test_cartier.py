@@ -139,6 +139,33 @@ def test_witness_sigma_rejects_non_minimal():
         witness_sigma_from_walk(A2_TWISTED, (3, 1))
 
 
+@pytest.mark.parametrize(
+    "n,c,ell,positions,message",
+    [
+        (3, {}, (0, 0, 1), (2, 2), "not an increasing index sequence"),
+        (3, {}, (0, 0, 1), (3,), "not an increasing index sequence"),
+        (3, {}, (0, 0, 1), (0, 3), "not an increasing index sequence"),
+        (3, {}, (0, 0, 1), (2, 4), "not an increasing index sequence"),
+        (2, {(1, 2): 1}, (3, 5), (1, 2), "no hesitation"),
+        (2, {(1, 2): 2}, (0, 0), (1, 2), r"ell\[2\] = 0 is not positive"),
+        (2, {(1, 2): 2}, (1, 2), (1, 2), "equal ells"),
+        (3, {(1, 2): 2}, (0, 0, 1), (1, 2, 3), r"walking step c\[2, 3\] not negative"),
+        (3, {(1, 2): 2, (2, 3): -1}, (0, 1, 1), (1, 2, 3), r"interior ell\[2\] nonzero"),
+        (
+            4,
+            {(1, 2): 2, (2, 3): -1, (3, 4): -1, (2, 4): 1},
+            (0, 0, 0, 1),
+            (1, 2, 3, 4),
+            r"walking pair c\[2, 4\] nonzero",
+        ),
+        (3, {(1, 2): 2, (2, 3): -1}, (0, 0, 1), (1, 2, 3), "hesitation inconsistency"),
+    ],
+)
+def test_witness_sigma_rejects_each_broken_precondition(n, c, ell, positions, message):
+    with pytest.raises(NotMinimalWitness, match=message):
+        witness_sigma_from_walk(TwistData(n=n, c=c, ell=ell), positions)
+
+
 def test_hesitant_walk_from_twist_witness_examples():
     w = Word((1, 2, 1))
     m = compute_m(A2_TWISTED, "-+-").m
@@ -160,6 +187,13 @@ def test_hesitant_walk_precondition():
         )
     with pytest.raises(DimensionMismatch):
         hesitant_walk_from_twist_witness(A2_TWISTED, Word((1, 2, 1)), (-2, 0), 1)
+
+
+def test_hesitant_walk_needs_a_nonnegative_tail_and_a_repetition():
+    with pytest.raises(PreconditionViolated, match="negative entries beyond 1"):
+        hesitant_walk_from_twist_witness(A2_TWISTED, Word((1, 2, 1)), (-2, -1, 0), 1)
+    with pytest.raises(PreconditionViolated, match="no repetition candidate after 1"):
+        hesitant_walk_from_twist_witness(TwistData(n=2, ell=(-1, 1)), Word((1, 1)), (-1, 1), 1)
 
 
 def test_maximal_failing_index():

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twistedcubes
-from twistedcubes import harness, twistedcube
+from twistedcubes import harness, twistedcube, walks
 from twistedcubes.cli import EXIT_ERROR, EXIT_TWISTED, EXIT_UNTWISTED, load_instance, main
 from twistedcubes.errors import MalformedInput
 
@@ -59,6 +60,11 @@ def test_check_human_format(derived_twisted, capsys):
     out = capsys.readouterr().out
     assert "twisted" in out
     assert "-+-" in out
+
+
+def test_check_human_format_untwisted(derived_untwisted, capsys):
+    assert main(["check", "--instance", derived_untwisted, "--format", "human"]) == EXIT_UNTWISTED
+    assert capsys.readouterr().out == "untwisted: every Cartier vector is entrywise nonnegative\n"
 
 
 def test_check_raw_instance_has_no_walk(raw_n2, capsys):
@@ -180,6 +186,27 @@ def test_verify_with_spec_file(tmp_path, capsys):
     assert report["counterexamples"] == []
 
 
+def test_verify_human_format(tmp_path, monkeypatch, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"lie_types": ["A1"], "max_word_length": 2, "weight_alphabet": [1]}))
+    argv = ["verify", "--spec", str(spec), "--format", "human"]
+    assert main(argv) == EXIT_UNTWISTED
+    summary = r"3 instances: 2 untwisted, 1 twisted, {} counterexamples \(\d+ ms\)\n"
+    assert re.fullmatch(summary.format(0), capsys.readouterr().out)
+    # With the detector blinded, the twisted word (1, 1) is a verdict mismatch,
+    # printed as one indented JSON line under the summary.
+    monkeypatch.setattr(walks, "find_hesitant_lambda_walk", lambda t, w, lam: None)
+    assert main(argv) == EXIT_TWISTED
+    out = capsys.readouterr().out
+    head, line = out.splitlines(keepends=True)
+    assert re.fullmatch(summary.format(1), head)
+    assert line.startswith("  {")
+    assert json.loads(line) == {
+        "instance": {"type": "A1", "word": [1, 1], "weight": [1]},
+        "problem": "verdict mismatch: criterion says untwisted=False, detector witness=None",
+    }
+
+
 def test_atlas_with_spec_file(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps([{"lie_types": ["A1"], "max_word_length": 2}]))
@@ -255,6 +282,7 @@ def test_malformed_inputs_exit_2(tmp_path, payload, capsys):
     "block",
     [
         {"lie_types": ["A1"], "max_word_length": 1, "weight_alphabet": ["x"]},
+        {"lie_types": ["A1"], "max_word_length": 1, "weight_alphabet": [0, -1]},
         {"lie_types": ["A1"], "max_word_length": 1.7},
         {"lie_types": ["A1"], "max_word_length": -1},
         {"lie_types": ["A1"], "max_word_length": 1, "sample_count": "3"},

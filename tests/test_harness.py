@@ -1,8 +1,10 @@
 import json
 
-from twistedcubes import cartier, harness
+import pytest
+
+from twistedcubes import cartier, harness, walks
+from twistedcubes.errors import PreconditionViolated
 from twistedcubes.harness import (
-    AtlasReport,
     SweepReport,
     SweepSpec,
     atlas,
@@ -11,6 +13,8 @@ from twistedcubes.harness import (
     iter_instances,
     verify_equivalence,
 )
+from twistedcubes.twistedcube import LatticeCensus
+from twistedcubes.walks import KIND_HESITANT_LAMBDA, WalkWitness
 
 from oracles import scaling_invariance_failures
 
@@ -66,6 +70,76 @@ def test_sampled_sweep_is_deterministic():
 def test_check_instance_flags_nothing_on_known_cases():
     assert check_instance(("A2", (1, 2, 1), (2, 1))) == []
     assert check_instance(("A3", (1, 2, 3, 1, 2, 1), (0, 0, 3))) == []
+
+
+TWISTED = ("A2", (1, 2, 1), (2, 1))
+UNTWISTED = ("A3", (1, 2, 3, 1, 2, 1), (0, 0, 3))
+
+
+def _raises(*args):
+    raise PreconditionViolated("injected")
+
+
+# One injected fault per counterexample branch of harness._worker: the
+# instance, the (module, name, replacement) patch, and how the problem starts.
+FAULTS = {
+    "verdict mismatch": (
+        TWISTED,
+        (walks, "find_hesitant_lambda_walk", lambda t, w, lam: None),
+        "verdict mismatch: criterion says untwisted=False, detector witness=None",
+    ),
+    "detector witness not hesitant": (
+        TWISTED,
+        (
+            walks,
+            "find_hesitant_lambda_walk",
+            lambda t, w, lam: WalkWitness((1, 2), (1, 2), KIND_HESITANT_LAMBDA),
+        ),
+        "walk-to-sigma round trip raised NotAWitness(",
+    ),
+    "sigma witness not negative": (
+        TWISTED,
+        (cartier, "minus_at", lambda n, positions: "+" * n),
+        "walk-to-sigma round trip raised NotMinimalWitness("
+        "'walk (1, 3) gives m[1] = 0, not negative')",
+    ),
+    "rebuilt walk not hesitant": (
+        TWISTED,
+        (
+            cartier,
+            "hesitant_walk_from_twist_witness",
+            lambda d, w, m, k: WalkWitness((1,), (1,), KIND_HESITANT_LAMBDA),
+        ),
+        "rebuilt walk ",
+    ),
+    "sigma-to-walk raises": (
+        TWISTED,
+        (cartier, "maximal_failing_index", _raises),
+        "sigma-to-walk round trip raised PreconditionViolated('injected')",
+    ),
+    "census density -1": (
+        UNTWISTED,
+        (harness, "lattice_points", lambda d: LatticeCensus((((0,) * d.n, -1),), 0, 1)),
+        "untwisted census has a point of density != +1",
+    ),
+    "census point outside PD": (
+        UNTWISTED,
+        (harness, "contains_PD", lambda d, p: False),
+        "untwisted census point escapes the weak-inequality polytope",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_check_instance_reports_each_fault(fault, monkeypatch):
+    inst, (module, name, replacement), problem = FAULTS[fault]
+    monkeypatch.setattr(module, name, replacement)
+    report = check_instance(inst)
+    type_name, word, weight = inst
+    assert [ce["instance"] for ce in report] == [
+        {"type": type_name, "word": list(word), "weight": list(weight)}
+    ]
+    assert report[0]["problem"].startswith(problem)
 
 
 def test_sweep_runs_the_criterion_once_per_instance(monkeypatch):
@@ -136,29 +210,29 @@ def test_scaling_invariance_on_small_block():
 
 
 def test_atlas_single_letter():
-    report = atlas(SweepSpec(("A1",), 3, (1,)))
-    counts = report.counts["A1"]["1"]
+    report = atlas([SweepSpec(("A1",), 3, (1,))])
+    counts = report["counts"]["A1"]["1"]
     assert counts["1"] == {"avoiding": 1, "total": 1}
     assert counts["2"] == {"avoiding": 0, "total": 1}
     assert counts["3"] == {"avoiding": 0, "total": 1}
 
 
 def test_atlas_a2_counts():
-    report = atlas(SweepSpec(("A2",), 2, (0, 1)))
-    assert report.instances == 28
+    report = atlas([SweepSpec(("A2",), 2, (0, 1))])
+    assert report["instances"] == 28
     # With full support, only the two repetition-free words of length 2 avoid.
-    assert report.counts["A2"]["1,1"]["2"] == {"avoiding": 2, "total": 4}
+    assert report["counts"]["A2"]["1,1"]["2"] == {"avoiding": 2, "total": 4}
     # Zero weight: nothing can end at a supported root, so every word avoids.
-    for length, slot in report.counts["A2"]["0,0"].items():
+    for length, slot in report["counts"]["A2"]["0,0"].items():
         assert slot["avoiding"] == slot["total"], length
-    assert AtlasReport().to_json() == {"instances": 0, "counts": {}}
+    assert atlas([]) == {"instances": 0, "counts": {}}
 
 
 def test_default_specs_shape():
-    specs = default_specs(extended=False)
+    specs = default_specs()[:3]
     assert all(isinstance(s, SweepSpec) for s in specs)
     assert any("G2" in s.lie_types for s in specs)
-    assert len(default_specs(extended=True)) > len(specs)
+    assert len(default_specs()) > len(specs)
 
 
 def test_spec_from_json_round_trip():

@@ -71,6 +71,11 @@ def test_detector_examples():
     assert find_hesitant_lambda_walk(a3, Word((1, 2, 3)), DominantWeight((1, 1, 1))) is None
 
 
+def test_detector_rejects_a_weight_of_the_wrong_rank():
+    with pytest.raises(NotAWitness, match="weight rank 2 does not match A5"):
+        find_hesitant_lambda_walk(A5, Word((1, 1)), DominantWeight((1, 0)))
+
+
 def test_detector_canonical_extension():
     # Hesitation at the earliest possible pair, then greedy minimal steps.
     a3 = parse_lie_type("A3")
@@ -101,6 +106,19 @@ def test_naive_cap():
 
 def _witness(word):
     return WalkWitness(tuple(range(1, len(word) + 1)), tuple(word), KIND_HESITANT_LAMBDA)
+
+
+@pytest.mark.parametrize(
+    "positions,subword,message",
+    [
+        ((2, 1), (1, 1), "not strictly increasing"),
+        ((1, 1), (1, 1), "not strictly increasing"),
+        ((1, 2), (1,), "lengths disagree"),
+    ],
+)
+def test_walk_witness_rejects_malformed_positions(positions, subword, message):
+    with pytest.raises(NotAWitness, match=message):
+        WalkWitness(positions, subword, KIND_HESITANT_LAMBDA)
 
 
 def test_is_minimal_examples():
