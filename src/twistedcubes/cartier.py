@@ -13,7 +13,7 @@ from .errors import (
     NotMinimalWitness,
     PreconditionViolated,
 )
-from .walks import KIND_HESITANT_LAMBDA, WalkWitness, lambda_walk_from_positive_entry
+from .walks import WalkWitness, lambda_walk_from_positive_entry
 from .weightword import DEFAULT_N_CAP, TwistData, Word, bound
 
 MINUS = "-"
@@ -160,4 +160,4 @@ def hesitant_walk_from_twist_witness(
     if p is None:
         raise PreconditionViolated(f"no repetition candidate after {k} (negative ell?)")
     tail = lambda_walk_from_positive_entry(d, w, m, p)
-    return WalkWitness.from_word(w, (k,) + tail.positions, KIND_HESITANT_LAMBDA)
+    return WalkWitness.from_word(w, (k,) + tail.positions)

@@ -66,7 +66,7 @@ def load_instance(path: str):
 
 def _walk_json(t, lam, witness: walks.WalkWitness) -> dict:
     return {
-        "kind": witness.kind,
+        "kind": "hesitant_lambda_walk",
         "positions": list(witness.positions),
         "subword": list(witness.subword),
         "minimal": walks.is_minimal(t, witness, lam),
@@ -153,6 +153,8 @@ def _load_specs(path: str | None) -> list[harness.SweepSpec]:
 
 
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise MalformedInput(f"--jobs must be at least 1, got {args.jobs}")
     specs = _load_specs(args.spec)
     for spec in specs:
         harness.require_checkable(spec)

@@ -17,8 +17,8 @@ from .errors import IndexOutOfRange, RankOutOfRange
 #: Hard upper bound on rank; everything of interest lives at tiny rank.
 MAX_RANK = 32
 
-#: Minimal admissible rank per family (E is handled separately).
-_RANK_FLOOR = {"A": 1, "B": 2, "C": 3, "D": 4, "F": 4, "G": 2}
+#: Minimal admissible rank of the classical families.
+_RANK_FLOOR = {"A": 1, "B": 2, "C": 3, "D": 4}
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -34,7 +34,7 @@ class LieType:
         return f"{self.family}{self.rank}"
 
 
-def validate_lie_type(family: str, rank: int, max_rank: int = MAX_RANK) -> LieType:
+def validate_lie_type(family: str, rank: int) -> LieType:
     """Return a validated LieType or raise RankOutOfRange."""
     if family not in FAMILIES:
         raise RankOutOfRange(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -49,9 +49,9 @@ def validate_lie_type(family: str, rank: int, max_rank: int = MAX_RANK) -> LieTy
             raise RankOutOfRange(f"G requires rank 2, got {rank}")
     else:
         floor = _RANK_FLOOR[family]
-        if not floor <= rank <= max_rank:
+        if not floor <= rank <= MAX_RANK:
             raise RankOutOfRange(
-                f"{family} requires {floor} <= rank <= {max_rank}, got {rank}"
+                f"{family} requires {floor} <= rank <= {MAX_RANK}, got {rank}"
             )
     return LieType(family, rank)
 
@@ -123,18 +123,3 @@ def _check_index(t: LieType, i: int) -> None:
     if not 1 <= i <= t.rank:
         raise IndexOutOfRange(f"root index {i} outside [1, {t.rank}] for {t}")
 
-
-def all_types_up_to_rank(max_rank: int) -> list[LieType]:
-    """Every admissible LieType with rank <= max_rank, in canonical order."""
-    out: list[LieType] = []
-    for fam in FAMILIES:
-        if fam == "E":
-            ranks = [r for r in (6, 7, 8) if r <= max_rank]
-        elif fam == "F":
-            ranks = [4] if max_rank >= 4 else []
-        elif fam == "G":
-            ranks = [2] if max_rank >= 2 else []
-        else:
-            ranks = range(_RANK_FLOOR[fam], max_rank + 1)
-        out.extend(LieType(fam, r) for r in ranks)
-    return out

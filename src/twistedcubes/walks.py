@@ -8,9 +8,6 @@ from .errors import DimensionMismatch, NotAWitness, NotMinimalWitness, Precondit
 from .rootdata import LieType, adjacent
 from .weightword import DominantWeight, TwistData, Word, appears_in_lambda
 
-KIND_LAMBDA = "lambda_walk"
-KIND_HESITANT_LAMBDA = "hesitant_lambda_walk"
-
 
 @dataclass(frozen=True)
 class WalkWitness:
@@ -18,7 +15,6 @@ class WalkWitness:
 
     positions: tuple[int, ...]
     subword: tuple[int, ...]
-    kind: str
 
     def __post_init__(self):
         object.__setattr__(self, "positions", tuple(self.positions))
@@ -29,9 +25,9 @@ class WalkWitness:
             raise NotAWitness("positions and subword lengths disagree")
 
     @classmethod
-    def from_word(cls, w: Word, positions, kind: str) -> "WalkWitness":
+    def from_word(cls, w: Word, positions) -> "WalkWitness":
         positions = tuple(positions)
-        return cls(positions, tuple(w.entries[p - 1] for p in positions), kind)
+        return cls(positions, tuple(w.entries[p - 1] for p in positions))
 
 
 def is_diagram_walk(t: LieType, w: Word) -> bool:
@@ -90,7 +86,7 @@ def find_hesitant_lambda_walk(t: LieType, w: Word, lam: DominantWeight) -> WalkW
                     if cur is None:
                         raise NotAWitness(f"lambda-walk chain from position {q} stops before lam")
                     positions.append(cur)
-                return WalkWitness.from_word(w, positions, KIND_HESITANT_LAMBDA)
+                return WalkWitness.from_word(w, positions)
     return None
 
 
@@ -141,7 +137,6 @@ def minimize(t: LieType, witness: WalkWitness, lam: DominantWeight) -> WalkWitne
     out = WalkWitness(
         positions,
         tuple(witness.subword[witness.positions.index(p)] for p in positions),
-        KIND_HESITANT_LAMBDA,
     )
     if not is_minimal(t, out, lam):
         raise NotMinimalWitness(f"minimizing {witness.positions} left non-minimal {positions}")
@@ -172,4 +167,4 @@ def lambda_walk_from_positive_entry(
             raise PreconditionViolated(f"greedy extension stuck at {j} (negative ell?)")
         positions.append(nxt)
         j = nxt
-    return WalkWitness.from_word(w, positions, KIND_LAMBDA)
+    return WalkWitness.from_word(w, positions)

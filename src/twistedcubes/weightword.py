@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DimensionMismatch, IndexOutOfRange
-from .rootdata import LieType, cartan_pairing
+from .rootdata import LieType, cartan_table
 
 #: Default cap on word length; sign-vector sweeps downstream are 2**n.
 DEFAULT_N_CAP = 20
@@ -114,10 +114,12 @@ def derive_twist_data(t: LieType, w: Word, lam: DominantWeight) -> TwistData:
     w.validate_for(t)
     if lam.rank != t.rank:
         raise DimensionMismatch(f"weight has rank {lam.rank}, expected {t.rank}")
+    # The letters are checked above, so no index below is 0 or negative.
+    table = cartan_table(t)
     n = len(w)
     letters = w.entries
     c = {
-        (j, k): cartan_pairing(t, letters[k - 1], letters[j - 1])
+        (j, k): table[letters[k - 1] - 1][letters[j - 1] - 1]
         for j in range(1, n + 1)
         for k in range(j + 1, n + 1)
     }

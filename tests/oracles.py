@@ -4,11 +4,17 @@ against.  They are slow by design and are not part of the installed package."""
 from __future__ import annotations
 
 from twistedcubes.cartier import is_untwisted
-from twistedcubes.errors import CapExceeded
+from twistedcubes.errors import CapExceeded, RankOutOfRange
 from twistedcubes.harness import SweepSpec, iter_instances
-from twistedcubes.rootdata import LieType, adjacent, parse_lie_type
+from twistedcubes.rootdata import (
+    FAMILIES,
+    LieType,
+    adjacent,
+    parse_lie_type,
+    validate_lie_type,
+)
 from twistedcubes.twistedcube import LatticeCensus, density, lattice_points
-from twistedcubes.walks import KIND_HESITANT_LAMBDA, WalkWitness
+from twistedcubes.walks import WalkWitness
 from twistedcubes.weightword import (
     DominantWeight,
     TwistData,
@@ -19,6 +25,19 @@ from twistedcubes.weightword import (
 )
 
 NAIVE_N_CAP = 16
+
+
+def all_types_up_to_rank(max_rank: int) -> list[LieType]:
+    """Every admissible LieType with rank <= max_rank, in canonical order:
+    each family-rank pair that validate_lie_type accepts."""
+    out = []
+    for family in FAMILIES:
+        for rank in range(1, max_rank + 1):
+            try:
+                out.append(validate_lie_type(family, rank))
+            except RankOutOfRange:
+                pass
+    return out
 
 
 def find_hesitant_lambda_walk_naive(
@@ -65,7 +84,7 @@ def find_hesitant_lambda_walk_naive(
             prev = b
         if ok and support[prev]:
             positions = [p + 1 for p in range(n) if mask >> p & 1]
-            return WalkWitness.from_word(w, positions, KIND_HESITANT_LAMBDA)
+            return WalkWitness.from_word(w, positions)
     return None
 
 

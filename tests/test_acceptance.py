@@ -23,7 +23,7 @@ from twistedcubes.harness import (
     default_specs,
     verify_equivalence,
 )
-from twistedcubes.rootdata import all_types_up_to_rank, parse_lie_type
+from twistedcubes.rootdata import parse_lie_type
 from twistedcubes.twistedcube import (
     contains,
     density,
@@ -36,7 +36,12 @@ from twistedcubes.walks import (
 )
 from twistedcubes.weightword import DominantWeight, TwistData, Word, derive_twist_data
 
-from oracles import brute_force_census, find_hesitant_lambda_walk_naive, scaling_invariance_failures
+from oracles import (
+    all_types_up_to_rank,
+    brute_force_census,
+    find_hesitant_lambda_walk_naive,
+    scaling_invariance_failures,
+)
 
 
 _CAPSYS = None

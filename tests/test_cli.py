@@ -255,6 +255,9 @@ def test_max_n_cap(derived_twisted, capsys):
         json.dumps({"n": 2, "c": {"1;2": 1}, "ell": [0, 0]}),
         json.dumps({"type": "Z9", "word": [], "weight": []}),
         json.dumps({"type": "A2", "word": [3], "weight": [0, 0]}),
+        # A letter <= 0 must not wrap round to the end of the Cartan table.
+        json.dumps({"type": "A2", "word": [0], "weight": [0, 0]}),
+        json.dumps({"type": "A2", "word": [-1], "weight": [0, 0]}),
         json.dumps({"type": "A2", "word": [1], "weight": [-1, 0]}),
         # Non-integers must be rejected, never crash (exit 1) or be coerced.
         json.dumps({"type": "A2", "word": "12", "weight": [1, 0]}),
@@ -325,6 +328,18 @@ def test_verify_rejects_words_beyond_the_cap_before_any_check(tmp_path, blocks, 
     assert main(["verify", "--spec", str(spec)]) == EXIT_ERROR
     assert capsys.readouterr().err.startswith("error: ")
     assert calls == []
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_rejects_jobs_below_one(tmp_path, jobs, monkeypatch, capsys):
+    started = []
+    monkeypatch.setattr(harness, "Pool", lambda *args: started.append(args))
+    monkeypatch.setattr(harness, "_worker", lambda inst: started.append(inst))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"lie_types": ["A1"], "max_word_length": 2}))
+    assert main(["verify", "--spec", str(spec), "--jobs", jobs]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith(f"error: --jobs must be at least 1, got {jobs}")
+    assert started == []
 
 
 def test_atlas_accepts_words_beyond_the_cap(tmp_path, capsys):

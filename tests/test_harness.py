@@ -14,7 +14,7 @@ from twistedcubes.harness import (
     verify_equivalence,
 )
 from twistedcubes.twistedcube import LatticeCensus
-from twistedcubes.walks import KIND_HESITANT_LAMBDA, WalkWitness
+from twistedcubes.walks import WalkWitness
 
 from oracles import scaling_invariance_failures
 
@@ -93,7 +93,7 @@ FAULTS = {
         (
             walks,
             "find_hesitant_lambda_walk",
-            lambda t, w, lam: WalkWitness((1, 2), (1, 2), KIND_HESITANT_LAMBDA),
+            lambda t, w, lam: WalkWitness((1, 2), (1, 2)),
         ),
         "walk-to-sigma round trip raised NotAWitness(",
     ),
@@ -108,7 +108,7 @@ FAULTS = {
         (
             cartier,
             "hesitant_walk_from_twist_witness",
-            lambda d, w, m, k: WalkWitness((1,), (1,), KIND_HESITANT_LAMBDA),
+            lambda d, w, m, k: WalkWitness((1,), (1,)),
         ),
         "rebuilt walk ",
     ),

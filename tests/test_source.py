@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import twistedcubes
 
 MODULES = sorted(Path(twistedcubes.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
+TRACING = Path(__file__).parent.parent / "perfbench" / "tracing.py"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -88,3 +90,23 @@ def test_no_unreferenced_public_names(path):
     loaded = _loaded_names(MODULES + TESTS)
     unread = {name: line for name, line in _public_top_level_names(tree) if name not in loaded}
     assert unread == {}, f"{path.name} defines public names nothing reads: {unread}"
+
+
+def _tracing_targets():
+    # Read without importing: the traced benchmark patches these names, and
+    # its install() fails on the first one that is gone.
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"), filename=str(TRACING))
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("SPANS", "COUNTERS")
+    }
+    targets = [target for group in tables["SPANS"].values() for target in group]
+    return targets + list(tables["COUNTERS"].values())
+
+
+@pytest.mark.parametrize("module,attr", _tracing_targets(), ids=".".join)
+def test_traced_benchmark_targets_exist(module, attr):
+    assert hasattr(importlib.import_module(module), attr), f"{module} has no {attr}"

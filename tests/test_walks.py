@@ -8,9 +8,8 @@ from twistedcubes.errors import (
     NotAWitness,
     PreconditionViolated,
 )
-from twistedcubes.rootdata import all_types_up_to_rank, parse_lie_type
+from twistedcubes.rootdata import parse_lie_type
 from twistedcubes.walks import (
-    KIND_HESITANT_LAMBDA,
     WalkWitness,
     find_hesitant_lambda_walk,
     is_diagram_walk,
@@ -22,7 +21,7 @@ from twistedcubes.walks import (
 )
 from twistedcubes.weightword import DominantWeight, Word, derive_twist_data
 
-from oracles import find_hesitant_lambda_walk_naive
+from oracles import all_types_up_to_rank, find_hesitant_lambda_walk_naive
 
 A5 = parse_lie_type("A5")
 
@@ -105,7 +104,7 @@ def test_naive_cap():
 
 
 def _witness(word):
-    return WalkWitness(tuple(range(1, len(word) + 1)), tuple(word), KIND_HESITANT_LAMBDA)
+    return WalkWitness(tuple(range(1, len(word) + 1)), tuple(word))
 
 
 @pytest.mark.parametrize(
@@ -118,7 +117,7 @@ def _witness(word):
 )
 def test_walk_witness_rejects_malformed_positions(positions, subword, message):
     with pytest.raises(NotAWitness, match=message):
-        WalkWitness(positions, subword, KIND_HESITANT_LAMBDA)
+        WalkWitness(positions, subword)
 
 
 def test_is_minimal_examples():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twistedcubes.errors import DimensionMismatch, IndexOutOfRange
-from twistedcubes.rootdata import adjacent, all_types_up_to_rank, parse_lie_type
+from twistedcubes.rootdata import adjacent, cartan_pairing, parse_lie_type
 from twistedcubes.weightword import (
     DominantWeight,
     TwistData,
@@ -10,6 +10,8 @@ from twistedcubes.weightword import (
     appears_in_lambda,
     derive_twist_data,
 )
+
+from oracles import all_types_up_to_rank
 
 
 def test_sl3_worked_example():
@@ -95,6 +97,16 @@ def test_c_depends_only_on_letter_pair(inst, data):
     for key, value in d.c.items():
         assert longer.c_at(*key) == value
     assert longer.ell[: d.n] == d.ell
+
+
+@given(instances())
+def test_c_reads_the_cartan_table_in_pairing_order(inst):
+    # B, C, F4 and G2 have asymmetric tables, so a transposed read fails here.
+    t, w, lam = inst
+    d = derive_twist_data(t, w, lam)
+    for j in range(1, d.n + 1):
+        for k in range(j + 1, d.n + 1):
+            assert d.c_at(j, k) == cartan_pairing(t, w.entries[k - 1], w.entries[j - 1])
 
 
 @given(instances())
