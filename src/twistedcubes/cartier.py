@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from .errors import (
     CapExceeded,
     DimensionMismatch,
+    IndexOutOfRange,
     NotMinimalWitness,
     PreconditionViolated,
 )
@@ -149,6 +150,8 @@ def hesitant_walk_from_twist_witness(
     """
     if len(m) != d.n:
         raise DimensionMismatch(f"m has length {len(m)}, expected {d.n}")
+    if not 1 <= k <= d.n:
+        raise IndexOutOfRange(f"position {k} outside [1, {d.n}]")
     if m[k - 1] >= 0:
         raise PreconditionViolated(f"m[{k}] = {m[k - 1]} is not negative")
     if any(v < 0 for v in m[k:]):

@@ -10,12 +10,15 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import Pool
+from operator import itemgetter
 
 from . import cartier, walks
+from .cartier import UntwistResult
 from .errors import CapExceeded, MalformedInput, require_int, require_ints
-from .rootdata import parse_lie_type
+from .rootdata import LieType, parse_lie_type
 from .twistedcube import contains_PD, lattice_points
-from .weightword import DEFAULT_N_CAP, DominantWeight, Word, derive_twist_data
+from .walks import WalkWitness
+from .weightword import DEFAULT_N_CAP, DominantWeight, TwistData, Word, derive_twist_data
 
 
 @dataclass(frozen=True)
@@ -128,17 +131,46 @@ def iter_instances(spec: SweepSpec):
                     yield (str(t), word, weight)
 
 
-def _worker(inst: Instance) -> tuple[bool, list[dict]]:
-    """The criterion's verdict and all per-instance checks, from one
-    criterion call."""
-    type_name, word_entries, weight_coeffs = inst
+def _twist_data_checks(
+    d: TwistData, w: Word
+) -> tuple[UntwistResult, WalkWitness | None, list[str]]:
+    """The checks that read only the twist data: the criterion, the
+    sigma-to-walk rebuild and the untwisted census.  Returns the criterion's
+    result, the rebuilt walk (None when untwisted or when the rebuild raised)
+    and the problems found."""
     problems: list[str] = []
-    t = parse_lie_type(type_name)
-    w = Word(word_entries)
+    result = cartier.is_untwisted(d)
+    rebuilt = None
+    if not result.untwisted:
+        try:
+            k = cartier.maximal_failing_index(result.m.m)
+            rebuilt = cartier.hesitant_walk_from_twist_witness(d, w, result.m.m, k)
+        except Exception as exc:  # noqa: BLE001 - failures are data here
+            problems.append(f"sigma-to-walk round trip raised {exc!r}")
+    else:
+        census = lattice_points(d)
+        if any(rho != 1 for _, rho in census.points):
+            problems.append("untwisted census has a point of density != +1")
+        if any(not contains_PD(d, p) for p, _ in census.points):
+            problems.append("untwisted census point escapes the weak-inequality polytope")
+    return result, rebuilt, problems
+
+
+def _worker(inst: Instance, t: LieType, w: Word, memo: dict) -> tuple[bool, list[dict]]:
+    """The criterion's verdict and all per-instance checks of inst, whose
+    type and word are t and w.  memo maps twist data already seen for this
+    word to its _twist_data_checks, so that weights with the same (c, ell)
+    share one criterion call; a fault in derive_twist_data changes the key
+    and misses the memo rather than hiding behind it."""
+    type_name, word_entries, weight_coeffs = inst
     lam = DominantWeight(weight_coeffs)
     d = derive_twist_data(t, w, lam)
+    checked = memo.get(d)
+    if checked is None:
+        checked = memo[d] = _twist_data_checks(d, w)
+    result, rebuilt, shared = checked
 
-    result = cartier.is_untwisted(d)
+    problems: list[str] = []
     walk = walks.find_hesitant_lambda_walk(t, w, lam)
     if result.untwisted != (walk is None):
         problems.append(
@@ -154,32 +186,34 @@ def _worker(inst: Instance) -> tuple[bool, list[dict]]:
         try:
             minimal = walks.minimize(t, walk, lam)
             cartier.witness_sigma_from_walk(d, minimal.positions)
-        except Exception as exc:  # noqa: BLE001 - failures are data here
+        except Exception as exc:  # noqa: BLE001
             problems.append(f"walk-to-sigma round trip raised {exc!r}")
 
-    if not result.untwisted:
+    if rebuilt is not None:
         try:
-            k = cartier.maximal_failing_index(result.m.m)
-            rebuilt = cartier.hesitant_walk_from_twist_witness(d, w, result.m.m, k)
             if not walks.is_hesitant_lambda_walk(t, Word(rebuilt.subword), lam):
                 problems.append(f"rebuilt walk {rebuilt} fails its predicate")
         except Exception as exc:  # noqa: BLE001
             problems.append(f"sigma-to-walk round trip raised {exc!r}")
-
-    if result.untwisted:
-        census = lattice_points(d)
-        if any(rho != 1 for _, rho in census.points):
-            problems.append("untwisted census has a point of density != +1")
-        if any(not contains_PD(d, p) for p, _ in census.points):
-            problems.append("untwisted census point escapes the weak-inequality polytope")
+    problems.extend(shared)
 
     instance_json = {"type": type_name, "word": list(word_entries), "weight": list(weight_coeffs)}
     return result.untwisted, [{"instance": instance_json, "problem": p} for p in problems]
 
 
+def _check_group(group) -> list[tuple[bool, list[dict]]]:
+    """_worker over a ((type, word), instances) group: the type is parsed and
+    the word built once, and the memo lives for this group only."""
+    (type_name, word_entries), instances = group
+    t = parse_lie_type(type_name)
+    w = Word(word_entries)
+    memo: dict = {}
+    return [_worker(inst, t, w, memo) for inst in instances]
+
+
 def check_instance(inst: Instance) -> list[dict]:
     """All per-instance assertions; returns a list of counterexample records."""
-    return _worker(inst)[1]
+    return _check_group((inst[:2], [inst]))[0][1]
 
 
 def verify_equivalence(spec: SweepSpec, jobs: int = 1) -> SweepReport:
@@ -189,15 +223,18 @@ def verify_equivalence(spec: SweepSpec, jobs: int = 1) -> SweepReport:
     require_checkable(spec)
     start = time.monotonic()
     report = SweepReport()
-    instances = iter_instances(spec)
-    # Instances stream in: imap feeds the workers through a pipe, so neither
-    # path holds a block's whole instance list.
+    # An exhaustive block emits all weights of a word in a row, so runs of
+    # one (type, word) form the groups; a sampled instance is a group of one.
+    groups = itertools.groupby(iter_instances(spec), key=itemgetter(0, 1))
+    # Instances stream in: a serial group draws its instances as it checks
+    # them, and imap feeds whole groups to the workers through a pipe, so
+    # neither path holds a block's whole instance list.
     with Pool(jobs) if jobs > 1 else nullcontext() as pool:
         if pool is None:
-            results = map(_worker, instances)
+            results = map(_check_group, groups)
         else:
-            results = pool.imap(_worker, instances, chunksize=256)
-        for untwisted, problems in results:
+            results = pool.imap(_check_group, ((key, list(g)) for key, g in groups), chunksize=32)
+        for untwisted, problems in itertools.chain.from_iterable(results):
             report.instances += 1
             if untwisted:
                 report.untwisted_count += 1

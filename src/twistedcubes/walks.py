@@ -4,8 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, NotAWitness, NotMinimalWitness, PreconditionViolated
-from .rootdata import LieType, adjacent
+from .errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    NotAWitness,
+    NotMinimalWitness,
+    PreconditionViolated,
+)
+from .rootdata import LieType, cartan_table
 from .weightword import DominantWeight, TwistData, Word, appears_in_lambda
 
 
@@ -27,15 +33,20 @@ class WalkWitness:
     @classmethod
     def from_word(cls, w: Word, positions) -> "WalkWitness":
         positions = tuple(positions)
+        if not all(1 <= p <= len(w) for p in positions):
+            raise IndexOutOfRange(f"positions {positions} outside [1, {len(w)}]")
         return cls(positions, tuple(w.entries[p - 1] for p in positions))
 
 
 def is_diagram_walk(t: LieType, w: Word) -> bool:
     """Nonempty word whose successive roots are distinct and diagram-adjacent."""
     w.validate_for(t)
-    if len(w) < 1:
-        return False
-    return all(adjacent(t, a, b) for a, b in zip(w.entries, w.entries[1:]))
+    if len(w) < 2:
+        return len(w) == 1
+    # Diagram-adjacent means a negative off-diagonal Cartan entry; the
+    # diagonal is 2, so a repeated letter is never adjacent to itself.
+    table = cartan_table(t)
+    return all(table[a - 1][b - 1] < 0 for a, b in zip(w.entries, w.entries[1:]))
 
 
 def is_lambda_walk(t: LieType, w: Word, lam: DominantWeight) -> bool:
@@ -65,14 +76,19 @@ def find_hesitant_lambda_walk(t: LieType, w: Word, lam: DominantWeight) -> WalkW
         raise NotAWitness(f"weight rank {lam.rank} does not match {t}")
     n = len(w)
     letters = w.entries
+    # The letters and the rank are checked above, so the Cartan table and the
+    # weight are read directly; adjacency is a negative table entry.
+    table = cartan_table(t)
+    supported = [lam.coefficients[i - 1] > 0 for i in letters]
     reach = [False] * (n + 1)
     link: list[int | None] = [None] * (n + 1)
     for p in range(n, 0, -1):
-        if appears_in_lambda(lam, letters[p - 1]):
+        if supported[p - 1]:
             reach[p] = True
             continue
+        row = table[letters[p - 1] - 1]
         for q in range(p + 1, n + 1):
-            if reach[q] and adjacent(t, letters[p - 1], letters[q - 1]):
+            if reach[q] and row[letters[q - 1] - 1] < 0:
                 reach[p] = True
                 link[p] = q
                 break
@@ -81,7 +97,7 @@ def find_hesitant_lambda_walk(t: LieType, w: Word, lam: DominantWeight) -> WalkW
             if letters[q - 1] == letters[p - 1] and reach[q]:
                 positions = [p, q]
                 cur = q
-                while not appears_in_lambda(lam, letters[cur - 1]):
+                while not supported[cur - 1]:
                     cur = link[cur]
                     if cur is None:
                         raise NotAWitness(f"lambda-walk chain from position {q} stops before lam")
@@ -91,6 +107,10 @@ def find_hesitant_lambda_walk(t: LieType, w: Word, lam: DominantWeight) -> WalkW
 
 
 def _require_hesitant(t: LieType, witness: WalkWitness, lam: DominantWeight) -> None:
+    """NotAWitness unless the witness's subword is a hesitant lambda-walk of t
+    and lam has t's rank; after this every letter indexes lam directly."""
+    if lam.rank != t.rank:
+        raise NotAWitness(f"weight rank {lam.rank} does not match {t}")
     if not is_hesitant_lambda_walk(t, Word(witness.subword), lam):
         raise NotAWitness(f"subword {witness.subword} is not a hesitant lambda-walk")
 
@@ -103,7 +123,8 @@ def is_minimal(t: LieType, witness: WalkWitness, lam: DominantWeight) -> bool:
     walking = witness.subword[1:]
     if len(set(walking)) != len(walking):
         return False
-    if len(walking) >= 2 and any(appears_in_lambda(lam, i) for i in witness.subword[:-1]):
+    coeffs = lam.coefficients
+    if len(walking) >= 2 and any(coeffs[i - 1] > 0 for i in witness.subword[:-1]):
         return False
     return True
 
@@ -118,7 +139,8 @@ def minimize(t: LieType, witness: WalkWitness, lam: DominantWeight) -> WalkWitne
     _require_hesitant(t, witness, lam)
     head = witness.positions[0]
     walking = list(zip(witness.positions[1:], witness.subword[1:]))
-    stop = next(i for i, (_, letter) in enumerate(walking) if appears_in_lambda(lam, letter))
+    coeffs = lam.coefficients
+    stop = next(i for i, (_, letter) in enumerate(walking) if coeffs[letter - 1] > 0)
     if stop == 0:
         positions = (head, walking[0][0])
     else:
@@ -154,6 +176,8 @@ def lambda_walk_from_positive_entry(
     """
     if len(m) != d.n:
         raise DimensionMismatch(f"m has length {len(m)}, expected {d.n}")
+    if not 1 <= k <= d.n:
+        raise IndexOutOfRange(f"position {k} outside [1, {d.n}]")
     if not (m[k - 1] > 0 and all(v >= 0 for v in m[k:])):
         raise PreconditionViolated(f"need m[{k}] > 0 and nonnegative tail, got {m}")
     positions = [k]

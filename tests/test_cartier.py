@@ -13,6 +13,7 @@ from twistedcubes.cartier import (
 from twistedcubes.errors import (
     CapExceeded,
     DimensionMismatch,
+    IndexOutOfRange,
     NotMinimalWitness,
     PreconditionViolated,
 )
@@ -187,6 +188,13 @@ def test_hesitant_walk_precondition():
         )
     with pytest.raises(DimensionMismatch):
         hesitant_walk_from_twist_witness(A2_TWISTED, Word((1, 2, 1)), (-2, 0), 1)
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_hesitant_walk_rejects_positions_outside_the_word(k):
+    m = compute_m(A2_TWISTED, "-+-").m
+    with pytest.raises(IndexOutOfRange, match=rf"position {k} outside \[1, 3\]"):
+        hesitant_walk_from_twist_witness(A2_TWISTED, Word((1, 2, 1)), m, k)
 
 
 def test_hesitant_walk_needs_a_nonnegative_tail_and_a_repetition():

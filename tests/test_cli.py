@@ -322,7 +322,11 @@ _BEYOND_CAP = {"lie_types": ["A1"], "max_word_length": 21, "weight_alphabet": [1
 def test_verify_rejects_words_beyond_the_cap_before_any_check(tmp_path, blocks, monkeypatch, capsys):
     calls = []
     real = harness._worker
-    monkeypatch.setattr(harness, "_worker", lambda inst: calls.append(inst) or real(inst))
+    monkeypatch.setattr(
+        harness,
+        "_worker",
+        lambda inst, t, w, memo: calls.append(inst) or real(inst, t, w, memo),
+    )
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(blocks))
     assert main(["verify", "--spec", str(spec)]) == EXIT_ERROR
@@ -334,7 +338,7 @@ def test_verify_rejects_words_beyond_the_cap_before_any_check(tmp_path, blocks, 
 def test_verify_rejects_jobs_below_one(tmp_path, jobs, monkeypatch, capsys):
     started = []
     monkeypatch.setattr(harness, "Pool", lambda *args: started.append(args))
-    monkeypatch.setattr(harness, "_worker", lambda inst: started.append(inst))
+    monkeypatch.setattr(harness, "_worker", lambda inst, t, w, memo: started.append(inst))
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"lie_types": ["A1"], "max_word_length": 2}))
     assert main(["verify", "--spec", str(spec), "--jobs", jobs]) == EXIT_ERROR

@@ -4,6 +4,7 @@ import pytest
 
 from twistedcubes import cartier, harness, walks
 from twistedcubes.errors import PreconditionViolated
+from twistedcubes.rootdata import parse_lie_type
 from twistedcubes.harness import (
     SweepReport,
     SweepSpec,
@@ -15,6 +16,7 @@ from twistedcubes.harness import (
 )
 from twistedcubes.twistedcube import LatticeCensus
 from twistedcubes.walks import WalkWitness
+from twistedcubes.weightword import DominantWeight, TwistData, Word, derive_twist_data
 
 from oracles import scaling_invariance_failures
 
@@ -142,7 +144,7 @@ def test_check_instance_reports_each_fault(fault, monkeypatch):
     assert report[0]["problem"].startswith(problem)
 
 
-def test_sweep_runs_the_criterion_once_per_instance(monkeypatch):
+def _count_criterion_calls(monkeypatch) -> list:
     calls = []
     real = cartier.is_untwisted
 
@@ -151,9 +153,25 @@ def test_sweep_runs_the_criterion_once_per_instance(monkeypatch):
         return real(d, *args, **kwargs)
 
     monkeypatch.setattr(cartier, "is_untwisted", counted)
-    report = verify_equivalence(SweepSpec(("A2", "B2"), 3, (0, 1)))
+    return calls
+
+
+def _derive(type_name, word, weight):
+    return derive_twist_data(parse_lie_type(type_name), Word(word), DominantWeight(weight))
+
+
+def _distinct_twist_data(spec) -> int:
+    """The number of distinct (type, word, twist data) in the spec's stream."""
+    return len({(inst[0], inst[1], _derive(*inst)) for inst in iter_instances(spec)})
+
+
+def test_sweep_runs_the_criterion_once_per_twist_data_of_each_word(monkeypatch):
+    calls = _count_criterion_calls(monkeypatch)
+    spec = SweepSpec(("A2", "B2"), 3, (0, 1))
+    report = verify_equivalence(spec)
     assert report.counterexamples == []
-    assert len(calls) == report.instances == 120
+    assert report.instances == 120
+    assert len(calls) == _distinct_twist_data(spec) == 90
 
 
 def test_verify_streams_its_instances(monkeypatch):
@@ -166,10 +184,10 @@ def test_verify_streams_its_instances(monkeypatch):
             drawn.append(inst)
             yield inst
 
-    def worker(inst):
+    def worker(inst, t, w, memo):
         if not first_call:
             first_call.append(len(drawn))
-        return real_worker(inst)
+        return real_worker(inst, t, w, memo)
 
     monkeypatch.setattr(harness, "iter_instances", counting)
     monkeypatch.setattr(harness, "_worker", worker)
@@ -177,6 +195,68 @@ def test_verify_streams_its_instances(monkeypatch):
     # The first check runs after one instance is drawn, not after all 120.
     assert first_call == [1]
     assert len(drawn) == report.instances == 120
+
+
+# D4 and F4 words of length <= 2 over {0, 1}: most of the 16 weights of a
+# word share their twist data, so the memo is hit far more often than missed.
+SHARED = SweepSpec(("D4", "F4"), 2, (0, 1))
+
+
+@pytest.mark.parametrize("fault", [None] + sorted(FAULTS))
+def test_sweep_report_equals_the_per_instance_checks(fault, monkeypatch):
+    if fault is not None:
+        _, (module, name, replacement), _ = FAULTS[fault]
+        monkeypatch.setattr(module, name, replacement)
+    report = verify_equivalence(SHARED)
+    instances = list(iter_instances(SHARED))
+    expected = [ce for inst in instances for ce in check_instance(inst)]
+    expected.sort(key=lambda ce: json.dumps(ce, sort_keys=True))
+    assert report.counterexamples == expected
+    assert (fault is None) == (expected == [])
+    untwisted = sum(cartier.is_untwisted(_derive(*inst)).untwisted for inst in instances)
+    assert (report.instances, report.untwisted_count) == (len(instances), untwisted)
+
+
+def test_a_shared_fault_is_reported_for_every_instance_that_shares_it(monkeypatch):
+    _, (module, name, replacement), problem = FAULTS["census density -1"]
+    monkeypatch.setattr(module, name, replacement)
+    calls = _count_criterion_calls(monkeypatch)
+    report = verify_equivalence(SHARED)
+    assert len(calls) < report.instances
+    assert [ce["problem"] for ce in report.counterexamples] == [problem] * report.untwisted_count
+    shared_by = {json.dumps(ce["instance"]) for ce in report.counterexamples}
+    assert len(shared_by) == report.untwisted_count
+
+
+def test_the_memo_key_is_the_whole_twist_data(monkeypatch):
+    # A derive that reads weight coefficients outside the word gives every
+    # weight of a nonempty word its own ell_1; the empty word has no ell.
+    real = harness.derive_twist_data
+
+    def leaky(t, w, lam):
+        d = real(t, w, lam)
+        if not d.n:
+            return d
+        # ell_1 is 0 or 1 and the leak is even and injective in the weight,
+        # so their sum is injective too.
+        leak = sum(v << (i + 1) for i, v in enumerate(lam.coefficients))
+        return TwistData(n=d.n, c=d.c, ell=(d.ell[0] + leak,) + d.ell[1:])
+
+    monkeypatch.setattr(harness, "derive_twist_data", leaky)
+    calls = _count_criterion_calls(monkeypatch)
+    spec = SweepSpec(("A2", "B2"), 2, (0, 1))
+    report = verify_equivalence(spec)
+    nonempty = sum(1 for _, word, _ in iter_instances(spec) if word)
+    assert len(calls) == nonempty + len(spec.lie_types)
+    assert report.instances == nonempty + len(spec.lie_types) * 4
+
+
+def test_no_memo_outlives_a_call(monkeypatch):
+    calls = _count_criterion_calls(monkeypatch)
+    verify_equivalence(SHARED)
+    first = len(calls)
+    verify_equivalence(SHARED)
+    assert first == len(calls) - first == _distinct_twist_data(SHARED)
 
 
 def test_report_json_is_deterministic():

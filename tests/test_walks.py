@@ -5,6 +5,7 @@ from twistedcubes.cartier import compute_m
 from twistedcubes.errors import (
     CapExceeded,
     DimensionMismatch,
+    IndexOutOfRange,
     NotAWitness,
     PreconditionViolated,
 )
@@ -170,6 +171,28 @@ def test_lambda_walk_from_positive_entry():
         lambda_walk_from_positive_entry(d, Word((1, 1, 2, 3)), m, 1)
     with pytest.raises(DimensionMismatch):
         lambda_walk_from_positive_entry(d, Word((1, 1, 2, 3)), m[1:], 2)
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_lambda_walk_from_positive_entry_rejects_positions_outside_the_word(k):
+    # Position 0 used to wrap to the last letter, and 4 raised IndexError.
+    w = Word((1, 1, 2))
+    d = derive_twist_data(parse_lie_type("A2"), w, DominantWeight((0, 1)))
+    with pytest.raises(IndexOutOfRange, match=rf"position {k} outside \[1, 3\]"):
+        lambda_walk_from_positive_entry(d, w, (0, 0, 1), k)
+
+
+@pytest.mark.parametrize("positions", [(0,), (4,), (1, 4)])
+def test_from_word_rejects_positions_outside_the_word(positions):
+    with pytest.raises(IndexOutOfRange):
+        WalkWitness.from_word(Word((1, 1, 2)), positions)
+
+
+def test_minimize_and_is_minimal_need_a_weight_of_the_type_s_rank():
+    witness = _witness((5, 5))
+    for fn in (minimize, is_minimal):
+        with pytest.raises(NotAWitness, match="weight rank 4 does not match A5"):
+            fn(A5, witness, DominantWeight((0, 0, 0, 1)))
 
 
 TYPES = all_types_up_to_rank(6)
