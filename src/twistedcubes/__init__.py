@@ -13,7 +13,7 @@ from .errors import (
     RankOutOfRange,
     TwistedCubeError,
 )
-from .rootdata import LieType, adjacent, cartan_pairing, parse_lie_type, validate_lie_type
+from .rootdata import LieType, cartan_pairing, parse_lie_type, validate_lie_type
 from .weightword import (
     DominantWeight,
     TwistData,
@@ -23,10 +23,7 @@ from .weightword import (
 )
 from .twistedcube import (
     LatticeCensus,
-    contains,
     contains_PD,
-    density,
-    eval_A,
     lattice_points,
     signed_count,
 )

@@ -33,10 +33,6 @@ class CartierVector:
 
     m: tuple[int, ...]
 
-    @property
-    def min_entry(self) -> int:
-        return min(self.m) if self.m else 0
-
 
 @dataclass(frozen=True)
 class UntwistResult:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager, nullcontext
 
@@ -56,6 +57,8 @@ def load_instance(path: str):
                 j, k = (int(part) for part in key.split(","))
             except ValueError as exc:
                 raise MalformedInput(f"bad c key {key!r}; expected 'j,k'") from exc
+            if (j, k) in c:
+                raise MalformedInput(f"c names the pair ({j}, {k}) twice")
             c[(j, k)] = require_int(f"c[{key!r}]", value)
         n = require_int("n", obj["n"])
         return TwistData(n=n, c=c, ell=require_ints("ell", obj["ell"])), None
@@ -155,12 +158,15 @@ def _load_specs(path: str | None) -> list[harness.SweepSpec]:
 def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise MalformedInput(f"--jobs must be at least 1, got {args.jobs}")
+    # More workers than CPUs only adds forks that may fail; the report is the
+    # same for any number of workers.
+    jobs = min(args.jobs, os.cpu_count() or 1)
     specs = _load_specs(args.spec)
     for spec in specs:
         harness.require_checkable(spec)
     merged = harness.SweepReport()
     for spec in specs:
-        merged.merge(harness.verify_equivalence(spec, jobs=args.jobs))
+        merged.merge(harness.verify_equivalence(spec, jobs=jobs))
     with _output(None) as out:
         if args.format == "json":
             print(json.dumps(merged.to_json()), file=out)
@@ -210,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the equivalence sweep")
     p.add_argument("--spec", help="sweep spec JSON (object or list); default sweep if omitted")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers, at most the CPU count")
     p.add_argument("--format", choices=("json", "human"), default="json")
     p.set_defaults(func=cmd_verify)
 

@@ -34,8 +34,9 @@ class SweepSpec:
     @classmethod
     def from_json(cls, obj) -> "SweepSpec":
         """One block of a spec file.  Every known field is checked, and a
-        malformed one raises MalformedInput; other keys, such as a block's
-        name, are ignored."""
+        malformed one raises MalformedInput (RankOutOfRange for a Lie type
+        that does not parse); other keys, such as a block's name, are
+        ignored."""
         if not isinstance(obj, dict):
             raise MalformedInput(f"sweep block must be an object, got {obj!r}")
         missing = {"lie_types", "max_word_length"} - obj.keys()
@@ -44,6 +45,8 @@ class SweepSpec:
         lie_types = obj["lie_types"]
         if not isinstance(lie_types, list) or not all(isinstance(x, str) for x in lie_types):
             raise MalformedInput(f"lie_types must be a list of strings, got {lie_types!r}")
+        for name in lie_types:
+            parse_lie_type(name)
         alphabet = require_ints("weight_alphabet", obj.get("weight_alphabet", [0, 1]))
         if any(v < 0 for v in alphabet):
             raise MalformedInput(f"weight_alphabet must be >= 0, got {list(alphabet)}")
@@ -86,18 +89,14 @@ class SweepReport:
     twisted_count: int = 0
     wall_ms: int = 0
 
-    def to_json(self, include_timing: bool = True) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "instances": self.instances,
             "counterexamples": self.counterexamples,
             "untwisted_count": self.untwisted_count,
             "twisted_count": self.twisted_count,
+            "wall_ms": self.wall_ms,
         }
-        # Timing is the one nondeterministic field; drop it when byte-stable
-        # output is wanted.
-        if include_timing:
-            out["wall_ms"] = self.wall_ms
-        return out
 
     def merge(self, other: "SweepReport") -> None:
         self.instances += other.instances

@@ -112,13 +112,6 @@ def cartan_pairing(t: LieType, i: int, j: int) -> int:
     return cartan_table(t)[i - 1][j - 1]
 
 
-def adjacent(t: LieType, i: int, j: int) -> bool:
-    """Whether roots i and j are joined by a Dynkin-diagram edge."""
-    _check_index(t, i)
-    _check_index(t, j)
-    return i != j and cartan_table(t)[i - 1][j - 1] < 0
-
-
 def _check_index(t: LieType, i: int) -> None:
     if not 1 <= i <= t.rank:
         raise IndexOutOfRange(f"root index {i} outside [1, {t.rank}] for {t}")

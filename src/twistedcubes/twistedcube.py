@@ -1,4 +1,5 @@
-"""The twisted cube itself: membership, density, and lattice enumeration.
+"""The twisted cube itself: membership in the weak-inequality polytope, and
+exact lattice enumeration with densities.
 
 Membership at arbitrary rational points uses exact Fraction arithmetic; the
 lattice enumeration stays in pure integers (the bounding functions are
@@ -11,27 +12,10 @@ from dataclasses import dataclass
 from numbers import Rational
 from typing import Sequence
 
-from .errors import CapExceeded, DimensionMismatch, IndexOutOfRange, PreconditionViolated
+from .errors import CapExceeded, DimensionMismatch, PreconditionViolated
 from .weightword import DEFAULT_N_CAP, TwistData, bound
 
 Coord = Rational  # int or Fraction
-
-
-def _check_dim(d: TwistData, x: Sequence[Coord]) -> None:
-    if len(x) != d.n:
-        raise DimensionMismatch(f"point has dimension {len(x)}, expected {d.n}")
-
-
-def eval_A(d: TwistData, j: int, x: Sequence[Coord]):
-    """The affine upper/lower bound on coordinate j: ell_j - sum_{k>j} c[j,k] x_k.
-
-    Depends only on coordinates j+1..n; in particular the top level is the
-    constant ell_n.
-    """
-    if not 1 <= j <= d.n:
-        raise IndexOutOfRange(f"index {j} outside [1, {d.n}]")
-    _check_dim(d, x)
-    return bound(d, j, x)
 
 
 def _coordinate_ok(a, xj) -> bool:
@@ -39,31 +23,16 @@ def _coordinate_ok(a, xj) -> bool:
     return (a < xj < 0) or (0 <= xj <= a)
 
 
-def contains(d: TwistData, x: Sequence[Coord]) -> bool:
-    """Whether x lies in the twisted cube C(c, ell)."""
-    _check_dim(d, x)
-    return all(_coordinate_ok(bound(d, j, x), x[j - 1]) for j in range(1, d.n + 1))
-
-
 def contains_PD(d: TwistData, x: Sequence[Coord]) -> bool:
     """Whether x lies in the all-weak-inequalities polytope 0 <= x_j <= A_j(x)."""
-    _check_dim(d, x)
+    if len(x) != d.n:
+        raise DimensionMismatch(f"point has dimension {len(x)}, expected {d.n}")
     return all(0 <= x[j - 1] <= bound(d, j, x) for j in range(1, d.n + 1))
 
 
 def _sgn(v) -> int:
     """The density sign convention: 1 on negatives, -1 on [0, inf)."""
     return 1 if v < 0 else -1
-
-
-def density(d: TwistData, x: Sequence[Coord]) -> int:
-    """The signed density: 0 outside C, else (-1)^n times the sign product."""
-    if not contains(d, x):
-        return 0
-    rho = (-1) ** d.n
-    for v in x:
-        rho *= _sgn(v)
-    return rho
 
 
 @dataclass(frozen=True)
@@ -88,8 +57,8 @@ def census_buckets(d: TwistData, leaf, cap: int = DEFAULT_N_CAP):
     Each sorted tail of level j+1 goes into the bucket of every admissible
     x_j, and reading the buckets in increasing x_j gives the sorted tails of
     level j, so no sort over the points is needed.  Every chosen value is
-    checked against the bound of its own tail, the condition ``contains``
-    tests at that coordinate.
+    checked against the bound of its own tail, the cube's membership
+    condition at that coordinate.
 
     Level 1 calls ``leaf(tail, rho)`` once per level-2 tail (x_2, ..., x_n),
     rho being the density of every point (x_1,) + tail, and files that one

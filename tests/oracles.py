@@ -9,11 +9,11 @@ from twistedcubes.harness import SweepSpec, iter_instances
 from twistedcubes.rootdata import (
     FAMILIES,
     LieType,
-    adjacent,
+    cartan_table,
     parse_lie_type,
     validate_lie_type,
 )
-from twistedcubes.twistedcube import LatticeCensus, density, lattice_points
+from twistedcubes.twistedcube import LatticeCensus, lattice_points
 from twistedcubes.walks import WalkWitness
 from twistedcubes.weightword import (
     DominantWeight,
@@ -25,6 +25,33 @@ from twistedcubes.weightword import (
 )
 
 NAIVE_N_CAP = 16
+
+
+def adjacent(t: LieType, i: int, j: int) -> bool:
+    """Whether roots i and j (1-based) are joined by a Dynkin-diagram edge."""
+    return i != j and cartan_table(t)[i - 1][j - 1] < 0
+
+
+def contains(d: TwistData, x) -> bool:
+    """Whether x lies in the twisted cube C(c, ell): for each j, with
+    a = ell_j - sum_{k>j} c[j, k] x_k, either a < x_j < 0 or 0 <= x_j <= a.
+    Written out from c_at, apart from the census kernel's bound."""
+    for j in range(1, d.n + 1):
+        a = d.ell[j - 1] - sum(d.c_at(j, k) * x[k - 1] for k in range(j + 1, d.n + 1))
+        if not (a < x[j - 1] < 0 or 0 <= x[j - 1] <= a):
+            return False
+    return True
+
+
+def density(d: TwistData, x) -> int:
+    """The signed density: 0 outside C, else (-1)^n times the product of
+    sgn(x_k), with sgn = 1 on negatives and -1 on [0, inf)."""
+    if not contains(d, x):
+        return 0
+    rho = (-1) ** d.n
+    for v in x:
+        rho *= 1 if v < 0 else -1
+    return rho
 
 
 def all_types_up_to_rank(max_rank: int) -> list[LieType]:

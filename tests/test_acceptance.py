@@ -24,12 +24,7 @@ from twistedcubes.harness import (
     verify_equivalence,
 )
 from twistedcubes.rootdata import parse_lie_type
-from twistedcubes.twistedcube import (
-    contains,
-    density,
-    lattice_points,
-    signed_count,
-)
+from twistedcubes.twistedcube import lattice_points, signed_count
 from twistedcubes.walks import (
     find_hesitant_lambda_walk,
     is_hesitant_lambda_walk,
@@ -39,6 +34,8 @@ from twistedcubes.weightword import DominantWeight, TwistData, Word, derive_twis
 from oracles import (
     all_types_up_to_rank,
     brute_force_census,
+    contains,
+    density,
     find_hesitant_lambda_walk_naive,
     scaling_invariance_failures,
 )
@@ -122,7 +119,7 @@ def test_criterion_4_untwisted_example():
     ]
     ok = (
         len(vectors) == 64
-        and all(mv.min_entry >= 0 for mv in vectors)
+        and all(min(mv.m, default=0) >= 0 for mv in vectors)
         and is_untwisted(d).untwisted
     )
     _report(4, "A3 word (1,2,3,1,2,1), weight 3*w3: all 64 Cartier vectors >= 0", ok)

@@ -36,7 +36,7 @@ def test_all_plus_gives_zero():
 def test_compute_m_worked_example():
     mv = compute_m(A2_TWISTED, "-+-")
     assert mv.m == (-2, 0, 2)
-    assert mv.min_entry == -2
+    assert min(mv.m, default=0) == -2
 
 
 def test_length_two_closed_form():
@@ -244,8 +244,8 @@ def raw_twist_data(max_n=5, bound=3):
 
 @given(raw_twist_data())
 def test_rows_list_the_nonzero_c_entries_in_increasing_k(d):
-    # rows feeds the bound kernel behind compute_m, eval_A and the lattice
-    # descent; it must not depend on the order c was given in.
+    # rows feeds the bound kernel behind compute_m and the lattice descent;
+    # it must not depend on the order c was given in.
     expected = tuple(
         tuple((k, d.c_at(j, k)) for k in range(j + 1, d.n + 1) if d.c_at(j, k) != 0)
         for j in range(1, d.n + 1)

@@ -253,6 +253,8 @@ def test_max_n_cap(derived_twisted, capsys):
         json.dumps({"type": "A2", "word": [1]}),
         json.dumps({"type": "A2", "word": [1], "weight": [1, 0], "n": 1}),
         json.dumps({"n": 2, "c": {"1;2": 1}, "ell": [0, 0]}),
+        # Two keys for one pair: neither value may win silently.
+        json.dumps({"n": 2, "c": {"1,2": 1, "01,2": 5}, "ell": [0, 0]}),
         json.dumps({"type": "Z9", "word": [], "weight": []}),
         json.dumps({"type": "A2", "word": [3], "weight": [0, 0]}),
         # A letter <= 0 must not wrap round to the end of the Cartan table.
@@ -334,6 +336,34 @@ def test_verify_rejects_words_beyond_the_cap_before_any_check(tmp_path, blocks, 
     assert calls == []
 
 
+@pytest.mark.parametrize("command", ["verify", "atlas"])
+def test_bad_lie_type_in_a_later_block_fails_before_any_check(tmp_path, command, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(harness, "_worker", lambda *args: calls.append(args))
+    monkeypatch.setattr(walks, "find_hesitant_lambda_walk", lambda *args: calls.append(args))
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        json.dumps(
+            [{"lie_types": ["A2"], "max_word_length": 5}, {"lie_types": ["Z9"], "max_word_length": 2}]
+        )
+    )
+    assert main([command, "--spec", str(spec)]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: cannot parse Lie type 'Z9'\n"
+    assert calls == []
+
+
+def test_verify_caps_jobs_at_the_cpu_count(tmp_path, monkeypatch, capsys):
+    received = []
+    monkeypatch.setattr(
+        harness, "verify_equivalence", lambda spec, jobs=1: received.append(jobs) or harness.SweepReport()
+    )
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"lie_types": ["A1"], "max_word_length": 2}))
+    assert main(["verify", "--spec", str(spec), "--jobs", "100000"]) == EXIT_UNTWISTED
+    capsys.readouterr()
+    assert received == [os.cpu_count() or 1]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_verify_rejects_jobs_below_one(tmp_path, jobs, monkeypatch, capsys):
     started = []
@@ -392,6 +422,13 @@ def test_load_instance_rejects_bad_spec_file(tmp_path, capsys):
     spec.write_text(json.dumps({"max_word_length": 3}))
     assert main(["verify", "--spec", str(spec)]) == EXIT_ERROR
     capsys.readouterr()
+
+
+def test_load_instance_names_a_pair_given_twice(tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"n": 2, "c": {"1,2": 1, "01,2": 5}, "ell": [0, 0]}))
+    with pytest.raises(MalformedInput, match=r"\(1, 2\) twice"):
+        load_instance(str(path))
 
 
 def test_load_instance_malformed_raises():

@@ -4,14 +4,13 @@ from hypothesis import given, strategies as st
 from twistedcubes.errors import IndexOutOfRange, RankOutOfRange
 from twistedcubes.rootdata import (
     LieType,
-    adjacent,
     cartan_pairing,
     cartan_table,
     parse_lie_type,
     validate_lie_type,
 )
 
-from oracles import all_types_up_to_rank
+from oracles import adjacent, all_types_up_to_rank
 
 SMALL_TYPES = all_types_up_to_rank(9)
 

@@ -9,8 +9,14 @@ import pytest
 import twistedcubes
 
 MODULES = sorted(Path(twistedcubes.__file__).parent.glob("*.py"))
-TESTS = sorted(Path(__file__).parent.glob("*.py"))
-TRACING = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+GEN = PERFBENCH / "gen.py"
+
+# Public names kept although nothing in the package reads them.
+API_ENTRIES = {
+    "signed_count": "the census totals without the point list, for library callers",
+}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -84,12 +90,13 @@ def _loaded_names(paths):
     "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
 )
 def test_no_unreferenced_public_names(path):
-    # A public name that nothing in the package or its tests reads is dead
-    # code; a re-export in __init__.py is not a read.
+    # A public name that nothing in the package reads is dead code, or a test
+    # helper that belongs in tests/; a re-export in __init__.py is not a read.
+    # The traced benchmark's targets and the named API entries stay.
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    loaded = _loaded_names(MODULES + TESTS)
-    unread = {name: line for name, line in _public_top_level_names(tree) if name not in loaded}
-    assert unread == {}, f"{path.name} defines public names nothing reads: {unread}"
+    kept = _loaded_names(MODULES) | {attr for _, attr in _tracing_targets()} | API_ENTRIES.keys()
+    unread = {name: line for name, line in _public_top_level_names(tree) if name not in kept}
+    assert unread == {}, f"{path.name} defines public names nothing in src/ reads: {unread}"
 
 
 def _tracing_targets():
@@ -109,4 +116,28 @@ def _tracing_targets():
 
 @pytest.mark.parametrize("module,attr", _tracing_targets(), ids=".".join)
 def test_traced_benchmark_targets_exist(module, attr):
+    assert hasattr(importlib.import_module(module), attr), f"{module} has no {attr}"
+
+
+def _generator_targets():
+    # Read without importing, as for the tracer: every name the benchmark
+    # generator imports from the package, and every attribute it reads off
+    # a package module it imported by name (harness.verify_equivalence).
+    tree = ast.parse(GEN.read_text(encoding="utf-8"), filename=str(GEN))
+    targets, modules = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("twistedcubes"):
+            for alias in node.names:
+                targets.append((node.module, alias.name))
+                if node.module == "twistedcubes":
+                    modules[alias.asname or alias.name] = f"twistedcubes.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                targets.append((modules[node.value.id], node.attr))
+    return sorted(set(targets))
+
+
+@pytest.mark.parametrize("module,attr", _generator_targets(), ids=str)
+def test_benchmark_generator_targets_exist(module, attr):
     assert hasattr(importlib.import_module(module), attr), f"{module} has no {attr}"

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twistedcubes.errors import DimensionMismatch, IndexOutOfRange
-from twistedcubes.rootdata import adjacent, cartan_pairing, parse_lie_type
+from twistedcubes.rootdata import cartan_pairing, parse_lie_type
 from twistedcubes.weightword import (
     DominantWeight,
     TwistData,
@@ -11,7 +11,7 @@ from twistedcubes.weightword import (
     derive_twist_data,
 )
 
-from oracles import all_types_up_to_rank
+from oracles import adjacent, all_types_up_to_rank
 
 
 def test_sl3_worked_example():
