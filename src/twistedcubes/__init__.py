@@ -2,6 +2,8 @@
 untwistedness via the Cartier-vector criterion, hesitant-walk detection, and
 exhaustive equivalence verification."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     CapExceeded,
     DimensionMismatch,
@@ -48,6 +50,11 @@ from .walks import (
     minimize,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The submodules are attributes of the package too, but not API names.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
 
 __version__ = "0.1.0"

@@ -15,10 +15,14 @@ from .errors import (
     PreconditionViolated,
 )
 from .walks import WalkWitness, lambda_walk_from_positive_entry
-from .weightword import DEFAULT_N_CAP, TwistData, Word, bound
+from .weightword import TwistData, Word, bound
 
 MINUS = "-"
 PLUS = "+"
+
+#: Default cap on the word length n for is_untwisted, which visits 2**n
+#: sign vectors.
+DEFAULT_N_CAP = 20
 
 
 def minus_at(n: int, positions) -> str:

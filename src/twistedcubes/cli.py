@@ -18,22 +18,28 @@ from .errors import MalformedInput, TwistedCubeError, require_int, require_ints
 from .render import render_svg
 from .rootdata import parse_lie_type
 from .twistedcube import census_buckets
-from .weightword import DEFAULT_N_CAP, DominantWeight, TwistData, Word, derive_twist_data
+from .weightword import DominantWeight, TwistData, Word, derive_twist_data
 
 EXIT_UNTWISTED = 0
 EXIT_TWISTED = 1
 EXIT_ERROR = 2
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in the file at path; what names the file in the
+    MalformedInput raised when it cannot be read or parsed."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    # ValueError: bad JSON, or an integer with too many digits to convert.
+    except (OSError, ValueError) as exc:
+        raise MalformedInput(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_instance(path: str):
     """Read an instance file; returns (twist_data, context) where context is
     (lie_type, word, weight) for derived instances and None for raw ones."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    # ValueError: bad JSON, or an integer with too many digits to convert.
-    except (OSError, ValueError) as exc:
-        raise MalformedInput(f"cannot read instance file {path}: {exc}") from exc
+    obj = _read_json(path, "instance file")
     if not isinstance(obj, dict):
         raise MalformedInput("instance file must hold a JSON object")
     derived_keys = {"type", "word", "weight"}
@@ -123,9 +129,7 @@ def cmd_lattice(args) -> int:
     # A level-2 tail's line end is formatted once and shared by every x_1
     # it admits; a bucket's lines are its head joined with those ends.
     end = ", %d" * (d.n - 1) + '], "rho": %d}\n'
-    buckets, positive, negative = census_buckets(
-        d, lambda tail, rho: end % (*tail, rho), cap=args.max_n
-    )
+    buckets, positive, negative = census_buckets(d, lambda tail, rho: end % (*tail, rho))
     totals = {"positive": positive, "negative": negative, "signed": positive - negative}
     with _output(args.out) as out:
         for head, ends in buckets:
@@ -146,11 +150,7 @@ def cmd_render(args) -> int:
 def _load_specs(path: str | None) -> list[harness.SweepSpec]:
     if path is None:
         return harness.default_specs()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise MalformedInput(f"cannot read sweep spec {path}: {exc}") from exc
+    obj = _read_json(path, "sweep spec")
     blocks = obj if isinstance(obj, list) else [obj]
     return [harness.SweepSpec.from_json(b) for b in blocks]
 
@@ -199,13 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="decide the untwistedness criterion")
     p.add_argument("--instance", required=True, help="instance JSON file")
-    p.add_argument("--max-n", type=int, default=DEFAULT_N_CAP, help="sign-sweep cap")
+    p.add_argument("--max-n", type=int, default=cartier.DEFAULT_N_CAP, help="sign-sweep cap")
     p.add_argument("--format", choices=("json", "human"), default="json")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("lattice", help="list the signed lattice-point census")
     p.add_argument("--instance", required=True, help="instance JSON file")
-    p.add_argument("--max-n", type=int, default=DEFAULT_N_CAP, help="enumeration cap on n")
     p.add_argument("--out", help="write JSON lines here instead of stdout")
     p.set_defaults(func=cmd_lattice)
 

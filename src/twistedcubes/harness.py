@@ -8,17 +8,17 @@ import json
 import random
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from multiprocessing import Pool
 from operator import itemgetter
 
 from . import cartier, walks
-from .cartier import UntwistResult
+from .cartier import DEFAULT_N_CAP, UntwistResult
 from .errors import CapExceeded, MalformedInput, require_int, require_ints
 from .rootdata import LieType, parse_lie_type
 from .twistedcube import contains_PD, lattice_points
 from .walks import WalkWitness
-from .weightword import DEFAULT_N_CAP, DominantWeight, TwistData, Word, derive_twist_data
+from .weightword import DominantWeight, TwistData, Word, derive_twist_data
 
 
 @dataclass(frozen=True)
@@ -90,13 +90,7 @@ class SweepReport:
     wall_ms: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "instances": self.instances,
-            "counterexamples": self.counterexamples,
-            "untwisted_count": self.untwisted_count,
-            "twisted_count": self.twisted_count,
-            "wall_ms": self.wall_ms,
-        }
+        return asdict(self)
 
     def merge(self, other: "SweepReport") -> None:
         self.instances += other.instances

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from numbers import Rational
 from typing import Sequence
 
-from .errors import CapExceeded, DimensionMismatch, PreconditionViolated
-from .weightword import DEFAULT_N_CAP, TwistData, bound
+from .errors import DimensionMismatch, PreconditionViolated
+from .weightword import TwistData, bound
 
 Coord = Rational  # int or Fraction
 
@@ -48,7 +48,7 @@ class LatticeCensus:
         return self.num_positive - self.num_negative
 
 
-def census_buckets(d: TwistData, leaf, cap: int = DEFAULT_N_CAP):
+def census_buckets(d: TwistData, leaf):
     """The integer points of C(c, ell) as level-1 buckets, with their totals.
 
     At level j, with the tail x[j:] fixed, the bound A_j is a known integer
@@ -66,9 +66,8 @@ def census_buckets(d: TwistData, leaf, cap: int = DEFAULT_N_CAP):
     ``(buckets, positive, negative)``: buckets is a list of ``(head, leaves)``
     in increasing x_1, head being ``(x_1,)`` (``()`` when n = 0, whose one
     point is the empty one), and the totals count points, not leaves.
+    The cost follows the number of tails per level, not n, so n has no cap.
     """
-    if d.n > cap:
-        raise CapExceeded(f"n = {d.n} exceeds cap {cap}")
     if d.n == 0:
         return [((), [leaf((), 1)])], 1, 0
     x = [0] * d.n
@@ -107,16 +106,16 @@ def _pair(tail, rho):
     return tail, rho
 
 
-def lattice_points(d: TwistData, cap: int = DEFAULT_N_CAP) -> LatticeCensus:
+def lattice_points(d: TwistData) -> LatticeCensus:
     """Enumerate the integer points of C(c, ell) exactly, sorted by x, each
     tagged with its density (see ``census_buckets``)."""
-    buckets, positive, negative = census_buckets(d, _pair, cap=cap)
+    buckets, positive, negative = census_buckets(d, _pair)
     return LatticeCensus(
         points=tuple(_read_buckets(buckets)), num_positive=positive, num_negative=negative
     )
 
 
-def signed_count(d: TwistData, cap: int = DEFAULT_N_CAP) -> int:
+def signed_count(d: TwistData) -> int:
     """Number of lattice points with density +1 minus those with -1."""
-    _, positive, negative = census_buckets(d, _pair, cap=cap)
+    _, positive, negative = census_buckets(d, _pair)
     return positive - negative

@@ -141,21 +141,18 @@ def minimize(t: LieType, witness: WalkWitness, lam: DominantWeight) -> WalkWitne
     walking = list(zip(witness.positions[1:], witness.subword[1:]))
     coeffs = lam.coefficients
     stop = next(i for i, (_, letter) in enumerate(walking) if coeffs[letter - 1] > 0)
-    if stop == 0:
-        positions = (head, walking[0][0])
-    else:
-        walking = walking[: stop + 1]
-        i = 0
-        while i < len(walking):
-            dup = next(
-                (b for b in range(i + 1, len(walking)) if walking[b][1] == walking[i][1]),
-                None,
-            )
-            if dup is None:
-                i += 1
-            else:
-                del walking[i + 1 : dup + 1]
-        positions = (head,) + tuple(p for p, _ in walking)
+    walking = walking[: stop + 1]
+    i = 0
+    while i < len(walking):
+        dup = next(
+            (b for b in range(i + 1, len(walking)) if walking[b][1] == walking[i][1]),
+            None,
+        )
+        if dup is None:
+            i += 1
+        else:
+            del walking[i + 1 : dup + 1]
+    positions = (head,) + tuple(p for p, _ in walking)
     out = WalkWitness(
         positions,
         tuple(witness.subword[witness.positions.index(p)] for p in positions),

@@ -18,9 +18,6 @@ from dataclasses import dataclass, field
 from .errors import DimensionMismatch, IndexOutOfRange
 from .rootdata import LieType, cartan_table
 
-#: Default cap on word length; sign-vector sweeps downstream are 2**n.
-DEFAULT_N_CAP = 20
-
 
 @dataclass(frozen=True)
 class Word:

@@ -245,6 +245,21 @@ def test_max_n_cap(derived_twisted, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_only_the_criterion_is_capped(tmp_path, capsys):
+    # n = 21 is past the criterion's 2**n cap, but the census of the zero
+    # cube is one point, so lattice takes it.
+    path = tmp_path / "zero21.json"
+    path.write_text(json.dumps({"n": 21, "c": {}, "ell": [0] * 21}))
+    assert main(["lattice", "--instance", str(path)]) == EXIT_UNTWISTED
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"x": [0] * 21, "rho": 1},
+        {"positive": 1, "negative": 0, "signed": 1},
+    ]
+    assert main(["check", "--instance", str(path)]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: n = 21 exceeds cap 20\n"
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -388,6 +403,7 @@ def test_atlas_accepts_words_beyond_the_cap(tmp_path, capsys):
     "argv",
     [
         ["lattice", "--format", "human"],
+        ["lattice", "--max-n", "3"],
         ["render", "--max-n", "3"],
         ["render", "--format", "json"],
         ["verify", "--max-n", "0"],

@@ -114,6 +114,15 @@ FAULTS = {
         ),
         "rebuilt walk ",
     ),
+    "rebuilt walk predicate raises": (
+        TWISTED,
+        (
+            cartier,
+            "hesitant_walk_from_twist_witness",
+            lambda d, w, m, k: WalkWitness((1, 2), (9, 9)),
+        ),
+        "sigma-to-walk round trip raised DimensionMismatch(",
+    ),
     "sigma-to-walk raises": (
         TWISTED,
         (cartier, "maximal_failing_index", _raises),

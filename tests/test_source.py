@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,12 @@ def _loaded_names(paths):
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
     return loaded
+
+
+def test_all_lists_no_submodule():
+    # A submodule is an attribute of the package once imported, not an API name.
+    api = {name: getattr(twistedcubes, name) for name in twistedcubes.__all__}
+    assert [name for name, value in api.items() if inspect.ismodule(value)] == []
 
 
 @pytest.mark.parametrize(

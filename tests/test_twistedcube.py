@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from twistedcubes import twistedcube
 from twistedcubes.cli import EXIT_UNTWISTED, main
-from twistedcubes.errors import CapExceeded, PreconditionViolated
+from twistedcubes.errors import DimensionMismatch, PreconditionViolated
 from twistedcubes.rootdata import parse_lie_type
 from twistedcubes.twistedcube import contains_PD, lattice_points, signed_count
 from twistedcubes.weightword import DominantWeight, TwistData, Word, bound, derive_twist_data
@@ -60,6 +60,8 @@ def test_contains_PD_examples():
     assert not contains_PD(EX1, (-1, 5))
     assert contains_PD(EX1, (0, 0))
     assert not contains_PD(TwistData(n=1, c={}, ell=(-1,)), (0,))
+    with pytest.raises(DimensionMismatch, match="point has dimension 3, expected 2"):
+        contains_PD(EX1, (0, 0, 0))
 
 
 def test_example1_census():
@@ -93,10 +95,12 @@ def test_empty_cube():
     assert census.signed_count == 1
 
 
-def test_cap():
-    d = TwistData(n=3, c={}, ell=(0, 0, 0))
-    with pytest.raises(CapExceeded):
-        lattice_points(d, cap=2)
+def test_census_has_no_cap_on_n():
+    # The census costs what its levels hold, not 2**n: past the criterion's
+    # cap of 20, the zero cube is still its one point.
+    d = TwistData(n=25, ell=(0,) * 25)
+    assert lattice_points(d).points == (((0,) * 25, 1),)
+    assert signed_count(d) == 1
 
 
 def test_enumeration_checks_every_chosen_value(monkeypatch):

@@ -20,7 +20,7 @@ from twistedcubes.walks import (
     lambda_walk_from_positive_entry,
     minimize,
 )
-from twistedcubes.weightword import DominantWeight, Word, derive_twist_data
+from twistedcubes.weightword import DominantWeight, TwistData, Word, derive_twist_data
 
 from oracles import all_types_up_to_rank, find_hesitant_lambda_walk_naive
 
@@ -171,6 +171,9 @@ def test_lambda_walk_from_positive_entry():
         lambda_walk_from_positive_entry(d, Word((1, 1, 2, 3)), m, 1)
     with pytest.raises(DimensionMismatch):
         lambda_walk_from_positive_entry(d, Word((1, 1, 2, 3)), m[1:], 2)
+    # ell_1 = 0 and no later position has c < 0, so the walk cannot go on.
+    with pytest.raises(PreconditionViolated, match="greedy extension stuck at 1"):
+        lambda_walk_from_positive_entry(TwistData(n=2, ell=(0, 0)), Word((1, 2)), (1, 0), 1)
 
 
 @pytest.mark.parametrize("k", [0, 4])
