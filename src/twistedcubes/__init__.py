@@ -46,7 +46,6 @@ from .walks import (
     is_hesitant_lambda_walk,
     is_lambda_walk,
     is_minimal,
-    lambda_walk_from_positive_entry,
     minimize,
 )
 

@@ -14,7 +14,7 @@ from .errors import (
     NotMinimalWitness,
     PreconditionViolated,
 )
-from .walks import WalkWitness, lambda_walk_from_positive_entry
+from .walks import WalkWitness
 from .weightword import TwistData, Word, bound
 
 MINUS = "-"
@@ -28,6 +28,8 @@ DEFAULT_N_CAP = 20
 def minus_at(n: int, positions) -> str:
     """The sign vector of length n with minus exactly at the 1-based positions."""
     marked = set(positions)
+    if not all(1 <= p <= n for p in marked):
+        raise IndexOutOfRange(f"positions {sorted(marked)} outside [1, {n}]")
     return "".join(MINUS if p in marked else PLUS for p in range(1, n + 1))
 
 
@@ -138,29 +140,25 @@ def witness_sigma_from_walk(d: TwistData, positions) -> tuple[str, CartierVector
     return sigma, mv
 
 
-def hesitant_walk_from_twist_witness(
-    d: TwistData, w: Word, m: tuple[int, ...], k: int
-) -> WalkWitness:
-    """Rebuild a hesitant lambda-walk from the negative entry m[k] of a
-    Cartier vector's entries m.
+def hesitant_walk_from_twist_witness(d: TwistData, w: Word, m: tuple[int, ...]) -> WalkWitness:
+    """Rebuild a hesitant lambda-walk from the entries m of a failing Cartier
+    vector.
 
-    Requires m[k] < 0 with a nonnegative tail (k the maximal failing index);
-    picks the minimal later position with positive c-entry and positive m,
-    then extends by the greedy lambda-walk construction.
+    Starts at k = maximal_failing_index(m), so every later entry is
+    nonnegative; repeats at the minimal later position with positive c-entry
+    and positive m, then, while the current ell is zero, steps to the minimal
+    later position with negative c-entry and positive m.
     """
     if len(m) != d.n:
         raise DimensionMismatch(f"m has length {len(m)}, expected {d.n}")
-    if not 1 <= k <= d.n:
-        raise IndexOutOfRange(f"position {k} outside [1, {d.n}]")
-    if m[k - 1] >= 0:
-        raise PreconditionViolated(f"m[{k}] = {m[k - 1]} is not negative")
-    if any(v < 0 for v in m[k:]):
-        raise PreconditionViolated(f"m has negative entries beyond {k}: {m}")
-    p = next(
-        (q for q in range(k + 1, d.n + 1) if d.c_at(k, q) > 0 and m[q - 1] > 0),
-        None,
-    )
-    if p is None:
+    k = maximal_failing_index(m)
+    j = next((q for q in range(k + 1, d.n + 1) if d.c_at(k, q) > 0 and m[q - 1] > 0), None)
+    if j is None:
         raise PreconditionViolated(f"no repetition candidate after {k} (negative ell?)")
-    tail = lambda_walk_from_positive_entry(d, w, m, p)
-    return WalkWitness.from_word(w, (k,) + tail.positions)
+    positions = [k, j]
+    while d.ell[j - 1] == 0:
+        j = next((q for q in range(j + 1, d.n + 1) if d.c_at(j, q) < 0 and m[q - 1] > 0), None)
+        if j is None:
+            raise PreconditionViolated(f"greedy extension stuck at {positions[-1]} (negative ell?)")
+        positions.append(j)
+    return WalkWitness.from_word(w, positions)

@@ -31,8 +31,9 @@ def _read_json(path: str, what: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    # ValueError: bad JSON, or an integer with too many digits to convert.
-    except (OSError, ValueError) as exc:
+    # ValueError: bad JSON, or an integer with too many digits to convert;
+    # RecursionError: arrays or objects nested too deep for the decoder.
+    except (OSError, ValueError, RecursionError) as exc:
         raise MalformedInput(f"cannot read {what} {path}: {exc}") from exc
 
 

@@ -136,8 +136,7 @@ def _twist_data_checks(
     rebuilt = None
     if not result.untwisted:
         try:
-            k = cartier.maximal_failing_index(result.m.m)
-            rebuilt = cartier.hesitant_walk_from_twist_witness(d, w, result.m.m, k)
+            rebuilt = cartier.hesitant_walk_from_twist_witness(d, w, result.m.m)
         except Exception as exc:  # noqa: BLE001 - failures are data here
             problems.append(f"sigma-to-walk round trip raised {exc!r}")
     else:

@@ -60,13 +60,16 @@ def census_buckets(d: TwistData, leaf):
     checked against the bound of its own tail, the cube's membership
     condition at that coordinate.
 
-    Level 1 calls ``leaf(tail, rho)`` once per level-2 tail (x_2, ..., x_n),
-    rho being the density of every point (x_1,) + tail, and files that one
-    object in the bucket of each admissible x_1.  Returns
-    ``(buckets, positive, negative)``: buckets is a list of ``(head, leaves)``
-    in increasing x_1, head being ``(x_1,)`` (``()`` when n = 0, whose one
-    point is the empty one), and the totals count points, not leaves.
-    The cost follows the number of tails per level, not n, so n has no cap.
+    A tail that admits no value is dropped before anything is built for it.
+    Level 1 calls ``leaf(tail, rho)`` once per level-2 tail (x_2, ..., x_n)
+    that admits some x_1, rho being the density of every point
+    (x_1,) + tail, and files that one object in the bucket of each
+    admissible x_1.  Returns ``(buckets, positive, negative)``: buckets is a
+    list of ``(head, leaves)`` in increasing x_1, head being ``(x_1,)``
+    (``()`` when n = 0, whose one point is the empty one), and the totals
+    count points, not leaves.  Each tail costs its length, to copy into x
+    and to read in the bound, so the cost is the number of tails per level
+    times n, not 2**n, and n has no cap.
     """
     if d.n == 0:
         return [((), [leaf((), 1)])], 1, 0
@@ -79,6 +82,8 @@ def census_buckets(d: TwistData, leaf):
             x[j:] = tail
             a = bound(d, j, x)
             values = range(0, a + 1) if a >= 0 else range(a + 1, 0)
+            if not values:
+                continue
             rho *= _sgn(a)
             item = (tail, rho) if j > 1 else leaf(tail, rho)
             for v in values:

@@ -4,15 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    NotAWitness,
-    NotMinimalWitness,
-    PreconditionViolated,
-)
+from .errors import IndexOutOfRange, NotAWitness, NotMinimalWitness
 from .rootdata import LieType, cartan_table
-from .weightword import DominantWeight, TwistData, Word, appears_in_lambda
+from .weightword import DominantWeight, Word, appears_in_lambda
 
 
 @dataclass(frozen=True)
@@ -160,32 +154,3 @@ def minimize(t: LieType, witness: WalkWitness, lam: DominantWeight) -> WalkWitne
     if not is_minimal(t, out, lam):
         raise NotMinimalWitness(f"minimizing {witness.positions} left non-minimal {positions}")
     return out
-
-
-def lambda_walk_from_positive_entry(
-    d: TwistData, w: Word, m: tuple[int, ...], k: int
-) -> WalkWitness:
-    """Greedy lambda-walk starting at a strictly positive Cartier entry.
-
-    Requires m[k] > 0 and m[i] >= 0 for i > k in the Cartier entries m; while
-    the current ell is zero, steps to the minimal later index with negative c
-    and positive m-entry.
-    """
-    if len(m) != d.n:
-        raise DimensionMismatch(f"m has length {len(m)}, expected {d.n}")
-    if not 1 <= k <= d.n:
-        raise IndexOutOfRange(f"position {k} outside [1, {d.n}]")
-    if not (m[k - 1] > 0 and all(v >= 0 for v in m[k:])):
-        raise PreconditionViolated(f"need m[{k}] > 0 and nonnegative tail, got {m}")
-    positions = [k]
-    j = k
-    while d.ell[j - 1] == 0:
-        nxt = next(
-            (q for q in range(j + 1, d.n + 1) if d.c_at(j, q) < 0 and m[q - 1] > 0),
-            None,
-        )
-        if nxt is None:
-            raise PreconditionViolated(f"greedy extension stuck at {j} (negative ell?)")
-        positions.append(nxt)
-        j = nxt
-    return WalkWitness.from_word(w, positions)

@@ -71,6 +71,9 @@ def test_witness_sigma_is_a_string():
 def test_minus_at():
     assert minus_at(4, [1, 3]) == "-+-+"
     assert minus_at(3, []) == "+++"
+    for positions in ([0], [4], [1, 5]):
+        with pytest.raises(IndexOutOfRange, match=r"outside \[1, 3\]"):
+            minus_at(3, positions)
 
 
 def test_untwisted_avoiding_example():
@@ -170,38 +173,38 @@ def test_witness_sigma_rejects_each_broken_precondition(n, c, ell, positions, me
 def test_hesitant_walk_from_twist_witness_examples():
     w = Word((1, 2, 1))
     m = compute_m(A2_TWISTED, "-+-").m
-    rebuilt = hesitant_walk_from_twist_witness(A2_TWISTED, w, m, 1)
+    rebuilt = hesitant_walk_from_twist_witness(A2_TWISTED, w, m)
     assert rebuilt.positions == (1, 3)
     assert rebuilt.subword == (1, 1)
 
-    d = derived("A3", (1, 1, 2, 3), (0, 0, 1))
-    rebuilt = hesitant_walk_from_twist_witness(
-        d, Word((1, 1, 2, 3)), compute_m(d, "----").m, 1
-    )
+    t, w, lam = parse_lie_type("A3"), Word((1, 1, 2, 3)), DominantWeight((0, 0, 1))
+    d = derive_twist_data(t, w, lam)
+    rebuilt = hesitant_walk_from_twist_witness(d, w, compute_m(d, "----").m)
     assert rebuilt.positions == (1, 2, 3, 4)
+    assert is_hesitant_lambda_walk(t, Word(rebuilt.subword), lam)
 
 
 def test_hesitant_walk_precondition():
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated, match="has no negative entry"):
         hesitant_walk_from_twist_witness(
-            A2_TWISTED, Word((1, 2, 1)), compute_m(A2_TWISTED, "+++").m, 1
+            A2_TWISTED, Word((1, 2, 1)), compute_m(A2_TWISTED, "+++").m
         )
     with pytest.raises(DimensionMismatch):
-        hesitant_walk_from_twist_witness(A2_TWISTED, Word((1, 2, 1)), (-2, 0), 1)
-
-
-@pytest.mark.parametrize("k", [0, 4])
-def test_hesitant_walk_rejects_positions_outside_the_word(k):
-    m = compute_m(A2_TWISTED, "-+-").m
-    with pytest.raises(IndexOutOfRange, match=rf"position {k} outside \[1, 3\]"):
-        hesitant_walk_from_twist_witness(A2_TWISTED, Word((1, 2, 1)), m, k)
+        hesitant_walk_from_twist_witness(A2_TWISTED, Word((1, 2, 1)), (-2, 0))
+    # c[1, 2] > 0 gives the repetition, but ell_2 = 0 and nothing follows.
+    with pytest.raises(PreconditionViolated, match="greedy extension stuck at 2"):
+        hesitant_walk_from_twist_witness(
+            TwistData(n=2, c={(1, 2): 1}, ell=(0, 0)), Word((1, 2)), (-1, 1)
+        )
 
 
 def test_hesitant_walk_needs_a_nonnegative_tail_and_a_repetition():
-    with pytest.raises(PreconditionViolated, match="negative entries beyond 1"):
-        hesitant_walk_from_twist_witness(A2_TWISTED, Word((1, 2, 1)), (-2, -1, 0), 1)
+    # The walk starts at the last negative entry, so the tail after it is
+    # nonnegative: here that is position 2, and c[2, 3] < 0 cannot repeat it.
+    with pytest.raises(PreconditionViolated, match="no repetition candidate after 2"):
+        hesitant_walk_from_twist_witness(A2_TWISTED, Word((1, 2, 1)), (-2, -1, 0))
     with pytest.raises(PreconditionViolated, match="no repetition candidate after 1"):
-        hesitant_walk_from_twist_witness(TwistData(n=2, ell=(-1, 1)), Word((1, 1)), (-1, 1), 1)
+        hesitant_walk_from_twist_witness(TwistData(n=2, ell=(-1, 1)), Word((1, 1)), (-1, 1))
 
 
 def test_maximal_failing_index():
@@ -217,8 +220,7 @@ def test_round_trip_witness_revalidates():
     d = derive_twist_data(t, w, lam)
     res = is_untwisted(d)
     assert not res.untwisted
-    k = maximal_failing_index(res.m.m)
-    rebuilt = hesitant_walk_from_twist_witness(d, w, res.m.m, k)
+    rebuilt = hesitant_walk_from_twist_witness(d, w, res.m.m)
     assert is_hesitant_lambda_walk(t, Word(rebuilt.subword), lam)
 
 
@@ -228,11 +230,12 @@ def _raw(args):
     return TwistData(n=n, c=dict(zip(keys, cvals)), ell=tuple(ell))
 
 
-def raw_twist_data(max_n=5, bound=3):
+def raw_twist_data(max_n=5, bound=3, min_ell=None):
+    min_ell = -bound if min_ell is None else min_ell
     return st.integers(1, max_n).flatmap(
         lambda n: st.tuples(
             st.just(n),
-            st.lists(st.integers(-bound, bound), min_size=n, max_size=n),
+            st.lists(st.integers(min_ell, bound), min_size=n, max_size=n),
             st.lists(
                 st.integers(-bound, bound),
                 min_size=n * (n - 1) // 2,
@@ -284,6 +287,23 @@ def test_criterion_witness_k_is_the_maximal_failing_index(d):
     r = is_untwisted(d)
     if not r.untwisted:
         assert maximal_failing_index(r.m.m) == r.k
+
+
+@settings(max_examples=300)
+@given(raw_twist_data(max_n=6, min_ell=0))
+def test_sigma_to_walk_rebuilds_a_walk_from_raw_data_with_nonnegative_ell(d):
+    # With every ell >= 0 a failing criterion always yields a walk: the
+    # first step repeats (c > 0), every later step walks (c < 0) through
+    # ell = 0 to a positive ell, and m is positive after the start.
+    r = is_untwisted(d)
+    if r.untwisted:
+        return
+    p = hesitant_walk_from_twist_witness(d, Word(range(1, d.n + 1)), r.m.m).positions
+    assert p[0] == r.k
+    assert d.c_at(p[0], p[1]) > 0
+    assert all(d.c_at(a, b) < 0 for a, b in zip(p[1:], p[2:]))
+    assert all(d.ell[q - 1] == 0 for q in p[1:-1]) and d.ell[p[-1] - 1] > 0
+    assert all(r.m.m[q - 1] > 0 for q in p[1:])
 
 
 @settings(max_examples=80)

@@ -288,6 +288,8 @@ def test_only_the_criterion_is_capped(tmp_path, capsys):
         # Too many digits for int(): a ValueError that is not a JSONDecodeError.
         '{"n": ' + "1" * 5000 + ', "c": {}, "ell": []}',
         json.dumps({"type": "A" + "1" * 5000, "word": [], "weight": []}),
+        # Nested too deep for the decoder: a RecursionError, not a ValueError.
+        "[" * 100_000 + "]" * 100_000,
     ],
     ids=lambda payload: payload if len(payload) < 80 else payload[:40] + "...",
 )
@@ -312,6 +314,7 @@ def test_malformed_inputs_exit_2(tmp_path, payload, capsys):
         {"lie_types": ["A1"], "max_word_length": 1, "weight_alphabet": [], "sample_count": 2},
         [{"lie_types": ["A1"], "max_word_length": 1}, 3],
         '{"lie_types": ["A1"], "max_word_length": ' + "9" * 5000 + "}",
+        "[" * 100_000 + "]" * 100_000,
     ],
     ids=lambda block: block[:50] + "..." if isinstance(block, str) else json.dumps(block),
 )

@@ -110,7 +110,7 @@ FAULTS = {
         (
             cartier,
             "hesitant_walk_from_twist_witness",
-            lambda d, w, m, k: WalkWitness((1,), (1,)),
+            lambda d, w, m: WalkWitness((1,), (1,)),
         ),
         "rebuilt walk ",
     ),
@@ -119,7 +119,7 @@ FAULTS = {
         (
             cartier,
             "hesitant_walk_from_twist_witness",
-            lambda d, w, m, k: WalkWitness((1, 2), (9, 9)),
+            lambda d, w, m: WalkWitness((1, 2), (9, 9)),
         ),
         "sigma-to-walk round trip raised DimensionMismatch(",
     ),

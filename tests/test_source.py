@@ -121,7 +121,9 @@ def _tracing_targets():
     return targets + list(tables["COUNTERS"].values())
 
 
-@pytest.mark.parametrize("module,attr", _tracing_targets(), ids=".".join)
+@pytest.mark.parametrize(
+    "module,attr", [pytest.param(*t, id=".".join(t)) for t in _tracing_targets()]
+)
 def test_traced_benchmark_targets_exist(module, attr):
     assert hasattr(importlib.import_module(module), attr), f"{module} has no {attr}"
 

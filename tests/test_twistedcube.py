@@ -103,6 +103,16 @@ def test_census_has_no_cap_on_n():
     assert signed_count(d) == 1
 
 
+def test_census_calls_no_leaf_for_a_tail_without_points():
+    # ell_1 = -1 leaves x_1 no value for any of the six tails x_2 in 0..5,
+    # so none of them reaches the leaf.
+    calls = []
+    buckets, positive, negative = twistedcube.census_buckets(
+        TwistData(n=2, ell=(-1, 5)), lambda tail, rho: calls.append(tail)
+    )
+    assert (calls, buckets, positive, negative) == ([], [], 0, 0)
+
+
 def test_enumeration_checks_every_chosen_value(monkeypatch):
     # The descent tests each value against the bound of its own tail; a
     # value that fails there must stop the census.

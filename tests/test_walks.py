@@ -1,14 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistedcubes.cartier import compute_m
-from twistedcubes.errors import (
-    CapExceeded,
-    DimensionMismatch,
-    IndexOutOfRange,
-    NotAWitness,
-    PreconditionViolated,
-)
+from twistedcubes.errors import CapExceeded, IndexOutOfRange, NotAWitness
 from twistedcubes.rootdata import parse_lie_type
 from twistedcubes.walks import (
     WalkWitness,
@@ -17,10 +10,9 @@ from twistedcubes.walks import (
     is_hesitant_lambda_walk,
     is_lambda_walk,
     is_minimal,
-    lambda_walk_from_positive_entry,
     minimize,
 )
-from twistedcubes.weightword import DominantWeight, TwistData, Word, derive_twist_data
+from twistedcubes.weightword import DominantWeight, Word
 
 from oracles import all_types_up_to_rank, find_hesitant_lambda_walk_naive
 
@@ -151,38 +143,6 @@ def test_minimize_idempotent():
     w2 = DominantWeight((0, 1, 0, 0, 0))
     minimal = _witness((5, 5, 4, 3, 2))
     assert minimize(A5, minimal, w2) == minimal
-
-
-def test_lambda_walk_from_positive_entry():
-    a2 = parse_lie_type("A2")
-    d = derive_twist_data(a2, Word((1, 2, 1)), DominantWeight((2, 1)))
-    m = compute_m(d, "-+-").m
-    walk = lambda_walk_from_positive_entry(d, Word((1, 2, 1)), m, 3)
-    assert walk.positions == (3,)
-
-    a3 = parse_lie_type("A3")
-    d = derive_twist_data(a3, Word((1, 1, 2, 3)), DominantWeight((0, 0, 1)))
-    m = compute_m(d, "----").m
-    walk = lambda_walk_from_positive_entry(d, Word((1, 1, 2, 3)), m, 2)
-    assert walk.positions == (2, 3, 4)
-    assert is_lambda_walk(a3, Word(walk.subword), DominantWeight((0, 0, 1)))
-
-    with pytest.raises(PreconditionViolated):
-        lambda_walk_from_positive_entry(d, Word((1, 1, 2, 3)), m, 1)
-    with pytest.raises(DimensionMismatch):
-        lambda_walk_from_positive_entry(d, Word((1, 1, 2, 3)), m[1:], 2)
-    # ell_1 = 0 and no later position has c < 0, so the walk cannot go on.
-    with pytest.raises(PreconditionViolated, match="greedy extension stuck at 1"):
-        lambda_walk_from_positive_entry(TwistData(n=2, ell=(0, 0)), Word((1, 2)), (1, 0), 1)
-
-
-@pytest.mark.parametrize("k", [0, 4])
-def test_lambda_walk_from_positive_entry_rejects_positions_outside_the_word(k):
-    # Position 0 used to wrap to the last letter, and 4 raised IndexError.
-    w = Word((1, 1, 2))
-    d = derive_twist_data(parse_lie_type("A2"), w, DominantWeight((0, 1)))
-    with pytest.raises(IndexOutOfRange, match=rf"position {k} outside \[1, 3\]"):
-        lambda_walk_from_positive_entry(d, w, (0, 0, 1), k)
 
 
 @pytest.mark.parametrize("positions", [(0,), (4,), (1, 4)])
