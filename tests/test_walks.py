@@ -1,7 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistedcubes.errors import CapExceeded, IndexOutOfRange, NotAWitness
+from twistedcubes.cartier import compute_m, hesitant_walk_from_twist_witness
+from twistedcubes.errors import (
+    CapExceeded,
+    DimensionMismatch,
+    IndexOutOfRange,
+    NotAWitness,
+    PreconditionViolated,
+)
 from twistedcubes.rootdata import parse_lie_type
 from twistedcubes.walks import (
     WalkWitness,
@@ -12,7 +19,7 @@ from twistedcubes.walks import (
     is_minimal,
     minimize,
 )
-from twistedcubes.weightword import DominantWeight, Word
+from twistedcubes.weightword import DominantWeight, TwistData, Word, derive_twist_data
 
 from oracles import all_types_up_to_rank, find_hesitant_lambda_walk_naive
 
@@ -143,6 +150,31 @@ def test_minimize_idempotent():
     w2 = DominantWeight((0, 1, 0, 0, 0))
     minimal = _witness((5, 5, 4, 3, 2))
     assert minimize(A5, minimal, w2) == minimal
+
+
+def test_lambda_walk_from_positive_entry():
+    # The greedy lambda-walk from a positive entry of m is the tail of the
+    # hesitant walk that hesitant_walk_from_twist_witness rebuilds: the
+    # positions after its first (repeated) letter.
+    a2 = parse_lie_type("A2")
+    d = derive_twist_data(a2, Word((1, 2, 1)), DominantWeight((2, 1)))
+    walk = hesitant_walk_from_twist_witness(d, Word((1, 2, 1)), compute_m(d, "-+-").m)
+    assert walk.positions[1:] == (3,)
+    assert is_lambda_walk(a2, Word(walk.subword[1:]), DominantWeight((2, 1)))
+
+    a3 = parse_lie_type("A3")
+    d = derive_twist_data(a3, Word((1, 1, 2, 3)), DominantWeight((0, 0, 1)))
+    m = compute_m(d, "----").m
+    walk = hesitant_walk_from_twist_witness(d, Word((1, 1, 2, 3)), m)
+    assert walk.positions[1:] == (2, 3, 4)
+    assert is_lambda_walk(a3, Word(walk.subword[1:]), DominantWeight((0, 0, 1)))
+
+    with pytest.raises(PreconditionViolated, match="greedy extension stuck at 2"):
+        hesitant_walk_from_twist_witness(
+            TwistData(n=2, c={(1, 2): 1}, ell=(0, 0)), Word((1, 2)), (-1, 1)
+        )
+    with pytest.raises(DimensionMismatch):
+        hesitant_walk_from_twist_witness(d, Word((1, 1, 2, 3)), m[1:])
 
 
 @pytest.mark.parametrize("positions", [(0,), (4,), (1, 4)])
