@@ -13,11 +13,10 @@ from multiprocessing import Pool
 from operator import itemgetter
 
 from . import cartier, walks
-from .cartier import DEFAULT_N_CAP, UntwistResult
+from .cartier import DEFAULT_N_CAP
 from .errors import CapExceeded, MalformedInput, require_int, require_ints
 from .rootdata import LieType, parse_lie_type
 from .twistedcube import contains_PD, lattice_points
-from .walks import WalkWitness
 from .weightword import DominantWeight, TwistData, Word, derive_twist_data
 
 
@@ -107,7 +106,8 @@ def iter_instances(spec: SweepSpec):
     """Deterministic instance stream: exhaustive by default, seeded-random
     when sample_count is set."""
     if spec.sample_count is not None:
-        rng = random.Random(spec.seed)
+        # A missing seed means seed 0, so that the stream stays deterministic.
+        rng = random.Random(0 if spec.seed is None else spec.seed)
         for _ in range(spec.sample_count):
             t = parse_lie_type(rng.choice(spec.lie_types))
             n = rng.randint(0, spec.max_word_length)
@@ -125,44 +125,16 @@ def iter_instances(spec: SweepSpec):
 
 
 def _twist_data_checks(
-    d: TwistData, w: Word
-) -> tuple[UntwistResult, WalkWitness | None, list[str]]:
-    """The checks that read only the twist data: the criterion, the
-    sigma-to-walk rebuild and the untwisted census.  Returns the criterion's
-    result, the rebuilt walk (None when untwisted or when the rebuild raised)
-    and the problems found."""
+    d: TwistData, t: LieType, w: Word, lam: DominantWeight
+) -> tuple[bool, tuple[str, ...]]:
+    """Every check of one instance of type t and word w at weight lam, whose
+    twist data is d: the criterion, the sigma-to-walk rebuild and its
+    predicate, the untwisted census, the detector, the verdict comparison
+    and the walk-to-sigma round trip.  Each reads lam only at the letters of
+    w, that is through ell, so the result depends on d alone.  Returns the
+    criterion's verdict (True when untwisted) and the problems found."""
     problems: list[str] = []
     result = cartier.is_untwisted(d)
-    rebuilt = None
-    if not result.untwisted:
-        try:
-            rebuilt = cartier.hesitant_walk_from_twist_witness(d, w, result.m.m)
-        except Exception as exc:  # noqa: BLE001 - failures are data here
-            problems.append(f"sigma-to-walk round trip raised {exc!r}")
-    else:
-        census = lattice_points(d)
-        if any(rho != 1 for _, rho in census.points):
-            problems.append("untwisted census has a point of density != +1")
-        if any(not contains_PD(d, p) for p, _ in census.points):
-            problems.append("untwisted census point escapes the weak-inequality polytope")
-    return result, rebuilt, problems
-
-
-def _worker(inst: Instance, t: LieType, w: Word, memo: dict) -> tuple[bool, list[dict]]:
-    """The criterion's verdict and all per-instance checks of inst, whose
-    type and word are t and w.  memo maps twist data already seen for this
-    word to its _twist_data_checks, so that weights with the same (c, ell)
-    share one criterion call; a fault in derive_twist_data changes the key
-    and misses the memo rather than hiding behind it."""
-    type_name, word_entries, weight_coeffs = inst
-    lam = DominantWeight(weight_coeffs)
-    d = derive_twist_data(t, w, lam)
-    checked = memo.get(d)
-    if checked is None:
-        checked = memo[d] = _twist_data_checks(d, w)
-    result, rebuilt, shared = checked
-
-    problems: list[str] = []
     walk = walks.find_hesitant_lambda_walk(t, w, lam)
     if result.untwisted != (walk is None):
         problems.append(
@@ -178,24 +150,49 @@ def _worker(inst: Instance, t: LieType, w: Word, memo: dict) -> tuple[bool, list
         try:
             minimal = walks.minimize(t, walk, lam)
             cartier.witness_sigma_from_walk(d, minimal.positions)
-        except Exception as exc:  # noqa: BLE001
+        except Exception as exc:  # noqa: BLE001 - failures are data here
             problems.append(f"walk-to-sigma round trip raised {exc!r}")
 
-    if rebuilt is not None:
+    if not result.untwisted:
         try:
+            rebuilt = cartier.hesitant_walk_from_twist_witness(d, w, result.m.m)
             if not walks.is_hesitant_lambda_walk(t, Word(rebuilt.subword), lam):
                 problems.append(f"rebuilt walk {rebuilt} fails its predicate")
         except Exception as exc:  # noqa: BLE001
             problems.append(f"sigma-to-walk round trip raised {exc!r}")
-    problems.extend(shared)
+    else:
+        census = lattice_points(d)
+        if any(rho != 1 for _, rho in census.points):
+            problems.append("untwisted census has a point of density != +1")
+        if any(not contains_PD(d, p) for p, _ in census.points):
+            problems.append("untwisted census point escapes the weak-inequality polytope")
+    return result.untwisted, tuple(problems)
 
+
+def _worker(inst: Instance, t: LieType, w: Word, memo: dict) -> tuple[bool, list[dict]]:
+    """The criterion's verdict and the counterexample records of inst, whose
+    type and word are t and w.  memo maps the twist data already seen for
+    this word to its _twist_data_checks, so that weights with the same
+    (c, ell) share every check; a fault in derive_twist_data changes the key
+    and misses the memo rather than hiding behind it.  A problem found once
+    is reported for every instance that shares it."""
+    type_name, word_entries, weight_coeffs = inst
+    lam = DominantWeight(weight_coeffs)
+    d = derive_twist_data(t, w, lam)
+    checked = memo.get(d)
+    if checked is None:
+        checked = memo[d] = _twist_data_checks(d, t, w, lam)
+    untwisted, problems = checked
+    if not problems:
+        return untwisted, []
     instance_json = {"type": type_name, "word": list(word_entries), "weight": list(weight_coeffs)}
-    return result.untwisted, [{"instance": instance_json, "problem": p} for p in problems]
+    return untwisted, [{"instance": instance_json, "problem": p} for p in problems]
 
 
 def _check_group(group) -> list[tuple[bool, list[dict]]]:
     """_worker over a ((type, word), instances) group: the type is parsed and
-    the word built once, and the memo lives for this group only."""
+    the word built once, and the memo lives for this group only, so it holds
+    at most one entry per distinct twist data of one word."""
     (type_name, word_entries), instances = group
     t = parse_lie_type(type_name)
     w = Word(word_entries)

@@ -69,6 +69,13 @@ def test_sampled_sweep_is_deterministic():
     assert report.counterexamples == []
 
 
+def test_a_sampled_block_without_a_seed_is_seed_0():
+    block = {"lie_types": ["A2"], "max_word_length": 4, "sample_count": 20}
+    first, second = (list(iter_instances(SweepSpec.from_json(block))) for _ in range(2))
+    assert first == second == list(iter_instances(SweepSpec.from_json(dict(block, seed=0))))
+    assert len(first) == 20
+
+
 def test_check_instance_flags_nothing_on_known_cases():
     assert check_instance(("A2", (1, 2, 1), (2, 1))) == []
     assert check_instance(("A3", (1, 2, 3, 1, 2, 1), (0, 0, 3))) == []
@@ -153,15 +160,17 @@ def test_check_instance_reports_each_fault(fault, monkeypatch):
     assert report[0]["problem"].startswith(problem)
 
 
-def _count_criterion_calls(monkeypatch) -> list:
+def _count_calls(monkeypatch, module, name) -> list:
+    """Patch module.name to record the result of each call in the list."""
     calls = []
-    real = cartier.is_untwisted
+    real = getattr(module, name)
 
-    def counted(d, *args, **kwargs):
-        calls.append(d)
-        return real(d, *args, **kwargs)
+    def counted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append(result)
+        return result
 
-    monkeypatch.setattr(cartier, "is_untwisted", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -175,12 +184,20 @@ def _distinct_twist_data(spec) -> int:
 
 
 def test_sweep_runs_the_criterion_once_per_twist_data_of_each_word(monkeypatch):
-    calls = _count_criterion_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, cartier, "is_untwisted")
+    detector = _count_calls(monkeypatch, walks, "find_hesitant_lambda_walk")
+    minimized = _count_calls(monkeypatch, walks, "minimize")
     spec = SweepSpec(("A2", "B2"), 3, (0, 1))
     report = verify_equivalence(spec)
     assert report.counterexamples == []
     assert report.instances == 120
     assert len(calls) == _distinct_twist_data(spec) == 90
+    # The detector runs with the criterion, and minimize on each walk it
+    # finds, that is once per twisted twist data of a word.
+    assert len(detector) == 90
+    twisted = sum(not result.untwisted for result in calls)
+    assert len(minimized) == twisted == 36
+    assert twisted < report.twisted_count
 
 
 def test_verify_streams_its_instances(monkeypatch):
@@ -227,14 +244,19 @@ def test_sweep_report_equals_the_per_instance_checks(fault, monkeypatch):
 
 
 def test_a_shared_fault_is_reported_for_every_instance_that_shares_it(monkeypatch):
-    _, (module, name, replacement), problem = FAULTS["census density -1"]
-    monkeypatch.setattr(module, name, replacement)
-    calls = _count_criterion_calls(monkeypatch)
-    report = verify_equivalence(SHARED)
-    assert len(calls) < report.instances
-    assert [ce["problem"] for ce in report.counterexamples] == [problem] * report.untwisted_count
-    shared_by = {json.dumps(ce["instance"]) for ce in report.counterexamples}
-    assert len(shared_by) == report.untwisted_count
+    # A census fault is shared by the untwisted instances, a detector fault
+    # by the twisted ones; each is found once per twist data of a word.
+    for fault, sharers in (("census density -1", "untwisted_count"), ("verdict mismatch", "twisted_count")):
+        _, (module, name, replacement), problem = FAULTS[fault]
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, replacement)
+            calls = _count_calls(patch, cartier, "is_untwisted")
+            report = verify_equivalence(SHARED)
+        sharing = getattr(report, sharers)
+        assert len(calls) < report.instances
+        assert [ce["problem"] for ce in report.counterexamples] == [problem] * sharing, fault
+        shared_by = {json.dumps(ce["instance"]) for ce in report.counterexamples}
+        assert len(shared_by) == sharing
 
 
 def test_the_memo_key_is_the_whole_twist_data(monkeypatch):
@@ -252,7 +274,7 @@ def test_the_memo_key_is_the_whole_twist_data(monkeypatch):
         return TwistData(n=d.n, c=d.c, ell=(d.ell[0] + leak,) + d.ell[1:])
 
     monkeypatch.setattr(harness, "derive_twist_data", leaky)
-    calls = _count_criterion_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, cartier, "is_untwisted")
     spec = SweepSpec(("A2", "B2"), 2, (0, 1))
     report = verify_equivalence(spec)
     nonempty = sum(1 for _, word, _ in iter_instances(spec) if word)
@@ -261,7 +283,7 @@ def test_the_memo_key_is_the_whole_twist_data(monkeypatch):
 
 
 def test_no_memo_outlives_a_call(monkeypatch):
-    calls = _count_criterion_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, cartier, "is_untwisted")
     verify_equivalence(SHARED)
     first = len(calls)
     verify_equivalence(SHARED)

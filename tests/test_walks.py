@@ -243,3 +243,48 @@ def test_hesitant_walk_is_never_diagram_walk(inst):
     t, w, lam = inst
     if is_hesitant_lambda_walk(t, w, lam):
         assert not is_diagram_walk(t, w)
+
+
+@st.composite
+def weights_agreeing_on_the_word(draw, max_len=8):
+    """An instance, a second weight of its type's rank that agrees with lam on
+    the letters of the word and is free elsewhere, and a subset of the
+    word's positions."""
+    t, w, lam = draw(instances(max_len))
+    letters = set(w.entries)
+    other = DominantWeight(
+        tuple(c if i in letters else draw(st.integers(0, 2)) for i, c in enumerate(lam.coefficients, 1))
+    )
+    keep = draw(st.lists(st.booleans(), min_size=len(w), max_size=len(w)))
+    return t, w, lam, other, tuple(p for p, kept in enumerate(keep, 1) if kept)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the class and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome here
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights_agreeing_on_the_word())
+def test_walk_functions_read_lam_only_at_the_letters_of_the_word(case):
+    # verify shares every check of a word among the weights with equal twist
+    # data, which hold lam only at the word's letters; a walk function that
+    # read lam elsewhere would hand one weight's verdict to another.
+    t, w, lam, other, positions = case
+    assert derive_twist_data(t, w, lam) == derive_twist_data(t, w, other)
+    found = _outcome(find_hesitant_lambda_walk, t, w, lam)
+    assert found == _outcome(find_hesitant_lambda_walk, t, w, other)
+    witnesses = [WalkWitness.from_word(w, positions)]
+    if isinstance(found, WalkWitness):
+        witnesses.append(found)
+    for witness in witnesses:
+        for fn in (minimize, is_minimal):
+            assert _outcome(fn, t, witness, lam) == _outcome(fn, t, witness, other)
+        subword = Word(witness.subword)
+        assert _outcome(is_hesitant_lambda_walk, t, subword, lam) == _outcome(
+            is_hesitant_lambda_walk, t, subword, other
+        )
+    assert _outcome(is_hesitant_lambda_walk, t, w, lam) == _outcome(is_hesitant_lambda_walk, t, w, other)
