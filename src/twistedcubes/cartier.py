@@ -20,8 +20,8 @@ from .weightword import TwistData, Word, bound
 MINUS = "-"
 PLUS = "+"
 
-#: Default cap on the word length n for is_untwisted, which visits 2**n
-#: sign vectors.
+#: Default cap on the word length n for is_untwisted, which visits up to
+#: 2**n sign vectors.
 DEFAULT_N_CAP = 20
 
 
@@ -75,16 +75,39 @@ def compute_m(d: TwistData, sigma: str) -> CartierVector:
 
 
 def is_untwisted(d: TwistData, cap: int = DEFAULT_N_CAP) -> UntwistResult:
-    """Sweep all 2^n sign vectors; untwisted iff every m_sigma is entrywise
-    nonnegative.  On failure reports the lexicographically first (sigma, k),
-    with + ordered before -."""
+    """Untwisted iff every m_sigma is entrywise nonnegative.  On failure
+    reports the lexicographically first (sigma, k), with + ordered before -,
+    and m = compute_m(d, sigma).
+
+    The sign vectors are swept in that order, and each runs the recursion of
+    compute_m from k = n down only until its first minus whose bound a is
+    <= 0.  At a < 0, sigma fails.  At a = 0, m_k is 0 as at a plus, so
+    m_sigma equals the Cartier vector of sigma with + at k; that sign vector
+    comes earlier in the sweep and has passed, so sigma passes too.  Each
+    verdict is thus that of the whole vector, and the first sigma to fail is
+    the lexicographically first failing one.  m_k depends only on the signs
+    from k on, so that sigma has no minus before its failing k: k is its
+    only negative entry, and compute_m runs once, for it alone.
+    """
     if d.n > cap:
         raise CapExceeded(f"n = {d.n} exceeds cap {cap}")
-    for sigma in map("".join, itertools.product(PLUS + MINUS, repeat=d.n)):
-        mv = compute_m(d, sigma)
-        for k, value in enumerate(mv.m, start=1):
-            if value < 0:
-                return UntwistResult(untwisted=False, sigma=sigma, k=k, m=mv)
+    n = d.n
+    # Each sign vector writes m from entry n down, and the bound at k reads
+    # only entries above k, so m is reused without a reset.
+    m = [0] * n
+    for signs in itertools.product(PLUS + MINUS, repeat=n):
+        for k in range(n, 0, -1):
+            if signs[k - 1] == PLUS:
+                m[k - 1] = 0
+                continue
+            a = bound(d, k, m)
+            if a > 0:
+                m[k - 1] = a
+            elif a == 0:
+                break
+            else:
+                sigma = "".join(signs)
+                return UntwistResult(untwisted=False, sigma=sigma, k=k, m=compute_m(d, sigma))
     return UntwistResult(untwisted=True)
 
 

@@ -3,13 +3,13 @@ equivalence, the cross-module witness round-trips, and census tallies."""
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import json
 import random
 import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
-from multiprocessing import Pool
 from operator import itemgetter
 
 from . import cartier, walks
@@ -217,8 +217,12 @@ def verify_equivalence(spec: SweepSpec, jobs: int = 1) -> SweepReport:
     groups = itertools.groupby(iter_instances(spec), key=itemgetter(0, 1))
     # Instances stream in: a serial group draws its instances as it checks
     # them, and imap feeds whole groups to the workers through a pipe, so
-    # neither path holds a block's whole instance list.
-    with Pool(jobs) if jobs > 1 else nullcontext() as pool:
+    # neither path holds a block's whole instance list.  multiprocessing is
+    # loaded only for a pool, so a serial sweep and every other command skip
+    # its modules.
+    with (
+        importlib.import_module("multiprocessing").Pool(jobs) if jobs > 1 else nullcontext()
+    ) as pool:
         if pool is None:
             results = map(_check_group, groups)
         else:

@@ -60,7 +60,9 @@ def census_buckets(d: TwistData, leaf):
     checked against the bound of its own tail, the cube's membership
     condition at that coordinate.
 
-    A tail that admits no value is dropped before anything is built for it.
+    A tail that admits no value is dropped before anything is built for it,
+    and a row j with no c entries and ell_j = -1, whose bound is -1 for
+    every tail, empties the cube before any level is built.
     Level 1 calls ``leaf(tail, rho)`` once per level-2 tail (x_2, ..., x_n)
     that admits some x_1, rho being the density of every point
     (x_1,) + tail, and files that one object in the bucket of each
@@ -73,6 +75,8 @@ def census_buckets(d: TwistData, leaf):
     """
     if d.n == 0:
         return [((), [leaf((), 1)])], 1, 0
+    if any(not row and ell == -1 for row, ell in zip(d.rows, d.ell)):
+        return [], 0, 0
     x = [0] * d.n
     buckets = [((), [((), (-1) ** d.n)])]
     for j in range(d.n, 0, -1):

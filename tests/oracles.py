@@ -3,7 +3,9 @@ against.  They are slow by design and are not part of the installed package."""
 
 from __future__ import annotations
 
-from twistedcubes.cartier import is_untwisted
+import itertools
+
+from twistedcubes.cartier import DEFAULT_N_CAP, UntwistResult, compute_m, is_untwisted
 from twistedcubes.errors import CapExceeded, RankOutOfRange
 from twistedcubes.harness import SweepSpec, iter_instances
 from twistedcubes.rootdata import (
@@ -52,6 +54,20 @@ def density(d: TwistData, x) -> int:
     for v in x:
         rho *= 1 if v < 0 else -1
     return rho
+
+
+def is_untwisted_exhaustive(d: TwistData, cap: int = DEFAULT_N_CAP) -> UntwistResult:
+    """Oracle for ``is_untwisted``: compute_m on every one of the 2^n sign
+    vectors, in lexicographic order with + before -, until one has a
+    negative entry; reports that sigma, its first negative entry k and m."""
+    if d.n > cap:
+        raise CapExceeded(f"n = {d.n} exceeds cap {cap}")
+    for sigma in map("".join, itertools.product("+-", repeat=d.n)):
+        mv = compute_m(d, sigma)
+        for k, value in enumerate(mv.m, start=1):
+            if value < 0:
+                return UntwistResult(untwisted=False, sigma=sigma, k=k, m=mv)
+    return UntwistResult(untwisted=True)
 
 
 def all_types_up_to_rank(max_rank: int) -> list[LieType]:

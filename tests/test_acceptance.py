@@ -21,6 +21,7 @@ from twistedcubes.cartier import (
 )
 from twistedcubes.harness import (
     default_specs,
+    iter_instances,
     verify_equivalence,
 )
 from twistedcubes.rootdata import parse_lie_type
@@ -37,6 +38,7 @@ from oracles import (
     contains,
     density,
     find_hesitant_lambda_walk_naive,
+    is_untwisted_exhaustive,
     scaling_invariance_failures,
 )
 
@@ -246,4 +248,20 @@ def test_criterion_9_support_scaling_invariance():
         "tripling the weight never flips the untwisted verdict across the default sweep"
         + (f" ({len(failures)} failures)" if failures else ""),
         not failures,
+    )
+
+
+def test_criterion_10_criterion_oracle_agreement():
+    distinct = {
+        _derived(type_name, word, weight)
+        for spec in default_specs()
+        for type_name, word, weight in iter_instances(spec)
+    }
+    disagree = [d for d in distinct if is_untwisted(d) != is_untwisted_exhaustive(d)]
+    _report(
+        10,
+        f"the pruned criterion equals the exhaustive sweep of all 2^n sign vectors on all "
+        f"{len(distinct)} distinct twist data of the default sweep"
+        + (f" ({len(disagree)} disagree)" if disagree else ""),
+        not disagree,
     )

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twistedcubes import cartier
 from twistedcubes.cartier import (
     CartierVector,
     compute_m,
@@ -21,12 +22,16 @@ from twistedcubes.rootdata import parse_lie_type
 from twistedcubes.walks import is_hesitant_lambda_walk
 from twistedcubes.weightword import DominantWeight, TwistData, Word, derive_twist_data
 
+from oracles import is_untwisted_exhaustive
+
 
 def derived(type_name, word, weight):
     return derive_twist_data(parse_lie_type(type_name), Word(word), DominantWeight(weight))
 
 
 A2_TWISTED = derived("A2", (1, 2, 1), (2, 1))
+# Only the last sign vector, "---", fails: m = (-1, 1, 1).
+TWISTED_AT_THE_END = TwistData(n=3, c={(1, 2): 1, (1, 3): 1}, ell=(1, 1, 1))
 
 
 def test_all_plus_gives_zero():
@@ -95,6 +100,38 @@ def test_zero_weight_untwisted():
     res = is_untwisted(d)
     assert res.untwisted
     assert res.to_json() == {"untwisted": True}
+
+
+def test_criterion_reports_the_higher_of_two_negative_entries():
+    # "---" has m = (-2, -1, 2), negative at 1 and 2.  Every sign vector
+    # before "+--" passes ("-++" stops at its zero bound), and "+--" fails
+    # at 2 after a positive m_3; it has no minus below 2, so its m has the
+    # one negative entry, where the sweep stopped.
+    d = TwistData(n=3, c={(1, 3): 1, (2, 3): 1}, ell=(0, 1, 2))
+    assert compute_m(d, "---").m == (-2, -1, 2)
+    res = is_untwisted(d)
+    assert (res.sigma, res.k, res.m.m) == ("+--", 2, (0, -1, 2))
+    assert res == is_untwisted_exhaustive(d)
+
+
+@pytest.mark.parametrize(
+    "d, computed",
+    [
+        (derived("A3", (1, 2, 3) * 4, (0, 0, 0)), []),
+        (A2_TWISTED, ["-+-"]),
+        (TWISTED_AT_THE_END, ["---"]),
+    ],
+    ids=["A3 untwisted", "A2 twisted", "last sign vector"],
+)
+def test_criterion_computes_m_only_for_the_failing_sign_vector(d, computed, monkeypatch):
+    # The sweep runs the recursion inline and stops each sign vector at its
+    # first bound <= 0; compute_m runs once, for the reported m, and never
+    # on a sign vector that passes.
+    seen = []
+    real = cartier.compute_m
+    monkeypatch.setattr(cartier, "compute_m", lambda d, sigma: seen.append(sigma) or real(d, sigma))
+    is_untwisted(d)
+    assert seen == computed
 
 
 def test_cap_exceeded():
@@ -230,12 +267,13 @@ def _raw(args):
     return TwistData(n=n, c=dict(zip(keys, cvals)), ell=tuple(ell))
 
 
-def raw_twist_data(max_n=5, bound=3, min_ell=None):
+def raw_twist_data(max_n=5, bound=3, min_ell=None, max_ell=None):
     min_ell = -bound if min_ell is None else min_ell
+    max_ell = bound if max_ell is None else max_ell
     return st.integers(1, max_n).flatmap(
         lambda n: st.tuples(
             st.just(n),
-            st.lists(st.integers(min_ell, bound), min_size=n, max_size=n),
+            st.lists(st.integers(min_ell, max_ell), min_size=n, max_size=n),
             st.lists(
                 st.integers(-bound, bound),
                 min_size=n * (n - 1) // 2,
@@ -287,6 +325,14 @@ def test_criterion_witness_k_is_the_maximal_failing_index(d):
     r = is_untwisted(d)
     if not r.untwisted:
         assert maximal_failing_index(r.m.m) == r.k
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_twist_data(max_n=8, min_ell=-2, max_ell=4))
+def test_criterion_equals_the_exhaustive_oracle(d):
+    # Zero bounds, negative ell and sign vectors with several negative
+    # entries all occur in this range.
+    assert is_untwisted(d) == is_untwisted_exhaustive(d)
 
 
 @settings(max_examples=300)

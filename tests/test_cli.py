@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -385,13 +386,21 @@ def test_verify_caps_jobs_at_the_cpu_count(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_verify_rejects_jobs_below_one(tmp_path, jobs, monkeypatch, capsys):
     started = []
-    monkeypatch.setattr(harness, "Pool", lambda *args: started.append(args))
+    monkeypatch.setattr(multiprocessing, "Pool", lambda *args: started.append(args))
     monkeypatch.setattr(harness, "_worker", lambda inst, t, w, memo: started.append(inst))
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"lie_types": ["A1"], "max_word_length": 2}))
     assert main(["verify", "--spec", str(spec), "--jobs", jobs]) == EXIT_ERROR
     assert capsys.readouterr().err.startswith(f"error: --jobs must be at least 1, got {jobs}")
     assert started == []
+
+
+def test_the_cli_does_not_import_multiprocessing():
+    # Only a sweep with more than one job loads it; check and the other
+    # commands pay for none of its modules.
+    env = dict(os.environ, PYTHONPATH=str(Path(twistedcubes.__file__).parents[1]))
+    code = "import sys, twistedcubes.cli; assert 'multiprocessing' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 def test_atlas_accepts_words_beyond_the_cap(tmp_path, capsys):

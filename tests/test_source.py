@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,31 @@ def test_no_function_level_imports(path):
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert lines == [], f"{path.name} imports inside a function at lines {lines}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_deferred_imports_load_only_the_standard_library(path):
+    # importlib.import_module defers a costly standard-library module to the
+    # one path that needs it (multiprocessing, for a sweep with several
+    # jobs); a package module loaded that way would hide a cycle, as an
+    # import inside a function would.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = [
+        node.args[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "import_module"
+    ]
+    bad = [
+        ast.unparse(name)
+        for name in names
+        if not (
+            isinstance(name, ast.Constant)
+            and name.value.partition(".")[0] in sys.stdlib_module_names
+        )
+    ]
+    assert bad == [], f"{path.name} defers imports of {bad}"
 
 
 @pytest.mark.parametrize(

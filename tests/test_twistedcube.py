@@ -113,6 +113,21 @@ def test_census_calls_no_leaf_for_a_tail_without_points():
     assert (calls, buckets, positive, negative) == ([], [], 0, 0)
 
 
+@pytest.mark.parametrize(
+    "d",
+    [TwistData(n=2, ell=(-1, 200_000)), TwistData(n=3, c={(1, 3): 2}, ell=(4, -1, 7))],
+    ids=["row 1", "row 2"],
+)
+def test_a_row_whose_bound_is_always_minus_one_empties_the_census_at_once(d, monkeypatch):
+    # That row has no c entries and ell = -1, so its bound is -1 for every
+    # tail and admits no value: the census returns before reading any bound.
+    calls = []
+    monkeypatch.setattr(twistedcube, "bound", lambda *args: calls.append(args))
+    assert twistedcube.census_buckets(d, lambda tail, rho: tail) == ([], 0, 0)
+    assert _lattice_out(d) == '{"positive": 0, "negative": 0, "signed": 0}\n'
+    assert calls == []
+
+
 def test_enumeration_checks_every_chosen_value(monkeypatch):
     # The descent tests each value against the bound of its own tail; a
     # value that fails there must stop the census.
