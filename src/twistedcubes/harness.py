@@ -108,20 +108,24 @@ def iter_instances(spec: SweepSpec):
     if spec.sample_count is not None:
         # A missing seed means seed 0, so that the stream stays deterministic.
         rng = random.Random(0 if spec.seed is None else spec.seed)
+        # Each type is parsed and named once; a choice from a list of the
+        # same length draws the same index, so the stream does not change.
+        types = [(t, str(t)) for t in map(parse_lie_type, spec.lie_types)]
         for _ in range(spec.sample_count):
-            t = parse_lie_type(rng.choice(spec.lie_types))
+            t, type_name = rng.choice(types)
             n = rng.randint(0, spec.max_word_length)
             word = tuple(rng.randint(1, t.rank) for _ in range(n))
             weight = tuple(rng.choice(spec.weight_alphabet) for _ in range(t.rank))
-            yield (str(t), word, weight)
+            yield (type_name, word, weight)
         return
     for name in spec.lie_types:
         t = parse_lie_type(name)
+        type_name = str(t)
         weights = list(itertools.product(spec.weight_alphabet, repeat=t.rank))
         for n in range(spec.max_word_length + 1):
             for word in itertools.product(range(1, t.rank + 1), repeat=n):
                 for weight in weights:
-                    yield (str(t), word, weight)
+                    yield (type_name, word, weight)
 
 
 def _twist_data_checks(
@@ -241,24 +245,28 @@ def verify_equivalence(spec: SweepSpec, jobs: int = 1) -> SweepReport:
 
 def atlas(specs: list[SweepSpec]) -> dict:
     """Tally hesitant-lambda-walk-avoiding words per (type, weight, word
-    length) slot across the blocks; blocks may share slots."""
+    length) slot across the blocks; blocks may share slots.  As in verify,
+    the type is parsed and the word built once per run of one (type, word)."""
     counts: dict = {}
     instances = 0
     for spec in specs:
-        for type_name, word_entries, weight_coeffs in iter_instances(spec):
+        for (type_name, word_entries), group in itertools.groupby(
+            iter_instances(spec), key=itemgetter(0, 1)
+        ):
             t = parse_lie_type(type_name)
             w = Word(word_entries)
-            lam = DominantWeight(weight_coeffs)
-            avoiding = walks.find_hesitant_lambda_walk(t, w, lam) is None
-            weight_key = ",".join(str(c) for c in weight_coeffs)
-            slot = (
-                counts.setdefault(type_name, {})
-                .setdefault(weight_key, {})
-                .setdefault(str(len(w)), {"avoiding": 0, "total": 0})
-            )
-            slot["avoiding"] += avoiding
-            slot["total"] += 1
-            instances += 1
+            by_weight = counts.setdefault(type_name, {})
+            length_key = str(len(w))
+            for _, _, weight_coeffs in group:
+                lam = DominantWeight(weight_coeffs)
+                avoiding = walks.find_hesitant_lambda_walk(t, w, lam) is None
+                weight_key = ",".join(str(c) for c in weight_coeffs)
+                slot = by_weight.setdefault(weight_key, {}).setdefault(
+                    length_key, {"avoiding": 0, "total": 0}
+                )
+                slot["avoiding"] += avoiding
+                slot["total"] += 1
+                instances += 1
     return {"instances": instances, "counts": counts}
 
 

@@ -14,6 +14,7 @@ therefore gets c[1, 2] = -2, not -1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import DimensionMismatch, IndexOutOfRange
 from .rootdata import LieType, cartan_table
@@ -106,19 +107,43 @@ def bound(d: TwistData, j: int, x):
     return a
 
 
-def derive_twist_data(t: LieType, w: Word, lam: DominantWeight) -> TwistData:
-    """The twisted-cube constants of (t, w, lam)."""
-    w.validate_for(t)
-    if lam.rank != t.rank:
-        raise DimensionMismatch(f"weight has rank {lam.rank}, expected {t.rank}")
+@lru_cache(maxsize=1)
+def _word_constants(t: LieType, letters: tuple[int, ...]):
+    """The c entries and rows of the word with these letters in type t, as
+    TwistData.__post_init__ would clean them; they depend on the word alone.
+    A sweep derives all weights of one word in a row, so one cached word is
+    enough; a letter outside the rank raises, and a failure is not cached."""
+    Word(letters).validate_for(t)
     # The letters are checked above, so no index below is 0 or negative.
     table = cartan_table(t)
-    n = len(w)
-    letters = w.entries
-    c = {
-        (j, k): table[letters[k - 1] - 1][letters[j - 1] - 1]
-        for j in range(1, n + 1)
-        for k in range(j + 1, n + 1)
-    }
-    ell = tuple(lam.coefficients[i - 1] for i in letters)
-    return TwistData(n=n, c=c, ell=ell)
+    n = len(letters)
+    c = {}
+    rows = []
+    for j in range(1, n + 1):
+        column = letters[j - 1] - 1
+        row = []
+        for k in range(j + 1, n + 1):
+            v = table[letters[k - 1] - 1][column]
+            if v:
+                c[(j, k)] = v
+                row.append((k, v))
+        rows.append(tuple(row))
+    return c, tuple(rows)
+
+
+def derive_twist_data(t: LieType, w: Word, lam: DominantWeight) -> TwistData:
+    """The twisted-cube constants of (t, w, lam).  The word's part, c and
+    rows, is built once for a run of calls on one word; each call checks the
+    weight's rank and reads ell, and gets its own copy of c."""
+    c, rows = _word_constants(t, w.entries)
+    if lam.rank != t.rank:
+        raise DimensionMismatch(f"weight has rank {lam.rank}, expected {t.rank}")
+    d = object.__new__(TwistData)
+    # The cached parts are already clean, so __post_init__ is not run again.
+    vars(d).update(
+        n=len(rows),
+        c=dict(c),
+        ell=tuple(lam.coefficients[i - 1] for i in w.entries),
+        rows=rows,
+    )
+    return d

@@ -11,6 +11,7 @@ from twistedcubes.harness import SweepSpec, iter_instances
 from twistedcubes.rootdata import (
     FAMILIES,
     LieType,
+    cartan_pairing,
     cartan_table,
     parse_lie_type,
     validate_lie_type,
@@ -54,6 +55,22 @@ def density(d: TwistData, x) -> int:
     for v in x:
         rho *= 1 if v < 0 else -1
     return rho
+
+
+def derive_twist_data_oracle(t: LieType, w: Word, lam: DominantWeight) -> TwistData:
+    """Oracle for ``derive_twist_data``: each c[j, k] with j < k is
+    cartan_pairing(t, word[k], word[j]), the k-th letter's root against the
+    j-th letter's coroot, and ell_p = lam at the p-th letter; the raw
+    constructor cleans c and builds the rows.  Nothing is shared between
+    calls."""
+    letters = w.entries
+    n = len(letters)
+    c = {
+        (j, k): cartan_pairing(t, letters[k - 1], letters[j - 1])
+        for j in range(1, n + 1)
+        for k in range(j + 1, n + 1)
+    }
+    return TwistData(n=n, c=c, ell=tuple(lam.coefficients[i - 1] for i in letters))
 
 
 def is_untwisted_exhaustive(d: TwistData, cap: int = DEFAULT_N_CAP) -> UntwistResult:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from twistedcubes import cartier, harness, walks
+from twistedcubes import cartier, harness, walks, weightword
 from twistedcubes.errors import PreconditionViolated
 from twistedcubes.rootdata import parse_lie_type
 from twistedcubes.harness import (
@@ -198,6 +198,19 @@ def test_sweep_runs_the_criterion_once_per_twist_data_of_each_word(monkeypatch):
     twisted = sum(not result.untwisted for result in calls)
     assert len(minimized) == twisted == 36
     assert twisted < report.twisted_count
+
+
+def test_sweep_reads_the_cartan_table_once_per_word(monkeypatch):
+    # A word outside the sweep is the cached one when the count starts.
+    derive_twist_data(parse_lie_type("A3"), Word((1, 2, 3)), DominantWeight((0, 0, 0)))
+    tables = _count_calls(monkeypatch, weightword, "cartan_table")
+    derived = _count_calls(monkeypatch, harness, "derive_twist_data")
+    calls = _count_calls(monkeypatch, cartier, "is_untwisted")
+    report = verify_equivalence(SweepSpec(("A2", "B2"), 3, (0, 1)))
+    assert report.instances == len(derived) == 120
+    # One read per (type, word) group: 1 + 2 + 4 + 8 words of each type.
+    assert len(tables) == 30
+    assert len(calls) == 90
 
 
 def test_verify_streams_its_instances(monkeypatch):

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from twistedcubes import weightword
 from twistedcubes.errors import DimensionMismatch, IndexOutOfRange
 from twistedcubes.rootdata import cartan_pairing, parse_lie_type
 from twistedcubes.weightword import (
@@ -11,7 +12,7 @@ from twistedcubes.weightword import (
     derive_twist_data,
 )
 
-from oracles import adjacent, all_types_up_to_rank
+from oracles import adjacent, all_types_up_to_rank, derive_twist_data_oracle
 
 
 def test_sl3_worked_example():
@@ -133,3 +134,86 @@ def test_c_classification_by_adjacency(inst):
                 assert value < 0
             else:
                 assert value == 0
+
+
+def _fields(d: TwistData) -> tuple:
+    return d.n, d.c, d.ell, d.rows
+
+
+# One letter sequence under three types, and the empty word: a cache keyed
+# on the letters alone would hand C3 the c of A3.
+SAME_LETTERS = [(parse_lie_type(name), Word((1, 2, 3))) for name in ("A3", "B3", "C3")]
+EMPTY = (parse_lie_type("A2"), Word(()))
+
+
+@given(st.lists(instances(), max_size=3), st.data())
+def test_derive_equals_the_oracle_over_repeated_and_interleaved_words(extra, data):
+    words = SAME_LETTERS + [EMPTY] + [(t, w) for t, w, _ in extra]
+    calls = data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=16))
+    for t, w in calls:
+        lam = DominantWeight(tuple(data.draw(st.lists(st.integers(0, 3), min_size=t.rank, max_size=t.rank))))
+        assert _fields(derive_twist_data(t, w, lam)) == _fields(derive_twist_data_oracle(t, w, lam))
+
+
+def test_the_same_letters_under_another_type_get_their_own_c():
+    lam = DominantWeight((1, 0, 1))
+    (a3, w), _, (c3, _) = SAME_LETTERS
+    first, other, again = (derive_twist_data(t, w, lam) for t in (a3, c3, a3))
+    assert first.c_at(2, 3) == again.c_at(2, 3) == -1
+    assert other.c_at(2, 3) == -2
+    for t, d in ((a3, first), (c3, other), (a3, again)):
+        assert _fields(d) == _fields(derive_twist_data_oracle(t, w, lam))
+
+
+def test_a_letter_outside_the_rank_raises_on_every_call():
+    # The letters succeed under A3 first, so a cache keyed on them alone
+    # would let them through under A2.
+    w = Word((1, 2, 3))
+    derive_twist_data(parse_lie_type("A3"), w, DominantWeight((0, 0, 0)))
+    a2 = parse_lie_type("A2")
+    messages = []
+    for _ in range(3):
+        with pytest.raises(DimensionMismatch) as raised:
+            derive_twist_data(a2, w, DominantWeight((1, 0)))
+        messages.append(str(raised.value))
+    assert messages == ["word letter 3 outside [1, 2] for A2"] * 3
+
+
+def test_a_weight_of_the_wrong_rank_raises_after_its_word_is_cached():
+    t, w = parse_lie_type("A2"), Word((1, 2, 1))
+    derive_twist_data(t, w, DominantWeight((2, 1)))
+    for _ in range(2):
+        with pytest.raises(DimensionMismatch, match="weight has rank 3, expected 2"):
+            derive_twist_data(t, w, DominantWeight((2, 1, 0)))
+
+
+def test_a_word_with_both_faults_raises_the_letter_error_first():
+    t, w = parse_lie_type("A2"), Word((1, 3))
+    derive_twist_data(t, Word((1, 2)), DominantWeight((0, 0)))
+    for _ in range(2):
+        with pytest.raises(DimensionMismatch, match="word letter 3 outside"):
+            derive_twist_data(t, w, DominantWeight((1, 0, 0)))
+
+
+def test_a_mutated_c_does_not_reach_a_later_derive():
+    t, w, lam = parse_lie_type("B2"), Word((1, 2, 1, 2)), DominantWeight((1, 1))
+    d1 = derive_twist_data(t, w, lam)
+    d1.c[(1, 2)] = 99
+    del d1.c[(1, 3)]
+    d2 = derive_twist_data(t, w, lam)
+    assert d2.c is not d1.c
+    assert _fields(d2) == _fields(derive_twist_data_oracle(t, w, lam))
+
+
+def test_the_word_cache_holds_one_word(monkeypatch):
+    a2 = parse_lie_type("A2")
+    u, v, lam = Word((1, 2)), Word((2, 1)), DominantWeight((1, 0))
+    # Some other word is the cached one when the count starts.
+    derive_twist_data(a2, Word((1, 1, 1)), lam)
+    tables = []
+    real = weightword.cartan_table
+    monkeypatch.setattr(weightword, "cartan_table", lambda t: tables.append(t) or real(t))
+    for w in (u, u, v, v, u):
+        derive_twist_data(a2, w, lam)
+    # u is read again after v: a cache of two words would have kept it.
+    assert tables == [a2] * 3
