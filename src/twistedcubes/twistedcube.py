@@ -30,11 +30,6 @@ def contains_PD(d: TwistData, x: Sequence[Coord]) -> bool:
     return all(0 <= x[j - 1] <= bound(d, j, x) for j in range(1, d.n + 1))
 
 
-def _sgn(v) -> int:
-    """The density sign convention: 1 on negatives, -1 on [0, inf)."""
-    return 1 if v < 0 else -1
-
-
 @dataclass(frozen=True)
 class LatticeCensus:
     """All integer points of a twisted cube, each tagged with its density."""
@@ -52,13 +47,29 @@ def census_buckets(d: TwistData, leaf):
     """The integer points of C(c, ell) as level-1 buckets, with their totals.
 
     At level j, with the tail x[j:] fixed, the bound A_j is a known integer
-    a; the admissible values of x_j are {0..a} when a >= 0 and the open-side
-    integers {a+1..-1} when a < 0 (empty at a = -1), all of sign _sgn(a).
-    Each sorted tail of level j+1 goes into the bucket of every admissible
-    x_j, and reading the buckets in increasing x_j gives the sorted tails of
-    level j, so no sort over the points is needed.  Every chosen value is
-    checked against the bound of its own tail, the cube's membership
-    condition at that coordinate.
+    a; the admissible values of x_j are the run 0..a when a >= 0 and the
+    open-side run a+1..-1 when a < 0 (empty at a = -1).  The density takes
+    the sign 1 on negatives and -1 on [0, inf) from each coordinate, so a
+    run 0..a negates the density of its tail and a run a+1..-1 keeps it.
+    Each sorted tail of level j+1 goes into the bucket of every value of its
+    run, and reading the buckets in increasing x_j gives the sorted tails of
+    level j, so no sort over the points is needed.
+
+    Each run is checked against the bound of its own tail, the cube's
+    membership condition at that coordinate, once at each end.  For a fixed
+    a the condition a < v < 0 or 0 <= v <= a holds on one interval of
+    integers, so a run of consecutive integers lies in it if and only if
+    its first and last values do: the two end checks pass exactly when a
+    check of every value would.
+
+    A level files runs, not values.  The bucket of x_j = v holds, in tail
+    order, the items of the runs that contain v.  Every run starts at 0 or
+    at -1, so a list changes only after a value where some run ends: the
+    runs 0..a are swept up from 0 and the runs a+1..-1 down from -1, a
+    list is built at the start and after each run end, and the values in
+    between share it (``_swept_lists``).  A level with one run is one list.
+    A level of at most ``_SMALL_LEVEL`` values, as in the sweep's small
+    cubes, files its values in a dict instead, which costs less there.
 
     A tail that admits no value is dropped before anything is built for it,
     and a row j with no c entries and ell_j = -1, whose bound is -1 for
@@ -69,37 +80,89 @@ def census_buckets(d: TwistData, leaf):
     admissible x_1.  Returns ``(buckets, positive, negative)``: buckets is a
     list of ``(head, leaves)`` in increasing x_1, head being ``(x_1,)``
     (``()`` when n = 0, whose one point is the empty one), and the totals
-    count points, not leaves.  Each tail costs its length, to copy into x
-    and to read in the bound, so the cost is the number of tails per level
-    times n, not 2**n, and n has no cap.
+    count points, not leaves.  Consecutive buckets may share one leaves
+    list, which is only read.
+
+    Cost: each tail costs its length, to copy into x and to read in the
+    bound, plus two calls of the membership check.  Each level then costs
+    one bucket per value, and one list per run end, of the runs still open
+    there.  So a level costs its tails times n plus its values plus that
+    filtering, not 2**n nor one step per point, and n has no cap.
     """
     if d.n == 0:
         return [((), [leaf((), 1)])], 1, 0
-    if any(not row and ell == -1 for row, ell in zip(d.rows, d.ell)):
+    # Derived data has no ell_j = -1, so the scan below is skipped for it.
+    if -1 in d.ell and any(not row and ell == -1 for row, ell in zip(d.rows, d.ell)):
         return [], 0, 0
     x = [0] * d.n
     buckets = [((), [((), (-1) ** d.n)])]
     for j in range(d.n, 0, -1):
-        filled: dict[int, list] = {}
-        counts = [0, 0]  # points of density +1, -1
+        runs = []  # (first, size, item) of each tail that admits a value, in tail order
+        positive = negative = 0
         for tail, rho in _read_buckets(buckets):
             x[j:] = tail
             a = bound(d, j, x)
-            values = range(0, a + 1) if a >= 0 else range(a + 1, 0)
-            if not values:
+            if a >= 0:
+                first, size = 0, a + 1
+                rho = -rho
+            elif a < -1:
+                first, size = a + 1, -1 - a
+            else:
                 continue
-            rho *= _sgn(a)
-            item = (tail, rho) if j > 1 else leaf(tail, rho)
-            for v in values:
-                if not _coordinate_ok(a, v):
-                    raise PreconditionViolated("an enumerated lattice point lies outside the cube")
+            if not (
+                _coordinate_ok(a, first) and (size == 1 or _coordinate_ok(a, first + size - 1))
+            ):
+                raise PreconditionViolated("an enumerated lattice point lies outside the cube")
+            runs.append((first, size, (tail, rho) if j > 1 else leaf(tail, rho)))
+            if rho > 0:
+                positive += size
+            else:
+                negative += size
+        buckets = _level_buckets(runs, positive + negative)
+    return buckets, positive, negative
+
+
+# A level of at most this many values is filed value by value: there one
+# dict entry per value costs less than the sweep's fixed work per run end.
+_SMALL_LEVEL = 64
+
+
+def _level_buckets(runs, values):
+    """One level's buckets ``((v,), items)`` in increasing v, from its runs
+    ``(first, size, item)`` in tail order and its number of values."""
+    # One run, the commonest level of small cubes, needs no filing at all.
+    if len(runs) == 1:
+        first, size, item = runs[0]
+        items = [item]
+        if size == 1:
+            return [((first,), items)]
+        return [((v,), items) for v in range(first, first + size)]
+    if values <= _SMALL_LEVEL:
+        filled: dict[int, list] = {}
+        for first, size, item in runs:
+            for v in range(first, first + size):
                 if v in filled:
                     filled[v].append(item)
                 else:
                     filled[v] = [item]
-            counts[rho < 0] += len(values)
-        buckets = [((v,), filled[v]) for v in sorted(filled)]
-    return buckets, counts[0], counts[1]
+        return [((v,), filled[v]) for v in sorted(filled)]
+    up = _swept_lists([(size, item) for first, size, item in runs if first == 0])
+    down = _swept_lists([(size, item) for first, size, item in runs if first < 0])
+    down.reverse()
+    return list(zip(zip(range(-len(down), len(up))), down + up))
+
+
+def _swept_lists(runs):
+    """The item lists of runs ``(size, item)`` that all start at one value
+    and go the same way, from that value on: the t-th list holds, in the
+    given order, the items of the runs with size > t.  A list is built at
+    the start and after each run end, and the values in between share it."""
+    lists = []
+    for size in sorted({size for size, _ in runs}):
+        items = [item for _, item in runs]
+        lists += [items] * (size - len(lists))
+        runs = [run for run in runs if run[0] > size]
+    return lists
 
 
 def _read_buckets(buckets):

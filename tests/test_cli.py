@@ -151,6 +151,53 @@ def test_lattice_keeps_the_per_value_check(raw_n2, tmp_path, monkeypatch, capsys
 
 
 @pytest.mark.parametrize(
+    "raw",
+    [{"n": 2, "c": {"1,2": 1}, "ell": [3, 5]}, {"n": 2, "c": {"1,2": 3}, "ell": [-3, 4]}],
+    ids=["ex1", "negative runs"],
+)
+@pytest.mark.parametrize(
+    "reject",
+    # The last value of a run 0..a, and the first of a run a+1..-1; each run
+    # is checked at its two ends only.
+    [lambda a, v: v == a >= 0, lambda a, v: v == a + 1 < 0],
+    ids=["last of 0..a", "first of a+1..-1"],
+)
+def test_lattice_checks_both_ends_of_each_run(raw, reject, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(twistedcube, "_coordinate_ok", lambda a, v: not reject(a, v))
+    inst, out = tmp_path / "inst.json", tmp_path / "census.jsonl"
+    inst.write_text(json.dumps(raw))
+    assert main(["lattice", "--instance", str(inst), "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: an enumerated lattice point lies outside the cube\n"
+    assert not out.exists()
+
+
+CENSUS_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "census.json"
+
+
+def _census_instances():
+    data = json.loads(CENSUS_DATA.read_text(encoding="utf-8"))
+    yield pytest.param(data["warmup"], id="warmup")
+    for kind, instances in sorted(data["kinds"].items()):
+        for i, inst in enumerate(instances):
+            yield pytest.param(inst, id=f"{kind}-{i}")
+
+
+@pytest.mark.parametrize("inst", _census_instances())
+def test_lattice_meets_the_census_workload_expectations(inst, tmp_path):
+    # The benchmark's census workload checks each `lattice --out` this way
+    # against the expected totals committed with its data.
+    expect = inst["expect"]
+    path, out = tmp_path / "inst.json", tmp_path / "census.jsonl"
+    path.write_text(json.dumps({key: value for key, value in inst.items() if key != "expect"}))
+    assert main(["lattice", "--instance", str(path), "--out", str(out)]) == EXIT_UNTWISTED
+    data = out.read_bytes()
+    lines = data.splitlines()
+    assert json.loads(lines[-1]) == expect
+    assert len(lines) == expect["positive"] + expect["negative"] + 1
+    assert data.count(b'"rho": -1}') == expect["negative"]
+
+
+@pytest.mark.parametrize(
     "raw, first, totals",
     [
         ({"n": 0, "ell": []}, {"x": [], "rho": 1}, {"positive": 1, "negative": 0, "signed": 1}),

@@ -136,6 +136,34 @@ def test_enumeration_checks_every_chosen_value(monkeypatch):
         lattice_points(EX1)
 
 
+# A fault at either end of a run must stop the census, although each run is
+# checked at its two ends only: v == a >= 0 is the last value of a run 0..a,
+# v == a + 1 < 0 the first of a run a+1..-1.
+RUN_END_FAULTS = {
+    "last of 0..a": lambda a, v: not v == a >= 0,
+    "first of a+1..-1": lambda a, v: not v == a + 1 < 0,
+}
+
+
+@pytest.mark.parametrize(
+    "fault, d",
+    [
+        # EX1 has the runs 0..5 and 0..3 and the one-value run {-1}.
+        ("last of 0..a", EX1),
+        ("last of 0..a", TwistData(n=1, ell=(0,))),
+        ("last of 0..a", TwistData(n=1, ell=(4,))),
+        ("first of a+1..-1", EX1),
+        ("first of a+1..-1", TwistData(n=1, ell=(-12,))),
+        # Level 1 has the runs a+1..-1 for a = -3, -6, ..., -15.
+        ("first of a+1..-1", TwistData(n=2, c={(1, 2): 3}, ell=(-3, 4))),
+    ],
+)
+def test_enumeration_checks_both_ends_of_each_run(fault, d, monkeypatch):
+    monkeypatch.setattr(twistedcube, "_coordinate_ok", RUN_END_FAULTS[fault])
+    with pytest.raises(PreconditionViolated, match="^an enumerated lattice point lies outside the cube$"):
+        lattice_points(d)
+
+
 def small_twist_data(max_n=3, bound=2, ell_bound=None):
     ell_bound = bound if ell_bound is None else ell_bound
     return st.integers(0, max_n).flatmap(
@@ -163,13 +191,30 @@ def test_enumeration_matches_brute_force(d):
     assert lattice_points(d).points == brute_force_census(d).points
 
 
+def wide_twist_data():
+    """n <= 2 with |ell| <= 30 and |c| <= 6: level 1 often holds more than
+    ``twistedcube._SMALL_LEVEL`` values, in several runs of both signs with
+    values where no run starts or ends, and at most 31 * 210 points."""
+    return small_twist_data(max_n=2, bound=6, ell_bound=30)
+
+
+# Level 1 has the runs 0..a for a = 40, 30, 20, 10, 0 and a+1..-1 for
+# a = -10, -20, -30, -40: 80 values, more than twistedcube._SMALL_LEVEL,
+# and at most of them no run starts or ends.
+SHARED_RUNS = TwistData(n=2, c={(1, 2): 10}, ell=(40, 8))
+
+
 @settings(max_examples=300, deadline=None)
-@given(small_twist_data(max_n=5, bound=2, ell_bound=3))
+@given(st.one_of(small_twist_data(max_n=5, bound=2, ell_bound=3), wide_twist_data()))
 # A tail with no admissible value (a = -1) at the top, in the middle and
 # at the bottom level.
 @example(TwistData(n=2, c={}, ell=(0, -1)))
 @example(TwistData(n=3, c={(2, 3): 1}, ell=(2, 0, 1)))
 @example(TwistData(n=3, c={(1, 2): 1, (1, 3): -1}, ell=(0, 1, 2)))
+# Runs of both signs sharing lists at level 1, and at level 2 of n = 3
+# (a = 20, 15, ..., -20 over x_3 = 0..8).
+@example(SHARED_RUNS)
+@example(TwistData(n=3, c={(1, 2): 1, (2, 3): 5}, ell=(2, 20, 8)))
 def test_enumeration_matches_the_descent_order_oracle(d):
     assert lattice_points(d) == descent_census(d)
 
@@ -247,12 +292,30 @@ def _box_size(d: TwistData) -> int:
 
 
 @settings(max_examples=200, deadline=None)
-@given(small_twist_data(max_n=5, bound=3, ell_bound=4))
+@given(st.one_of(small_twist_data(max_n=5, bound=3, ell_bound=4), wide_twist_data()))
+@example(SHARED_RUNS)
 def test_lattice_writer_matches_the_descent_oracle(d):
     # The bucket writer against an independent oracle that never goes
     # through lattice_points; instances too large to list are skipped.
     assume(_box_size(d) <= 50_000)
     assert _lattice_out(d) == "".join(line + "\n" for line in _oracle_lines(d))
+
+
+def test_consecutive_buckets_that_share_a_list_read_the_same_items():
+    buckets, _, _ = twistedcube.census_buckets(SHARED_RUNS, twistedcube._pair)
+    heads = [head for head, _ in buckets]
+    assert heads == [(v,) for v in range(-39, 41)]
+    shared = [i for i in range(len(buckets) - 1) if buckets[i][1] is buckets[i + 1][1]]
+    # Both signs share: x_1 = -9..-1 and 1..10, for instance.
+    assert {heads[i][0] < 0 for i in shared} == {True, False}
+    for i in shared:
+        first, second = (
+            [(x[1:], rho) for x, rho in twistedcube._read_buckets([buckets[k]])] for k in (i, i + 1)
+        )
+        assert first == second != []
+    census = lattice_points(SHARED_RUNS)
+    lines = _lattice_out(SHARED_RUNS).splitlines()
+    assert lines[:-1] == [json.dumps({"x": list(x), "rho": rho}) for x, rho in census.points]
 
 
 @pytest.mark.parametrize(
