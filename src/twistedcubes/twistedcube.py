@@ -68,8 +68,9 @@ def census_buckets(d: TwistData, leaf):
     runs 0..a are swept up from 0 and the runs a+1..-1 down from -1, a
     list is built at the start and after each run end, and the values in
     between share it (``_swept_lists``).  A level with one run is one list.
-    A level of at most ``_SMALL_LEVEL`` values, as in the sweep's small
-    cubes, files its values in a dict instead, which costs less there.
+    A level whose runs hold at most ``_SMALL_LEVEL`` values in all, as in
+    the sweep's small cubes, files its values in a dict instead, which
+    costs less there.
 
     A tail that admits no value is dropped before anything is built for it,
     and a row j with no c entries and ell_j = -1, whose bound is -1 for
@@ -109,9 +110,7 @@ def census_buckets(d: TwistData, leaf):
                 first, size = a + 1, -1 - a
             else:
                 continue
-            if not (
-                _coordinate_ok(a, first) and (size == 1 or _coordinate_ok(a, first + size - 1))
-            ):
+            if not (_coordinate_ok(a, first) and _coordinate_ok(a, first + size - 1)):
                 raise PreconditionViolated("an enumerated lattice point lies outside the cube")
             runs.append((first, size, (tail, rho) if j > 1 else leaf(tail, rho)))
             if rho > 0:
@@ -122,20 +121,20 @@ def census_buckets(d: TwistData, leaf):
     return buckets, positive, negative
 
 
-# A level of at most this many values is filed value by value: there one
-# dict entry per value costs less than the sweep's fixed work per run end.
+# A level whose runs hold at most this many values in all is filed value by
+# value: there one dict entry per value costs less than the sweep's fixed
+# work per run end.  Timed level by level, the two break even at 49..64.
 _SMALL_LEVEL = 64
 
 
 def _level_buckets(runs, values):
     """One level's buckets ``((v,), items)`` in increasing v, from its runs
-    ``(first, size, item)`` in tail order and its number of values."""
+    ``(first, size, item)`` in tail order and the number of values they
+    hold in all."""
     # One run, the commonest level of small cubes, needs no filing at all.
     if len(runs) == 1:
         first, size, item = runs[0]
         items = [item]
-        if size == 1:
-            return [((first,), items)]
         return [((v,), items) for v in range(first, first + size)]
     if values <= _SMALL_LEVEL:
         filled: dict[int, list] = {}

@@ -204,7 +204,7 @@ def wide_twist_data():
 SHARED_RUNS = TwistData(n=2, c={(1, 2): 10}, ell=(40, 8))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(st.one_of(small_twist_data(max_n=5, bound=2, ell_bound=3), wide_twist_data()))
 # A tail with no admissible value (a = -1) at the top, in the middle and
 # at the bottom level.
@@ -291,7 +291,7 @@ def _box_size(d: TwistData) -> int:
     return size
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(st.one_of(small_twist_data(max_n=5, bound=3, ell_bound=4), wide_twist_data()))
 @example(SHARED_RUNS)
 def test_lattice_writer_matches_the_descent_oracle(d):
