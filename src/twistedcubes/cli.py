@@ -121,21 +121,42 @@ def _output(path: str | None):
             yield out
             out.flush()
     except OSError as exc:
+        if not path:
+            _discard_stdout()
         raise MalformedInput(f"cannot write {path or 'stdout'}: {exc}") from exc
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at os.devnull.  A failed flush keeps
+    its bytes in stdout's buffer, and the interpreter's flush at exit would
+    fail on them again and exit 120; this way that flush succeeds.  A
+    stdout without a file descriptor, as when a caller captures it, is left
+    as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 def cmd_lattice(args) -> int:
     d, _ = load_instance(args.instance)
     # Byte for byte what json.dumps({"x": list(point), "rho": rho}) writes.
     # A level-2 tail's line end is formatted once and shared by every x_1
-    # it admits; a bucket's lines are its head joined with those ends.
+    # it admits; a bucket's lines are its head, (x_1,) or () at n = 0,
+    # joined with those ends.
     end = ", %d" * (d.n - 1) + '], "rho": %d}\n'
+    start = '{"x": [%d' if d.n else '{"x": ['
     buckets, positive, negative = census_buckets(d, lambda tail, rho: end % (*tail, rho))
     totals = {"positive": positive, "negative": negative, "signed": positive - negative}
     with _output(args.out) as out:
         for head, ends in buckets:
-            start = '{"x": [' + ", ".join(map(str, head))
-            out.write(start + start.join(ends))
+            line = start % head
+            out.write(line + line.join(ends))
         out.write(json.dumps(totals) + "\n")
     return EXIT_UNTWISTED
 

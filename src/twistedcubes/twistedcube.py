@@ -55,6 +55,12 @@ def census_buckets(d: TwistData, leaf):
     run, and reading the buckets in increasing x_j gives the sorted tails of
     level j, so no sort over the points is needed.
 
+    A_j is affine in x_{j+1}: A_j(v, tail) = A_j(0, tail) - c[j, j+1] v.
+    So an item filed at level j+1 is ``(tail, rho, r)``, tail being
+    (x_{j+1}, ..., x_n), rho its density and r = A_j(0, tail) its residual
+    bound, read through ``bound`` once when the item is made; level j takes
+    a = r - c[j, j+1] v for the value v of each bucket it reads.
+
     Each run is checked against the bound of its own tail, the cube's
     membership condition at that coordinate, once at each end.  For a fixed
     a the condition a < v < 0 or 0 <= v <= a holds on one interval of
@@ -84,11 +90,13 @@ def census_buckets(d: TwistData, leaf):
     count points, not leaves.  Consecutive buckets may share one leaves
     list, which is only read.
 
-    Cost: each tail costs its length, to copy into x and to read in the
-    bound, plus two calls of the membership check.  Each level then costs
-    one bucket per value, and one list per run end, of the runs still open
-    there.  So a level costs its tails times n plus its values plus that
-    filtering, not 2**n nor one step per point, and n has no cap.
+    Cost: a tail's next row is read once, when its item is filed; the
+    read costs the tail's length, to copy into x and in the bound.  Each
+    value of the item's run then costs one subtraction at the next level,
+    and each new tail two calls of the membership check.  Each level then
+    costs one bucket per value, and one list per run end, of the runs still
+    open there.  So a level costs its new tails times n plus its values
+    plus that filtering, not 2**n nor one step per point, and n has no cap.
     """
     if d.n == 0:
         return [((), [leaf((), 1)])], 1, 0
@@ -96,27 +104,37 @@ def census_buckets(d: TwistData, leaf):
     if -1 in d.ell and any(not row and ell == -1 for row, ell in zip(d.rows, d.ell)):
         return [], 0, 0
     x = [0] * d.n
-    buckets = [((), [((), (-1) ** d.n)])]
+    # Level n reads the one empty tail; its residual bound is ell_n.
+    buckets = [((), [((), (-1) ** d.n, bound(d, d.n, x))])]
     for j in range(d.n, 0, -1):
+        step = d.c.get((j, j + 1), 0)
         runs = []  # (first, size, item) of each tail that admits a value, in tail order
         positive = negative = 0
-        for tail, rho in _read_buckets(buckets):
-            x[j:] = tail
-            a = bound(d, j, x)
-            if a >= 0:
-                first, size = 0, a + 1
-                rho = -rho
-            elif a < -1:
-                first, size = a + 1, -1 - a
-            else:
-                continue
-            if not (_coordinate_ok(a, first) and _coordinate_ok(a, first + size - 1)):
-                raise PreconditionViolated("an enumerated lattice point lies outside the cube")
-            runs.append((first, size, (tail, rho) if j > 1 else leaf(tail, rho)))
-            if rho > 0:
-                positive += size
-            else:
-                negative += size
+        for head, items in buckets:
+            shift = step * head[0] if head else 0
+            for tail, rho, r in items:
+                a = r - shift
+                if a >= 0:
+                    first, size = 0, a + 1
+                    rho = -rho
+                elif a < -1:
+                    first, size = a + 1, -1 - a
+                else:
+                    continue
+                if not (_coordinate_ok(a, first) and _coordinate_ok(a, first + size - 1)):
+                    raise PreconditionViolated("an enumerated lattice point lies outside the cube")
+                tail = head + tail
+                if j > 1:
+                    # x_j = 0 in x: only levels below j write x[j - 1].
+                    x[j:] = tail
+                    item = (tail, rho, bound(d, j - 1, x))
+                else:
+                    item = leaf(tail, rho)
+                runs.append((first, size, item))
+                if rho > 0:
+                    positive += size
+                else:
+                    negative += size
         buckets = _level_buckets(runs, positive + negative)
     return buckets, positive, negative
 
@@ -165,9 +183,9 @@ def _swept_lists(runs):
 
 
 def _read_buckets(buckets):
-    """Yield (head + tail, rho) for the items of the buckets, in order.  A
-    level is read lazily: it is consumed once, by the next level or by
-    ``lattice_points``."""
+    """Yield (head + tail, rho) for the items of level-1 buckets, in order.
+    Only ``lattice_points`` reads it, whose leaves are (tail, rho) pairs;
+    the levels of ``census_buckets`` read their buckets directly."""
     for head, items in buckets:
         for tail, rho in items:
             yield head + tail, rho

@@ -37,10 +37,16 @@ def is_diagram_walk(t: LieType, w: Word) -> bool:
     w.validate_for(t)
     if len(w) < 2:
         return len(w) == 1
+    return _adjacent_in_turn(t, w.entries)
+
+
+def _adjacent_in_turn(t: LieType, letters: tuple[int, ...]) -> bool:
+    """Whether successive letters, already checked against t, are
+    diagram-adjacent."""
     # Diagram-adjacent means a negative off-diagonal Cartan entry; the
     # diagonal is 2, so a repeated letter is never adjacent to itself.
     table = cartan_table(t)
-    return all(table[a - 1][b - 1] < 0 for a, b in zip(w.entries, w.entries[1:]))
+    return all(table[a - 1][b - 1] < 0 for a, b in zip(letters, letters[1:]))
 
 
 def is_lambda_walk(t: LieType, w: Word, lam: DominantWeight) -> bool:
@@ -54,7 +60,10 @@ def is_hesitant_lambda_walk(t: LieType, w: Word, lam: DominantWeight) -> bool:
     w.validate_for(t)
     if len(w) < 2 or w.entries[0] != w.entries[1]:
         return False
-    return is_lambda_walk(t, Word(w.entries[1:]), lam)
+    # The walking component is a nonempty slice of w, whose letters are
+    # checked above, so it is a diagram walk when its letters are adjacent.
+    walking = w.entries[1:]
+    return _adjacent_in_turn(t, walking) and appears_in_lambda(lam, walking[-1])
 
 
 def find_hesitant_lambda_walk(t: LieType, w: Word, lam: DominantWeight) -> WalkWitness | None:

@@ -119,15 +119,18 @@ def test_unwritable_out_exits_2(raw_n2, tmp_path, command, where, capsys):
 @pytest.mark.parametrize("command", ["check", "verify", "atlas", "lattice"])
 def test_unwritable_stdout_exits_2(derived_untwisted, tmp_path, command):
     # A stdout that cannot be written must not end in a traceback with exit
-    # 1, which reads as "twisted".  It takes a real process: the error shows
-    # only when the buffered stdout is flushed.
+    # 1, which reads as "twisted", nor in exit 120 from the interpreter's
+    # flush of the failed bytes at exit.  It takes a real process with a
+    # buffered stdout: the error shows only when that buffer is flushed, so
+    # PYTHONUNBUFFERED is dropped from the caller's environment.
     if command in ("verify", "atlas"):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"lie_types": ["A1"], "max_word_length": 1, "weight_alphabet": [1]}))
         argv = [command, "--spec", str(spec)]
     else:
         argv = [command, "--instance", derived_untwisted]
-    env = dict(os.environ, PYTHONPATH=str(Path(twistedcubes.__file__).parents[1]))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(twistedcubes.__file__).parents[1])
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "twistedcubes.cli", *argv],
@@ -139,6 +142,7 @@ def test_unwritable_stdout_exits_2(derived_untwisted, tmp_path, command):
         )
     assert proc.returncode == EXIT_ERROR
     assert proc.stderr.startswith("error: cannot write stdout")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_lattice_keeps_the_per_value_check(raw_n2, tmp_path, monkeypatch, capsys):
@@ -445,7 +449,8 @@ def test_verify_rejects_jobs_below_one(tmp_path, jobs, monkeypatch, capsys):
 def test_the_cli_does_not_import_multiprocessing():
     # Only a sweep with more than one job loads it; check and the other
     # commands pay for none of its modules.
-    env = dict(os.environ, PYTHONPATH=str(Path(twistedcubes.__file__).parents[1]))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(twistedcubes.__file__).parents[1])
     code = "import sys, twistedcubes.cli; assert 'multiprocessing' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 

@@ -128,6 +128,28 @@ def test_a_row_whose_bound_is_always_minus_one_empties_the_census_at_once(d, mon
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "d, reads",
+    [
+        # Level 3 files one item and level 2 nine, one per x_3 in 0..8.
+        (TwistData(n=3, c={(1, 2): 1, (2, 3): 5}, ell=(2, 20, 8)), {3: 1, 2: 1, 1: 9}),
+        # Level 2 files four items, three of them with negative runs.
+        (TwistData(n=3, c={(1, 2): 2, (2, 3): -3}, ell=(4, -9, 3)), {3: 1, 2: 1, 1: 4}),
+    ],
+    ids=["positive runs", "negative runs"],
+)
+def test_each_filed_item_reads_the_next_row_once(d, reads, monkeypatch):
+    # An item filed at level j > 1 carries the bound of row j - 1 at
+    # x_j = 0, read once when it is made; each value of its run then costs
+    # a subtraction, not a read.  So the census reads a bound once per item
+    # filed at levels n..2, plus once for row n.
+    rows = []
+    real = twistedcube.bound
+    monkeypatch.setattr(twistedcube, "bound", lambda d, j, x: (rows.append(j), real(d, j, x))[1])
+    lattice_points(d)
+    assert {j: rows.count(j) for j in set(rows)} == reads
+
+
 def test_enumeration_checks_every_chosen_value(monkeypatch):
     # The descent tests each value against the bound of its own tail; a
     # value that fails there must stop the census.
@@ -215,6 +237,9 @@ SHARED_RUNS = TwistData(n=2, c={(1, 2): 10}, ell=(40, 8))
 # (a = 20, 15, ..., -20 over x_3 = 0..8).
 @example(SHARED_RUNS)
 @example(TwistData(n=3, c={(1, 2): 1, (2, 3): 5}, ell=(2, 20, 8)))
+# Negative runs at level 2 (a = -9, -6, -3 over x_3 = 0..2), whose items
+# carry residual bounds into level 1.
+@example(TwistData(n=3, c={(1, 2): 2, (2, 3): -3}, ell=(4, -9, 3)))
 def test_enumeration_matches_the_descent_order_oracle(d):
     assert lattice_points(d) == descent_census(d)
 
@@ -327,11 +352,16 @@ def test_consecutive_buckets_that_share_a_list_read_the_same_items():
         (TwistData(n=3, c={(2, 3): 1}, ell=(1, 1, 3)), "mixed bucket"),
         # A_1 = -3 - 3 x_2 reaches -15: multi-digit negative x_1.
         (TwistData(n=2, c={(1, 2): 3}, ell=(-3, 4)), "negative x1"),
+        # The one point of n = 0 is the empty one, with an empty head.
+        (TwistData(n=0), "n = 0"),
     ],
 )
 def test_lattice_writer_at_the_edges(d, shape):
     lines = _oracle_lines(d)
     assert _lattice_out(d) == "".join(line + "\n" for line in lines)
+    if shape == "n = 0":
+        assert lines == ['{"x": [], "rho": 1}', '{"positive": 1, "negative": 0, "signed": 1}']
+        return
     points = [json.loads(line) for line in lines[:-1]]
     signs: dict[int, set] = {}
     for obj in points:

@@ -201,6 +201,51 @@ def instances(draw, max_len=8):
     return t, word, lam
 
 
+@pytest.mark.parametrize(
+    "word, expected",
+    [((1, 1, 2), True), ((2, 2, 1), False), ((2, 2, 3, 2), True), ((1, 2), False), ((1,), False)],
+)
+def test_is_hesitant_lambda_walk_checks_the_word_once(word, expected, monkeypatch):
+    # The walking component is a slice of the word, so its letters need no
+    # second check against the type.
+    checked = []
+    validate_for = Word.validate_for
+    monkeypatch.setattr(Word, "validate_for", lambda w, t: (checked.append(w.entries), validate_for(w, t))[1])
+    assert is_hesitant_lambda_walk(parse_lie_type("A3"), Word(word), DominantWeight((0, 1, 0))) is expected
+    assert checked == [word]
+
+
+def _hesitant_by_parts(t, w, lam):
+    """The hesitant-walk predicate composed from the word check and
+    ``is_lambda_walk`` on the walking component."""
+    w.validate_for(t)
+    if len(w) < 2 or w.entries[0] != w.entries[1]:
+        return False
+    return is_lambda_walk(t, Word(w.entries[1:]), lam)
+
+
+@st.composite
+def unchecked_instances(draw):
+    """A type, a word that often starts with a repeated letter and may hold
+    letters outside the type's range, and a weight whose rank may differ
+    from the type's."""
+    t = draw(st.sampled_from(TYPES))
+    walking = draw(st.lists(st.integers(0, t.rank + 1), max_size=6))
+    if walking and draw(st.booleans()):
+        walking.insert(0, walking[0])
+    rank = draw(st.integers(t.rank - 1, t.rank + 1))
+    lam = DominantWeight(tuple(draw(st.lists(st.integers(0, 2), min_size=rank, max_size=rank))))
+    return t, Word(tuple(walking)), lam
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(instances(), unchecked_instances()))
+def test_is_hesitant_lambda_walk_matches_its_parts(inst):
+    # Every result and every error, as when the walking component went
+    # through is_lambda_walk and its own word check.
+    assert _outcome(is_hesitant_lambda_walk, *inst) == _outcome(_hesitant_by_parts, *inst)
+
+
 @settings(max_examples=200, deadline=None)
 @given(instances())
 def test_detectors_agree(inst):
