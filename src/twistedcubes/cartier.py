@@ -175,12 +175,12 @@ def hesitant_walk_from_twist_witness(d: TwistData, w: Word, m: tuple[int, ...]) 
     if len(m) != d.n:
         raise DimensionMismatch(f"m has length {len(m)}, expected {d.n}")
     k = maximal_failing_index(m)
-    j = next((q for q in range(k + 1, d.n + 1) if d.c_at(k, q) > 0 and m[q - 1] > 0), None)
+    j = next((q for q, c in d.rows[k - 1] if c > 0 and m[q - 1] > 0), None)
     if j is None:
         raise PreconditionViolated(f"no repetition candidate after {k} (negative ell?)")
     positions = [k, j]
     while d.ell[j - 1] == 0:
-        j = next((q for q in range(j + 1, d.n + 1) if d.c_at(j, q) < 0 and m[q - 1] > 0), None)
+        j = next((q for q, c in d.rows[j - 1] if c < 0 and m[q - 1] > 0), None)
         if j is None:
             raise PreconditionViolated(f"greedy extension stuck at {positions[-1]} (negative ell?)")
         positions.append(j)

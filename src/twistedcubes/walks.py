@@ -69,44 +69,44 @@ def is_hesitant_lambda_walk(t: LieType, w: Word, lam: DominantWeight) -> bool:
 def find_hesitant_lambda_walk(t: LieType, w: Word, lam: DominantWeight) -> WalkWitness | None:
     """Canonical hesitant-lambda-walk subword, or None if w is avoiding.
 
-    Quadratic reachability sweep, right to left: a position can start a
-    lambda-walk iff its root appears in lam or some later adjacent position
-    can.  Witnesses are canonicalized to the lexicographically smallest
-    hesitation pair followed by the greedy minimal-index extension.
+    One O(n·r) pass from position n down: ``later`` holds each letter's
+    smallest later position that starts a lambda-walk (its root is in lam,
+    or it ``link``s to the smallest such position of an adjacent letter).
+    The last p whose letter is in ``later`` gives the lexicographically
+    smallest hesitation pair; ``link`` then gives the greedy minimal-index
+    extension up to a root in lam.
     """
     w.validate_for(t)
     if lam.rank != t.rank:
         raise NotAWitness(f"weight rank {lam.rank} does not match {t}")
-    n = len(w)
     letters = w.entries
     # The letters and the rank are checked above, so the Cartan table and the
     # weight are read directly; adjacency is a negative table entry.
     table = cartan_table(t)
-    supported = [lam.coefficients[i - 1] > 0 for i in letters]
-    reach = [False] * (n + 1)
-    link: list[int | None] = [None] * (n + 1)
-    for p in range(n, 0, -1):
-        if supported[p - 1]:
-            reach[p] = True
+    later: dict[int, int] = {}
+    link: dict[int, int] = {}
+    pair = None
+    for p in range(len(letters), 0, -1):
+        a = letters[p - 1]
+        if a in later:
+            pair = (p, later[a])
+        if lam.coefficients[a - 1] > 0:
+            later[a] = p
             continue
-        row = table[letters[p - 1] - 1]
-        for q in range(p + 1, n + 1):
-            if reach[q] and row[letters[q - 1] - 1] < 0:
-                reach[p] = True
-                link[p] = q
-                break
-    for p in range(1, n + 1):
-        for q in range(p + 1, n + 1):
-            if letters[q - 1] == letters[p - 1] and reach[q]:
-                positions = [p, q]
-                cur = q
-                while not supported[cur - 1]:
-                    cur = link[cur]
-                    if cur is None:
-                        raise NotAWitness(f"lambda-walk chain from position {q} stops before lam")
-                    positions.append(cur)
-                return WalkWitness.from_word(w, positions)
-    return None
+        row = table[a - 1]
+        step = None
+        for b, q in later.items():
+            if row[b - 1] < 0 and (step is None or q < step):
+                step = q
+        if step is not None:
+            later[a] = p
+            link[p] = step
+    if pair is None:
+        return None
+    positions = list(pair)
+    while positions[-1] in link:
+        positions.append(link[positions[-1]])
+    return WalkWitness.from_word(w, positions)
 
 
 def _require_hesitant(t: LieType, witness: WalkWitness, lam: DominantWeight) -> None:

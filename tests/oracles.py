@@ -148,6 +148,39 @@ def find_hesitant_lambda_walk_naive(
     return None
 
 
+def first_hesitant_lambda_walk(
+    t: LieType, w: Word, lam: DominantWeight
+) -> tuple[int, ...] | None:
+    """Oracle for the canonical walk: the lexicographically smallest position
+    tuple whose subword is a hesitant lambda-walk, a prefix counting as
+    smaller than its extensions, or None.
+
+    Depth-first search over increasing positions, smaller positions first:
+    a repeated first letter, then adjacent steps until a root in lam.
+    """
+    letters = w.entries
+    n = len(letters)
+
+    def extend(positions: tuple[int, ...]) -> tuple[int, ...] | None:
+        last = letters[positions[-1] - 1]
+        if appears_in_lambda(lam, last):
+            return positions
+        for q in range(positions[-1] + 1, n + 1):
+            if adjacent(t, last, letters[q - 1]):
+                found = extend(positions + (q,))
+                if found is not None:
+                    return found
+        return None
+
+    for p in range(1, n + 1):
+        for q in range(p + 1, n + 1):
+            if letters[q - 1] == letters[p - 1]:
+                found = extend((p, q))
+                if found is not None:
+                    return found
+    return None
+
+
 def brute_force_census(d: TwistData, box: int | None = None) -> LatticeCensus:
     """Independent oracle: test every integer point of an enclosing box.
 

@@ -38,6 +38,7 @@ from oracles import (
     contains,
     density,
     find_hesitant_lambda_walk_naive,
+    first_hesitant_lambda_walk,
     is_untwisted_exhaustive,
     scaling_invariance_failures,
 )
@@ -177,6 +178,8 @@ def _detectors_agree(t, w, lam) -> bool:
     slow = find_hesitant_lambda_walk_naive(t, w, lam)
     if (fast is None) != (slow is None):
         return False
+    if (None if fast is None else fast.positions) != first_hesitant_lambda_walk(t, w, lam):
+        return False
     for witness in (fast, slow):
         if witness is not None and not is_hesitant_lambda_walk(t, Word(witness.subword), lam):
             return False
@@ -207,7 +210,8 @@ def test_criterion_7_detector_oracle_equivalence():
             ok = False
     _report(
         7,
-        f"efficient and naive walk detectors agree on all {checked} instances "
+        f"efficient and naive walk detectors agree on all {checked} instances, "
+        "and the efficient one returns the lexicographically first walk "
         "(exhaustive rank<=3 n<=8 plus 10000 random rank<=6 n<=12)",
         ok,
     )

@@ -83,6 +83,16 @@ def test_detector_canonical_extension():
     assert witness.subword == (2, 2, 1, 2, 3)
 
 
+def test_detector_on_a_long_word():
+    # Each 1 finds its adjacent 2 only past all the later 1s, so a detector
+    # that scans later positions one by one is quadratic here.
+    witness = find_hesitant_lambda_walk(
+        parse_lie_type("A2"), Word((1,) * 10_000 + (2,)), DominantWeight((0, 1))
+    )
+    assert witness.positions == (1, 2, 10_001)
+    assert witness.subword == (1, 1, 2)
+
+
 def test_naive_agrees_on_examples():
     a3 = parse_lie_type("A3")
     assert (
