@@ -1,8 +1,9 @@
 """Command-line front door.
 
 Exit-code protocol: 0 = untwisted / success, 1 = twisted / counterexamples
-found, 2 = malformed input or unsupported request.  This makes the tool
-usable as a shell predicate.
+found, 2 = malformed input or unsupported request, such as a census or a
+picture too large to produce.  This makes the tool usable as a shell
+predicate.
 """
 
 from __future__ import annotations
@@ -254,6 +255,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except TwistedCubeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    # A census too large to hold is an unsupported request, not "twisted".
+    except MemoryError:
+        print("error: the output did not fit in memory", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -8,10 +8,11 @@ point of the census is drawn as a dot.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, PreconditionViolated
 from .twistedcube import lattice_points
 from .weightword import TwistData, bound
 
@@ -60,7 +61,8 @@ def _pieces(d: TwistData) -> list[_Piece]:
 
 
 def render_svg(d: TwistData) -> str:
-    """Standalone SVG document for an n = 2 twisted cube."""
+    """Standalone SVG document for an n = 2 twisted cube whose picture's
+    coordinates, in pixels, fit in a float."""
     if d.n != 2:
         raise DimensionMismatch(f"rendering requires n = 2, got n = {d.n}")
     census = lattice_points(d)
@@ -76,6 +78,9 @@ def render_svg(d: TwistData) -> str:
         ys.append(Fraction(x2))
     x_min, x_max = min(xs) - MARGIN_UNITS, max(xs) + MARGIN_UNITS
     y_min, y_max = min(ys) - MARGIN_UNITS, max(ys) + MARGIN_UNITS
+    # Every pixel coordinate lies between 0 and the width or the height.
+    if max(x_max - x_min, y_max - y_min) * SCALE > sys.float_info.max:
+        raise PreconditionViolated("the picture's coordinates are too large to draw as floats")
     width = float(x_max - x_min) * SCALE
     height = float(y_max - y_min) * SCALE
 

@@ -135,31 +135,27 @@ def is_minimal(t: LieType, witness: WalkWitness, lam: DominantWeight) -> bool:
 def minimize(t: LieType, witness: WalkWitness, lam: DominantWeight) -> WalkWitness:
     """Extract a minimal hesitant lambda-walk subword of the given witness.
 
-    Truncate the walking component at its earliest root appearing in lam,
-    then repeatedly splice out detours between repeated roots; the diagram
-    being a tree, the seam stays adjacent.
+    One pass erases the loops of the walking component up to its first root
+    in lam: a root already kept cuts the kept walk back to that visit, so
+    each kept root is the visit right after the last visit to the root kept
+    before it.
     """
     _require_hesitant(t, witness, lam)
-    head = witness.positions[0]
-    walking = list(zip(witness.positions[1:], witness.subword[1:]))
-    coeffs = lam.coefficients
-    stop = next(i for i, (_, letter) in enumerate(walking) if coeffs[letter - 1] > 0)
-    walking = walking[: stop + 1]
-    i = 0
-    while i < len(walking):
-        dup = next(
-            (b for b in range(i + 1, len(walking)) if walking[b][1] == walking[i][1]),
-            None,
-        )
-        if dup is None:
-            i += 1
-        else:
-            del walking[i + 1 : dup + 1]
-    positions = (head,) + tuple(p for p, _ in walking)
-    out = WalkWitness(
-        positions,
-        tuple(witness.subword[witness.positions.index(p)] for p in positions),
-    )
+    kept: list[tuple[int, int]] = []
+    # letter -> its index in kept.  kept is a path in the diagram, a tree, so
+    # that index is the letter's distance from the first kept root at every
+    # visit, and kept holds the letter exactly when it is below len(kept).
+    index: dict[int, int] = {}
+    for p, letter in zip(witness.positions[1:], witness.subword[1:]):
+        i = index.setdefault(letter, len(kept))
+        if i < len(kept):
+            del kept[i + 1 :]
+            continue
+        kept.append((p, letter))
+        if lam.coefficients[letter - 1] > 0:
+            break
+    positions, subword = zip((witness.positions[0], witness.subword[0]), *kept)
+    out = WalkWitness(positions, subword)
     if not is_minimal(t, out, lam):
         raise NotMinimalWitness(f"minimizing {witness.positions} left non-minimal {positions}")
     return out

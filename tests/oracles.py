@@ -181,6 +181,33 @@ def first_hesitant_lambda_walk(
     return None
 
 
+def minimize_splice(t: LieType, witness: WalkWitness, lam: DominantWeight) -> WalkWitness:
+    """Oracle for ``minimize`` on a hesitant lambda-walk: truncate the
+    walking component at its earliest root in lam, then, for each kept root
+    in turn, splice out the detour up to its next repeat until it has none;
+    positions are looked up again at the end.  Quadratic in the walk's
+    length."""
+    head = witness.positions[0]
+    walking = list(zip(witness.positions[1:], witness.subword[1:]))
+    stop = next(i for i, (_, letter) in enumerate(walking) if appears_in_lambda(lam, letter))
+    walking = walking[: stop + 1]
+    i = 0
+    while i < len(walking):
+        dup = next(
+            (b for b in range(i + 1, len(walking)) if walking[b][1] == walking[i][1]),
+            None,
+        )
+        if dup is None:
+            i += 1
+        else:
+            del walking[i + 1 : dup + 1]
+    positions = (head,) + tuple(p for p, _ in walking)
+    return WalkWitness(
+        positions,
+        tuple(witness.subword[witness.positions.index(p)] for p in positions),
+    )
+
+
 def brute_force_census(d: TwistData, box: int | None = None) -> LatticeCensus:
     """Independent oracle: test every integer point of an enclosing box.
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twistedcubes
-from twistedcubes import harness, twistedcube, walks
+from twistedcubes import cli, harness, twistedcube, walks
 from twistedcubes.cli import EXIT_ERROR, EXIT_TWISTED, EXIT_UNTWISTED, load_instance, main
 from twistedcubes.errors import MalformedInput
 
@@ -101,6 +101,30 @@ def test_render_rejects_wrong_dimension(derived_twisted, tmp_path, capsys):
     out = tmp_path / "bad.svg"
     assert main(["render", "--instance", derived_twisted, "--out", str(out)]) == EXIT_ERROR
     assert "error:" in capsys.readouterr().err
+
+
+def test_render_of_coordinates_too_large_for_floats_exits_2(tmp_path, capsys):
+    # The census is empty, but the bound at x_2 = -1 is 10**400, which no
+    # float holds; check and lattice read the same file without floats.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 2, "c": {"1,2": 10**400}, "ell": [0, -1]}))
+    out = tmp_path / "huge.svg"
+    assert main(["render", "--instance", str(path), "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: the picture's coordinates are too large to draw as floats\n"
+    assert not out.exists()
+    assert main(["lattice", "--instance", str(path)]) == EXIT_UNTWISTED
+    assert main(["check", "--instance", str(path)]) == EXIT_TWISTED
+
+
+def test_a_census_that_does_not_fit_in_memory_exits_2(raw_n2, tmp_path, monkeypatch, capsys):
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "census_buckets", out_of_memory)
+    out = tmp_path / "census.jsonl"
+    assert main(["lattice", "--instance", raw_n2, "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: the output did not fit in memory\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["lattice", "render"])
@@ -582,14 +606,43 @@ _SPEC_BLOCKS = _mutations(
 SPECS = _SPEC_JSON | _SPEC_BLOCKS | st.lists(_SPEC_BLOCKS, max_size=2)
 
 
-def _run_on_json(command: str, flag: str, value) -> None:
+# lattice and render enumerate the census, so their instances keep every
+# integer small: an unbounded ell or c could ask for a huge census.
+_TINY = st.integers(-3, 5)
+_TINY_JSON = _json(_TINY)
+TINY_INSTANCES = (
+    _TINY_JSON
+    | _mutations(
+        {"type": "A2", "word": [1, 2, 1], "weight": [2, 1]},
+        {"type": _TYPES, "word": st.lists(_TINY, max_size=3), "weight": st.lists(_TINY, max_size=3)},
+        _TINY_JSON,
+    )
+    | _mutations({"n": 2, "c": {"1,2": 1}, "ell": [3, 5]}, {"n": _TINY, "ell": st.lists(_TINY, max_size=3)}, _TINY_JSON)
+    # Well-formed raw instances, so that many draws reach the census and the
+    # picture rather than a loader error.
+    | st.integers(0, 3).flatmap(
+        lambda n: st.fixed_dictionaries(
+            {
+                "n": st.just(n),
+                "c": st.dictionaries(st.sampled_from(["1,2", "1,3", "2,3"]), _TINY, max_size=3),
+                "ell": st.lists(_TINY, min_size=n, max_size=n),
+            }
+        )
+    )
+)
+
+
+def _run_on_json(command: str, flag: str, value, codes=(EXIT_UNTWISTED, EXIT_TWISTED, EXIT_ERROR)) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.json"
         path.write_text(json.dumps(value))
         out, err = io.StringIO(), io.StringIO()
+        argv = [command, flag, str(path)]
+        if command == "render":
+            argv += ["--out", str(Path(tmp) / "out.svg")]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, flag, str(path)])
-    assert code in (EXIT_UNTWISTED, EXIT_TWISTED, EXIT_ERROR)
+            code = main(argv)
+    assert code in codes
     if code == EXIT_ERROR:
         assert err.getvalue().startswith("error: ")
 
@@ -604,3 +657,15 @@ def test_check_never_crashes_on_arbitrary_json(value):
 @given(SPECS)
 def test_verify_never_crashes_on_arbitrary_json(value):
     _run_on_json("verify", "--spec", value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TINY_INSTANCES)
+def test_lattice_never_crashes_on_arbitrary_json(value):
+    _run_on_json("lattice", "--instance", value, codes=(EXIT_UNTWISTED, EXIT_ERROR))
+
+
+@settings(max_examples=300, deadline=None)
+@given(TINY_INSTANCES)
+def test_render_never_crashes_on_arbitrary_json(value):
+    _run_on_json("render", "--instance", value, codes=(EXIT_UNTWISTED, EXIT_ERROR))

@@ -21,7 +21,7 @@ from twistedcubes.walks import (
 )
 from twistedcubes.weightword import DominantWeight, TwistData, Word, derive_twist_data
 
-from oracles import all_types_up_to_rank, find_hesitant_lambda_walk_naive
+from oracles import adjacent, all_types_up_to_rank, find_hesitant_lambda_walk_naive, minimize_splice
 
 A5 = parse_lie_type("A5")
 
@@ -162,6 +162,16 @@ def test_minimize_idempotent():
     assert minimize(A5, minimal, w2) == minimal
 
 
+def test_minimize_on_a_long_walk():
+    # Every 2 after the first cuts the kept walk back to position 2, so a
+    # minimize that rescans the rest of the walk per repeat is quadratic here.
+    w = Word((2,) + (2, 1) * 50_000 + (2, 3))
+    witness = WalkWitness.from_word(w, range(1, len(w) + 1))
+    out = minimize(parse_lie_type("A3"), witness, DominantWeight((0, 0, 1)))
+    assert out.positions == (1, 2, 100_003)
+    assert out.subword == (2, 2, 3)
+
+
 def test_lambda_walk_from_positive_entry():
     # The greedy lambda-walk from a positive entry of m is the tail of the
     # hesitant walk that hesitant_walk_from_twist_witness rebuilds: the
@@ -278,6 +288,50 @@ def test_minimize_output_is_minimal_subsequence(inst):
     out = minimize(t, witness, lam)
     assert is_minimal(t, out, lam)
     assert set(out.positions) <= set(witness.positions)
+
+
+@st.composite
+def long_words(draw):
+    """A type, a word of 2 to 60 letters, and a weight with one nonzero
+    coefficient, so that about half the words hold a hesitant lambda-walk."""
+    t = draw(st.sampled_from(TYPES))
+    word = Word(tuple(draw(st.lists(st.integers(1, t.rank), min_size=2, max_size=60))))
+    lam = [0] * t.rank
+    lam[draw(st.integers(0, t.rank - 1))] = 1
+    return t, word, DominantWeight(tuple(lam))
+
+
+@settings(max_examples=300, deadline=None)
+@given(long_words())
+def test_minimize_matches_the_splice_oracle(inst):
+    t, w, lam = inst
+    witness = find_hesitant_lambda_walk(t, w, lam)
+    if witness is None:
+        return
+    assert minimize(t, witness, lam) == minimize_splice(t, witness, lam)
+
+
+@st.composite
+def wandering_walks(draw):
+    """A type, a hesitant walk of up to 60 letters that wanders the diagram
+    at random, so that it has many detours, and a weight that is positive at
+    its last letter and may be positive elsewhere."""
+    t = draw(st.sampled_from([ty for ty in TYPES if ty.rank >= 2]))
+    letter = draw(st.integers(1, t.rank))
+    letters = [letter, letter]
+    for _ in range(draw(st.integers(0, 58))):
+        letter = draw(st.sampled_from([b for b in range(1, t.rank + 1) if adjacent(t, letter, b)]))
+        letters.append(letter)
+    lam = draw(st.lists(st.integers(0, 1), min_size=t.rank, max_size=t.rank))
+    lam[letter - 1] = 1
+    w = Word(tuple(letters))
+    return t, WalkWitness.from_word(w, range(1, len(w) + 1)), DominantWeight(tuple(lam))
+
+
+@settings(max_examples=300, deadline=None)
+@given(wandering_walks())
+def test_minimize_matches_the_splice_oracle_on_walks_with_detours(case):
+    assert minimize(*case) == minimize_splice(*case)
 
 
 @settings(max_examples=200, deadline=None)
