@@ -26,12 +26,28 @@ EXIT_TWISTED = 1
 EXIT_ERROR = 2
 
 
+def _unique_keys(pairs):
+    """One JSON object's dict; a key given twice is a ValueError, where
+    json.load would keep its last value silently."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"the key {key!r} appears twice in one object")
+        obj[key] = value
+    return obj
+
+
+# Built once: json.load with a hook would build a decoder on every call.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _read_json(path: str, what: str):
     """The JSON value in the file at path; what names the file in the
-    MalformedInput raised when it cannot be read or parsed."""
+    MalformedInput raised when it cannot be read or parsed, or when an
+    object in it gives a key twice."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return _DECODER.decode(fh.read())
     # ValueError: bad JSON, or an integer with too many digits to convert;
     # RecursionError: arrays or objects nested too deep for the decoder.
     except (OSError, ValueError, RecursionError) as exc:
@@ -147,12 +163,18 @@ def _discard_stdout() -> None:
 def cmd_lattice(args) -> int:
     d, _ = load_instance(args.instance)
     # Byte for byte what json.dumps({"x": list(point), "rho": rho}) writes.
-    # A level-2 tail's line end is formatted once and shared by every x_1
-    # it admits; a bucket's lines are its head, (x_1,) or () at n = 0,
-    # joined with those ends.
-    end = ", %d" * (d.n - 1) + '], "rho": %d}\n'
+    # The text of each tail (x_3, ..., x_n) that level 2 files is formatted
+    # once, with both line ends, and x_2 once per bucket; a bucket's lines
+    # are its head, (x_1,) or () at n = 0, joined with those ends.
+    rest = ", %d" * (d.n - 2)
+    mark = ", %d" if d.n > 1 else ""
+
+    def leaf(tail):
+        text = rest % tail
+        return text + '], "rho": 1}\n', text + '], "rho": -1}\n'
+
     start = '{"x": [%d' if d.n else '{"x": ['
-    buckets, positive, negative = census_buckets(d, lambda tail, rho: end % (*tail, rho))
+    buckets, positive, negative = census_buckets(d, lambda head: mark % head, leaf)
     totals = {"positive": positive, "negative": negative, "signed": positive - negative}
     with _output(args.out) as out:
         for head, ends in buckets:

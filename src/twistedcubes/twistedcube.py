@@ -43,7 +43,7 @@ class LatticeCensus:
         return self.num_positive - self.num_negative
 
 
-def census_buckets(d: TwistData, leaf):
+def census_buckets(d: TwistData, prefix, leaf):
     """The integer points of C(c, ell) as level-1 buckets, with their totals.
 
     At level j, with the tail x[j:] fixed, the bound A_j is a known integer
@@ -81,14 +81,20 @@ def census_buckets(d: TwistData, leaf):
     A tail that admits no value is dropped before anything is built for it,
     and a row j with no c entries and ell_j = -1, whose bound is -1 for
     every tail, empties the cube before any level is built.
-    Level 1 calls ``leaf(tail, rho)`` once per level-2 tail (x_2, ..., x_n)
-    that admits some x_1, rho being the density of every point
-    (x_1,) + tail, and files that one object in the bucket of each
-    admissible x_1.  Returns ``(buckets, positive, negative)``: buckets is a
-    list of ``(head, leaves)`` in increasing x_1, head being ``(x_1,)``
-    (``()`` when n = 0, whose one point is the empty one), and the totals
-    count points, not leaves.  Consecutive buckets may share one leaves
-    list, which is only read.
+
+    Level 1 files the caller's objects, made by two hooks.  ``leaf(tail)``
+    is called once per tail (x_3, ..., x_n) that level 2 files, or at n = 1
+    once for the empty tail, and returns ``(plus, minus)``, the tail's
+    object for either density; that pair takes the tail's place in its
+    item.  ``prefix(head)`` is called once per bucket that level 1 reads,
+    head being ``(x_2,)``, or ``()`` at n = 1.  Level 1 files
+    ``prefix(head) + plus`` or ``+ minus``, by the density, in the bucket of
+    each admissible x_1.  Returns ``(buckets, positive, negative)``: buckets
+    is a list of ``(head, objects)`` in increasing x_1, head being
+    ``(x_1,)`` (``()`` when n = 0, whose one point is the empty one, with
+    the object ``prefix(()) + plus``), and the totals count points, not
+    objects.  Consecutive buckets may share one objects list, which is only
+    read.
 
     Cost: a tail's next row is read once, when its item is filed; the
     read costs the tail's length, to copy into x and in the bound.  Each
@@ -97,21 +103,26 @@ def census_buckets(d: TwistData, leaf):
     costs one bucket per value, and one list per run end, of the runs still
     open there.  So a level costs its new tails times n plus its values
     plus that filtering, not 2**n nor one step per point, and n has no cap.
+    The leaf runs once per item of level 2, not once per value of x_2 in its
+    run, and level 1 adds one ``+`` per tail it files.
     """
     if d.n == 0:
-        return [((), [leaf((), 1)])], 1, 0
+        return [((), [prefix(()) + leaf(())[0]])], 1, 0
     # Derived data has no ell_j = -1, so the scan below is skipped for it.
     if -1 in d.ell and any(not row and ell == -1 for row, ell in zip(d.rows, d.ell)):
         return [], 0, 0
     x = [0] * d.n
     # Level n reads the one empty tail; its residual bound is ell_n.
-    buckets = [((), [((), (-1) ** d.n, bound(d, d.n, x))])]
+    tail = leaf(()) if d.n == 1 else ()
+    buckets = [((), [(tail, (-1) ** d.n, bound(d, d.n, x))])]
     for j in range(d.n, 0, -1):
         step = d.c.get((j, j + 1), 0)
         runs = []  # (first, size, item) of each tail that admits a value, in tail order
         positive = negative = 0
         for head, items in buckets:
             shift = step * head[0] if head else 0
+            if j == 1:
+                pre = prefix(head)
             for tail, rho, r in items:
                 a = r - shift
                 if a >= 0:
@@ -123,18 +134,22 @@ def census_buckets(d: TwistData, leaf):
                     continue
                 if not (_coordinate_ok(a, first) and _coordinate_ok(a, first + size - 1)):
                     raise PreconditionViolated("an enumerated lattice point lies outside the cube")
-                tail = head + tail
                 if j > 1:
+                    tail = head + tail
                     # x_j = 0 in x: only levels below j write x[j - 1].
                     x[j:] = tail
-                    item = (tail, rho, bound(d, j - 1, x))
+                    item = (tail if j > 2 else leaf(tail), rho, bound(d, j - 1, x))
                 else:
-                    item = leaf(tail, rho)
+                    # Level 2 filed the leaf's (plus, minus) in place of the tail.
+                    item = pre + tail[rho < 0]
                 runs.append((first, size, item))
                 if rho > 0:
                     positive += size
                 else:
                     negative += size
+        # Drop the level just read before the next is built, so that the two
+        # are not held at once.
+        buckets = None
         buckets = _level_buckets(runs, positive + negative)
     return buckets, positive, negative
 
@@ -183,22 +198,25 @@ def _swept_lists(runs):
 
 
 def _read_buckets(buckets):
-    """Yield (head + tail, rho) for the items of level-1 buckets, in order.
-    Only ``lattice_points`` reads it, whose leaves are (tail, rho) pairs;
-    the levels of ``census_buckets`` read their buckets directly."""
+    """Yield (x, rho) for the objects (x_2, ..., x_n, rho) of level-1
+    buckets, in order.  Only ``lattice_points`` reads it; the levels of
+    ``census_buckets`` read their buckets directly."""
     for head, items in buckets:
-        for tail, rho in items:
-            yield head + tail, rho
+        for point in items:
+            point = head + point
+            yield point[:-1], point[-1]
 
 
-def _pair(tail, rho):
-    return tail, rho
+def _signed(tail):
+    """The leaf of ``lattice_points``: the tail with each density appended.
+    Its prefix is ``tuple``, which returns the head (x_2,) itself."""
+    return tail + (1,), tail + (-1,)
 
 
 def lattice_points(d: TwistData) -> LatticeCensus:
     """Enumerate the integer points of C(c, ell) exactly, sorted by x, each
     tagged with its density (see ``census_buckets``)."""
-    buckets, positive, negative = census_buckets(d, _pair)
+    buckets, positive, negative = census_buckets(d, tuple, _signed)
     return LatticeCensus(
         points=tuple(_read_buckets(buckets)), num_positive=positive, num_negative=negative
     )
@@ -206,5 +224,5 @@ def lattice_points(d: TwistData) -> LatticeCensus:
 
 def signed_count(d: TwistData) -> int:
     """Number of lattice points with density +1 minus those with -1."""
-    _, positive, negative = census_buckets(d, _pair)
+    _, positive, negative = census_buckets(d, tuple, _signed)
     return positive - negative

@@ -4,6 +4,7 @@ against.  They are slow by design and are not part of the installed package."""
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from twistedcubes.cartier import DEFAULT_N_CAP, UntwistResult, compute_m, is_untwisted
 from twistedcubes.errors import CapExceeded, RankOutOfRange
@@ -283,3 +284,51 @@ def scaling_invariance_failures(spec: SweepSpec, factor: int = 3) -> list[dict]:
                 }
             )
     return failures
+
+
+def demazure_rho(t: LieType, word) -> tuple[int, ...]:
+    """w*ρ in fundamental-weight coordinates, w* being the Demazure (0-Hecke)
+    product of the word: read from the right, letter i replaces μ by
+    s_i μ = μ - μ_i α_i when μ_i > 0, starting from μ = ρ.  Row i of the
+    Cartan table is α_i in those coordinates."""
+    table = cartan_table(t)
+    mu = (1,) * t.rank
+    for i in reversed(word):
+        m = mu[i - 1]
+        if m > 0:
+            mu = tuple(v - m * a for v, a in zip(mu, table[i - 1]))
+    return mu
+
+
+def is_longest_element(t: LieType, word) -> bool:
+    """Whether the Demazure product of the word is w₀: exactly when w*ρ has
+    no entry >= 0, as w₀ρ = -ρ* and no shorter w maps ρ to an antidominant
+    weight."""
+    return all(v < 0 for v in demazure_rho(t, word))
+
+
+def positive_coroots(t: LieType) -> list[tuple[int, ...]]:
+    """The positive coroots in simple-coroot coordinates: the simple ones
+    closed under s_i β^∨ = β^∨ - ⟨α_i, β^∨⟩ α_i^∨ while they stay positive."""
+    table = cartan_table(t)
+    r = t.rank
+    simple = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    found, todo = set(simple), list(simple)
+    while todo:
+        beta = todo.pop()
+        for i in range(r):
+            pairing = sum(c * a for c, a in zip(beta, table[i]))
+            image = tuple(c - pairing * (j == i) for j, c in enumerate(beta))
+            if min(image) >= 0 and image not in found:
+                found.add(image)
+                todo.append(image)
+    return sorted(found)
+
+
+def weyl_dimension(t: LieType, weight) -> Fraction:
+    """dim V(λ) by Weyl's formula, the product over the positive coroots of
+    ⟨λ + ρ, β^∨⟩ / ⟨ρ, β^∨⟩, with λ in fundamental-weight coordinates."""
+    dim = Fraction(1)
+    for beta in positive_coroots(t):
+        dim *= Fraction(sum(c * (l + 1) for c, l in zip(beta, weight)), sum(beta))
+    return dim

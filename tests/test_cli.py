@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import multiprocessing
@@ -202,18 +203,39 @@ def test_lattice_checks_both_ends_of_each_run(raw, reject, tmp_path, monkeypatch
 CENSUS_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "census.json"
 
 
+# The sha256 of each `lattice --out` file of the census workload, as the
+# writer made it when every line was formatted from its whole point.
+CENSUS_SHA256 = {
+    "warmup": "cb7906eb94d0ba9ee2cf9e30d999254fa4e3a6064ee9b6488ee165fd1c7af237",
+    "a2-0": "04a8dc9780612de3cfe690522f1f5cfeee9a89d1f9119dd3339eb069c44c17a7",
+    "a2-1": "04a8dc9780612de3cfe690522f1f5cfeee9a89d1f9119dd3339eb069c44c17a7",
+    "b2-0": "c104d31b0437b401c14fd9e4303798fcd26e1d616997c649dbaeaa1db6370a9b",
+    "b2-1": "aea911095434f4aaf31e8f860beca908892c1400c470fa44057961a7f72f3eae",
+    "b2-2": "1de5d63fc177498e12c87aa0eb9c8f520d3a1b8c5330ae703874e0eaa289513b",
+    "running-0": "ea5fe535e2cffb445be67fb821f68c5659d259799f3f3f24f2323a134b3e16be",
+    "running-1": "1839e18154132d169352247a3d32a8f56e05c3666c9ffcf643fc201af92f44ae",
+    "running-2": "6b45ef39c8895d7e0cc5d4db490fb670eda0d87a4600862f25ac15771058c077",
+    "running-3": "496b548a9af953595e24114a80aa72c6856806a930321c8dacbf0849f4821c06",
+    "running-4": "1392c468ebe4e7da42ecbef89f9f26bdcd32db16cb38345ec60c760236ea7622",
+    "running-5": "f97c70f4a12e6feddffe7f18024bb7bbbb0cd8ff0173a34128702c48f742ae41",
+    "running-6": "b67b71ca34454caf23e22b90a9616ce3d7c429abd488a0b9df9b0d12fbd33ba9",
+    "running-7": "d6bd03c87f447ee1d2cf4d0cf7e2146d2d27889b9bfbb4f9a92f53d20fe18434",
+}
+
+
 def _census_instances():
     data = json.loads(CENSUS_DATA.read_text(encoding="utf-8"))
-    yield pytest.param(data["warmup"], id="warmup")
+    yield pytest.param(data["warmup"], CENSUS_SHA256["warmup"], id="warmup")
     for kind, instances in sorted(data["kinds"].items()):
         for i, inst in enumerate(instances):
-            yield pytest.param(inst, id=f"{kind}-{i}")
+            yield pytest.param(inst, CENSUS_SHA256[f"{kind}-{i}"], id=f"{kind}-{i}")
 
 
-@pytest.mark.parametrize("inst", _census_instances())
-def test_lattice_meets_the_census_workload_expectations(inst, tmp_path):
+@pytest.mark.parametrize("inst, sha256", _census_instances())
+def test_lattice_meets_the_census_workload_expectations(inst, sha256, tmp_path):
     # The benchmark's census workload checks each `lattice --out` this way
-    # against the expected totals committed with its data.
+    # against the expected totals committed with its data; the digest pins
+    # every byte.
     expect = inst["expect"]
     path, out = tmp_path / "inst.json", tmp_path / "census.jsonl"
     path.write_text(json.dumps({key: value for key, value in inst.items() if key != "expect"}))
@@ -223,6 +245,7 @@ def test_lattice_meets_the_census_workload_expectations(inst, tmp_path):
     assert json.loads(lines[-1]) == expect
     assert len(lines) == expect["positive"] + expect["negative"] + 1
     assert data.count(b'"rho": -1}') == expect["negative"]
+    assert hashlib.sha256(data).hexdigest() == sha256
 
 
 @pytest.mark.parametrize(
@@ -346,6 +369,10 @@ def test_only_the_criterion_is_capped(tmp_path, capsys):
         json.dumps({"n": 2, "c": {"1;2": 1}, "ell": [0, 0]}),
         # Two keys for one pair: neither value may win silently.
         json.dumps({"n": 2, "c": {"1,2": 1, "01,2": 5}, "ell": [0, 0]}),
+        # A key given twice in one object: json.load alone keeps the last.
+        '{"n": 2, "c": {"1,2": 1, "1,2": 5}, "ell": [3, 5]}',
+        '{"n": 1, "c": {}, "ell": [3], "ell": [-4]}',
+        '{"type": "A2", "word": [1, 2], "weight": [1, 0], "weight": [0, 1]}',
         json.dumps({"type": "Z9", "word": [], "weight": []}),
         json.dumps({"type": "A2", "word": [3], "weight": [0, 0]}),
         # A letter <= 0 must not wrap round to the end of the Cartan table.
@@ -390,6 +417,7 @@ def test_malformed_inputs_exit_2(tmp_path, payload, capsys):
         {"lie_types": ["A1"], "max_word_length": 1, "weight_alphabet": [], "sample_count": 2},
         [{"lie_types": ["A1"], "max_word_length": 1}, 3],
         '{"lie_types": ["A1"], "max_word_length": ' + "9" * 5000 + "}",
+        '{"lie_types": ["A1"], "max_word_length": 1, "max_word_length": 2}',
         "[" * 100_000 + "]" * 100_000,
     ],
     ids=lambda block: block[:50] + "..." if isinstance(block, str) else json.dumps(block),

@@ -1,3 +1,4 @@
+import itertools
 import json
 import tempfile
 from fractions import Fraction
@@ -13,7 +14,15 @@ from twistedcubes.rootdata import parse_lie_type
 from twistedcubes.twistedcube import contains_PD, lattice_points, signed_count
 from twistedcubes.weightword import DominantWeight, TwistData, Word, bound, derive_twist_data
 
-from oracles import brute_force_census, contains, density, descent_census
+from oracles import (
+    brute_force_census,
+    contains,
+    density,
+    descent_census,
+    is_longest_element,
+    positive_coroots,
+    weyl_dimension,
+)
 
 # The running n=2 instance: half-open region with one negative lattice point.
 EX1 = TwistData(n=2, c={(1, 2): 1}, ell=(3, 5))
@@ -103,14 +112,60 @@ def test_census_has_no_cap_on_n():
     assert signed_count(d) == 1
 
 
+def _counted(calls):
+    """The leaf of ``lattice_points``, recording each tail it is called on."""
+
+    def leaf(tail):
+        calls.append(tail)
+        return twistedcube._signed(tail)
+
+    return leaf
+
+
 def test_census_calls_no_leaf_for_a_tail_without_points():
+    # The leaf runs once per tail (x_3, ..., x_n) that level 2 files, so a
+    # tail that admits no x_2 reaches none: A_2 = 1 - x_3 is -1 at x_3 = 2.
+    calls = []
+    twistedcube.census_buckets(TwistData(n=3, c={(2, 3): 1}, ell=(0, 1, 3)), tuple, _counted(calls))
+    assert calls == [(0,), (1,), (3,)]
     # ell_1 = -1 leaves x_1 no value for any of the six tails x_2 in 0..5,
-    # so none of them reaches the leaf.
+    # so the census is empty before level 2 files any of them.
     calls = []
     buckets, positive, negative = twistedcube.census_buckets(
-        TwistData(n=2, ell=(-1, 5)), lambda tail, rho: calls.append(tail)
+        TwistData(n=2, ell=(-1, 5)), tuple, _counted(calls)
     )
     assert (calls, buckets, positive, negative) == ([], [], 0, 0)
+
+
+CENSUS_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "census.json"
+
+
+def _census_twist_data(inst: dict) -> TwistData:
+    if "type" in inst:
+        lam = DominantWeight(tuple(inst["weight"]))
+        return derive_twist_data(parse_lie_type(inst["type"]), Word(tuple(inst["word"])), lam)
+    c = {tuple(int(part) for part in key.split(",")): v for key, v in inst["c"].items()}
+    return TwistData(n=inst["n"], c=c, ell=tuple(inst["ell"]))
+
+
+@pytest.mark.parametrize(
+    "kind, reads, leaves",
+    [("a2", 5_534, 4_621), ("b2", 386, 368), ("running", 2, 1)],
+)
+def test_census_work_on_the_census_workload_is_pinned(kind, reads, leaves, monkeypatch):
+    # Counted work, not time: bound reads and leaf calls of census_buckets
+    # on the first instance of each kind of the benchmark's census workload,
+    # as upper bounds.  The leaf runs once per tail filed at level 2, not
+    # once per level-2 tail (x_2, ..., x_n), which made 23 017 / 8 464 / 6.
+    inst = json.loads(CENSUS_DATA.read_text(encoding="utf-8"))["kinds"][kind][0]
+    d = _census_twist_data(inst)
+    rows, calls = [], []
+    real = twistedcube.bound
+    monkeypatch.setattr(twistedcube, "bound", lambda d, j, x: (rows.append(j), real(d, j, x))[1])
+    _, positive, negative = twistedcube.census_buckets(d, tuple, _counted(calls))
+    assert {"positive": positive, "negative": negative, "signed": positive - negative} == inst["expect"]
+    assert len(rows) <= reads
+    assert len(calls) <= leaves
 
 
 @pytest.mark.parametrize(
@@ -123,7 +178,7 @@ def test_a_row_whose_bound_is_always_minus_one_empties_the_census_at_once(d, mon
     # tail and admits no value: the census returns before reading any bound.
     calls = []
     monkeypatch.setattr(twistedcube, "bound", lambda *args: calls.append(args))
-    assert twistedcube.census_buckets(d, lambda tail, rho: tail) == ([], 0, 0)
+    assert twistedcube.census_buckets(d, tuple, twistedcube._signed) == ([], 0, 0)
     assert _lattice_out(d) == '{"positive": 0, "negative": 0, "signed": 0}\n'
     assert calls == []
 
@@ -327,7 +382,7 @@ def test_lattice_writer_matches_the_descent_oracle(d):
 
 
 def test_consecutive_buckets_that_share_a_list_read_the_same_items():
-    buckets, _, _ = twistedcube.census_buckets(SHARED_RUNS, twistedcube._pair)
+    buckets, _, _ = twistedcube.census_buckets(SHARED_RUNS, tuple, twistedcube._signed)
     heads = [head for head, _ in buckets]
     assert heads == [(v,) for v in range(-39, 41)]
     shared = [i for i in range(len(buckets) - 1) if buckets[i][1] is buckets[i + 1][1]]
@@ -378,3 +433,45 @@ def test_lattice_writer_at_the_edges(d, shape):
 @given(small_twist_data(max_n=4))
 def test_signed_count_matches_the_census(d):
     assert signed_count(d) == lattice_points(d).signed_count
+
+
+# Every reduced word of w₀, found as the words of length |Φ⁺| whose Demazure
+# product is w₀, with their expected number as a check of the oracle.
+REDUCED_WORDS_OF_W0 = {"A2": 2, "B2": 2, "G2": 2, "A3": 16}
+
+
+@pytest.mark.parametrize("type_name", sorted(REDUCED_WORDS_OF_W0))
+def test_lattice_counts_the_weyl_dimension_at_the_longest_element(type_name, tmp_path):
+    # When the word's Demazure product is w₀, the signed census is the Weyl
+    # character of V(λ), so `lattice`'s signed total is dim V(λ).
+    t = parse_lie_type(type_name)
+    length = len(positive_coroots(t))
+    words = [
+        word
+        for word in itertools.product(range(1, t.rank + 1), repeat=length)
+        if is_longest_element(t, word)
+    ]
+    assert len(words) == REDUCED_WORDS_OF_W0[type_name]
+    for word in words:
+        for weight in itertools.product(range(3), repeat=t.rank):
+            inst = {"type": type_name, "word": list(word), "weight": list(weight)}
+            assert _lattice_signed(inst, tmp_path) == weyl_dimension(t, weight)
+
+
+def test_lattice_counts_the_weyl_dimension_on_the_census_workload(tmp_path):
+    # The A2 instances of the census workload, (1,2,1,2,1,2) and
+    # (2,1,2,1,2,1) at λ = (8, 8), are not reduced, but their Demazure
+    # product is w₀: dim V(8, 8) = 729.
+    for inst in json.loads(CENSUS_DATA.read_text(encoding="utf-8"))["kinds"]["a2"]:
+        inst = {key: value for key, value in inst.items() if key != "expect"}
+        t = parse_lie_type(inst["type"])
+        assert is_longest_element(t, inst["word"])
+        assert _lattice_signed(inst, tmp_path) == weyl_dimension(t, inst["weight"]) == 729
+
+
+def _lattice_signed(inst: dict, tmp_path: Path) -> int:
+    """The signed total that `lattice --out` writes for the instance."""
+    path, out = tmp_path / "inst.json", tmp_path / "census.jsonl"
+    path.write_text(json.dumps(inst), encoding="utf-8")
+    assert main(["lattice", "--instance", str(path), "--out", str(out)]) == EXIT_UNTWISTED
+    return json.loads(out.read_bytes().splitlines()[-1])["signed"]
