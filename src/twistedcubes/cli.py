@@ -61,17 +61,18 @@ def load_instance(path: str):
     if not isinstance(obj, dict):
         raise MalformedInput("instance file must hold a JSON object")
     derived_keys = {"type", "word", "weight"}
-    raw_keys = {"n", "ell"}
+    raw_keys = {"n", "c", "ell"}
+    # A field of the other schema would be ignored silently.
+    if derived_keys & obj.keys() and raw_keys & obj.keys():
+        raise MalformedInput("instance mixes derived and raw fields")
     if derived_keys <= obj.keys():
-        if raw_keys & obj.keys():
-            raise MalformedInput("instance mixes derived and raw fields")
         if not isinstance(obj["type"], str):
             raise MalformedInput(f"type must be a string, got {obj['type']!r}")
         t = parse_lie_type(obj["type"])
         w = Word(require_ints("word", obj["word"]))
         lam = DominantWeight(require_ints("weight", obj["weight"]))
         return derive_twist_data(t, w, lam), (t, w, lam)
-    if raw_keys <= obj.keys():
+    if {"n", "ell"} <= obj.keys():
         raw_c = obj.get("c", {})
         if not isinstance(raw_c, dict):
             raise MalformedInput(f"c must be an object, got {raw_c!r}")

@@ -16,7 +16,7 @@ from . import cartier, walks
 from .cartier import DEFAULT_N_CAP
 from .errors import CapExceeded, MalformedInput, require_int, require_ints
 from .rootdata import LieType, parse_lie_type
-from .twistedcube import contains_PD, lattice_points
+from .twistedcube import census_buckets
 from .weightword import DominantWeight, TwistData, Word, derive_twist_data
 
 
@@ -165,12 +165,39 @@ def _twist_data_checks(
         except Exception as exc:  # noqa: BLE001
             problems.append(f"sigma-to-walk round trip raised {exc!r}")
     else:
-        census = lattice_points(d)
-        if any(rho != 1 for _, rho in census.points):
-            problems.append("untwisted census has a point of density != +1")
-        if any(not contains_PD(d, p) for p, _ in census.points):
-            problems.append("untwisted census point escapes the weak-inequality polytope")
+        problems += _census_problems(d)
     return result.untwisted, tuple(problems)
+
+
+def _census_problems(d: TwistData) -> list[str]:
+    """The problems of an untwisted cube's census, whose points should all
+    have density +1 and lie in PD: 0 <= x_j <= A_j(x) for every j.
+
+    A census point has a < x_j < 0 or 0 <= x_j <= a at each j, a being
+    A_j(x), so it lies in PD exactly when no coordinate is negative.  So the
+    kernel files flags, not points: the hooks flag a negative x_2 and a
+    negative entry of (x_3, ..., x_n), level 1 adds the two, and a point
+    escapes PD when its x_1 is negative or its object is nonzero."""
+    buckets, _, negative = census_buckets(d, _negative_head, _negative_tail)
+    problems = []
+    if negative:
+        problems.append("untwisted census has a point of density != +1")
+    if any((head and head[0] < 0) or any(objects) for head, objects in buckets):
+        problems.append("untwisted census point escapes the weak-inequality polytope")
+    return problems
+
+
+def _negative_head(head: tuple[int, ...]) -> bool:
+    """The census prefix hook of _census_problems: whether x_2 < 0, and
+    False for the empty head of n <= 1."""
+    return bool(head) and head[0] < 0
+
+
+def _negative_tail(tail: tuple[int, ...]) -> tuple[bool, bool]:
+    """The census leaf hook of _census_problems: whether (x_3, ..., x_n) has
+    a negative entry, for either density."""
+    negative = min(tail, default=0) < 0
+    return negative, negative
 
 
 def _worker(inst: Instance, t: LieType, w: Word, memo: dict) -> tuple[bool, list[dict]]:

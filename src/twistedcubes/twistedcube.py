@@ -222,7 +222,14 @@ def lattice_points(d: TwistData) -> LatticeCensus:
     )
 
 
+def _nothing(tail):
+    """The leaf of ``signed_count``: a pair of empty tuples, one constant of
+    the compiled code, so that with the prefix ``tuple`` level 1 files each
+    head (x_2,) itself and no object is built per tail."""
+    return (), ()
+
+
 def signed_count(d: TwistData) -> int:
     """Number of lattice points with density +1 minus those with -1."""
-    _, positive, negative = census_buckets(d, tuple, _signed)
+    _, positive, negative = census_buckets(d, tuple, _nothing)
     return positive - negative

@@ -17,7 +17,7 @@ from twistedcubes.rootdata import (
     parse_lie_type,
     validate_lie_type,
 )
-from twistedcubes.twistedcube import LatticeCensus, lattice_points
+from twistedcubes.twistedcube import LatticeCensus, contains_PD, lattice_points
 from twistedcubes.walks import WalkWitness
 from twistedcubes.weightword import (
     DominantWeight,
@@ -260,6 +260,19 @@ def descent_census(d: TwistData) -> LatticeCensus:
     pts.sort()
     pos = sum(1 for _, rho in pts if rho == 1)
     return LatticeCensus(points=tuple(pts), num_positive=pos, num_negative=len(pts) - pos)
+
+
+def untwisted_census_problems(d: TwistData) -> list[str]:
+    """Oracle for the sweep's census check of an untwisted cube: every point
+    of ``lattice_points`` is listed, and its density and ``contains_PD``
+    are tested one point at a time."""
+    census = lattice_points(d)
+    problems = []
+    if any(rho != 1 for _, rho in census.points):
+        problems.append("untwisted census has a point of density != +1")
+    if any(not contains_PD(d, p) for p, _ in census.points):
+        problems.append("untwisted census point escapes the weak-inequality polytope")
+    return problems
 
 
 def scaling_invariance_failures(spec: SweepSpec, factor: int = 3) -> list[dict]:

@@ -36,11 +36,14 @@ from oracles import (
     all_types_up_to_rank,
     brute_force_census,
     contains,
+    demazure_rho,
     density,
     find_hesitant_lambda_walk_naive,
     first_hesitant_lambda_walk,
+    is_longest_element,
     is_untwisted_exhaustive,
     scaling_invariance_failures,
+    weyl_dimension,
 )
 
 
@@ -268,4 +271,35 @@ def test_criterion_10_criterion_oracle_agreement():
         f"{len(distinct)} distinct twist data of the default sweep"
         + (f" ({len(disagree)} disagree)" if disagree else ""),
         not disagree,
+    )
+
+
+def test_criterion_11_signed_count_follows_the_demazure_product():
+    # The census applies Demazure operators, so its signed count depends on
+    # the word only through its Demazure product w*, and at w* = w0 it is
+    # dim V(lambda).  Each (type, word, ell) is counted once, at the first
+    # weight that gives it.
+    seen = set()
+    counts: dict = {}
+    w0_checks = wrong_dimensions = 0
+    for spec in default_specs():
+        for type_name, word, weight in iter_instances(spec):
+            t = parse_lie_type(type_name)
+            d = derive_twist_data(t, Word(word), DominantWeight(weight))
+            if (type_name, word, d.ell) in seen:
+                continue
+            seen.add((type_name, word, d.ell))
+            count = signed_count(d)
+            counts.setdefault((type_name, demazure_rho(t, word), weight), set()).add(count)
+            if is_longest_element(t, word):
+                w0_checks += 1
+                wrong_dimensions += count != weyl_dimension(t, weight)
+    split = sum(len(values) > 1 for values in counts.values())
+    _report(
+        11,
+        f"the signed count takes one value per (type, w*, lambda) over {len(seen)} distinct "
+        f"(type, word, ell) of the default sweep ({len(counts)} keys, {split} split), and "
+        f"equals Weyl's dimension at w* = w0 ({w0_checks} checks, {wrong_dimensions} wrong)",
+        len(seen) == 13_228 and len(counts) == 1_525 and w0_checks == 429
+        and not split and not wrong_dimensions,
     )

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -132,6 +135,31 @@ def test_criterion_computes_m_only_for_the_failing_sign_vector(d, computed, monk
     monkeypatch.setattr(cartier, "compute_m", lambda d, sigma: seen.append(sigma) or real(d, sigma))
     is_untwisted(d)
     assert seen == computed
+
+
+CHECK_UNTWISTED = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "check-untwisted.json"
+
+
+def test_criterion_bound_reads_on_the_check_untwisted_workload_are_pinned(monkeypatch):
+    # Counted work, not time, as upper bounds, on the 63 instances of the
+    # benchmark's check-untwisted workload.  On the fixed A3 words
+    # (1, 2, 3, ...) at lambda = 0 every sign vector but the all-plus one
+    # stops at its first minus, whose bound is 0: 2**n - 1 reads.
+    data = json.loads(CHECK_UNTWISTED.read_text(encoding="utf-8"))
+    pool = [inst for by_length in data["pool"].values() for group in by_length.values() for inst in group]
+    rows = []
+    real = cartier.bound
+    monkeypatch.setattr(cartier, "bound", lambda d, k, m: (rows.append(k), real(d, k, m))[1])
+    reads = []
+    for inst in data["fixed"] + pool:
+        start = len(rows)
+        assert is_untwisted(derived(inst["type"], inst["word"], inst["weight"])).untwisted
+        reads.append(len(rows) - start)
+    assert len(reads) == 63
+    lengths = [len(inst["word"]) for inst in data["fixed"]]
+    assert lengths == list(range(8, 17))
+    assert all(r <= 2**n - 1 for n, r in zip(lengths, reads))
+    assert sum(reads) <= 228_193
 
 
 def test_cap_exceeded():

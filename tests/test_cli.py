@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twistedcubes
-from twistedcubes import cli, harness, twistedcube, walks
+from twistedcubes import cartier, cli, harness, twistedcube, walks
 from twistedcubes.cli import EXIT_ERROR, EXIT_TWISTED, EXIT_UNTWISTED, load_instance, main
 from twistedcubes.errors import MalformedInput
 
@@ -359,6 +359,40 @@ def test_only_the_criterion_is_capped(tmp_path, capsys):
     assert capsys.readouterr().err == "error: n = 21 exceeds cap 20\n"
 
 
+def _check_workload_instances():
+    """The instances of the benchmark's check workloads that the compute_m
+    pin runs: every fixed twisted one, the first of each twisted stratum,
+    and every untwisted one."""
+    data = CENSUS_DATA.parent
+    twisted = json.loads((data / "check-twisted.json").read_text(encoding="utf-8"))
+    untwisted = json.loads((data / "check-untwisted.json").read_text(encoding="utf-8"))
+    yield from twisted["fixed_tail"]
+    yield from (stratum[0] for stratum in twisted["strata"])
+    yield from untwisted["fixed"]
+    for by_length in untwisted["pool"].values():
+        for group in by_length.values():
+            yield from group
+
+
+def test_check_computes_m_once_when_twisted_and_never_when_untwisted(tmp_path, monkeypatch, capsys):
+    # Counted work: the criterion computes the Cartier vector of its failing
+    # sign vector alone, and check adds no call of its own.
+    calls = []
+    real = cartier.compute_m
+    monkeypatch.setattr(cartier, "compute_m", lambda d, sigma: calls.append(sigma) or real(d, sigma))
+    path = tmp_path / "inst.json"
+    exits = []
+    for inst in _check_workload_instances():
+        path.write_text(json.dumps({key: v for key, v in inst.items() if key != "expect"}))
+        start = len(calls)
+        code = main(["check", "--instance", str(path)])
+        assert code == inst["expect"]["exit"]
+        assert len(calls) - start == (code == EXIT_TWISTED)
+        exits.append(code)
+    capsys.readouterr()
+    assert (exits.count(EXIT_TWISTED), exits.count(EXIT_UNTWISTED)) == (400, 63)
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -366,6 +400,9 @@ def test_only_the_criterion_is_capped(tmp_path, capsys):
         json.dumps([1, 2, 3]),
         json.dumps({"type": "A2", "word": [1]}),
         json.dumps({"type": "A2", "word": [1], "weight": [1, 0], "n": 1}),
+        # A field of the other schema, which would be ignored silently.
+        json.dumps({"type": "A2", "word": [1, 2], "weight": [1, 0], "c": {"1,2": 5}}),
+        json.dumps({"n": 1, "ell": [0], "word": [1]}),
         json.dumps({"n": 2, "c": {"1;2": 1}, "ell": [0, 0]}),
         # Two keys for one pair: neither value may win silently.
         json.dumps({"n": 2, "c": {"1,2": 1, "01,2": 5}, "ell": [0, 0]}),

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from twistedcubes import cartier, harness, walks, weightword
+from hypothesis import example, given, settings
+
+from twistedcubes import cartier, harness, twistedcube, walks, weightword
 from twistedcubes.errors import PreconditionViolated
 from twistedcubes.rootdata import parse_lie_type
 from twistedcubes.harness import (
@@ -14,11 +16,11 @@ from twistedcubes.harness import (
     iter_instances,
     verify_equivalence,
 )
-from twistedcubes.twistedcube import LatticeCensus
 from twistedcubes.walks import WalkWitness
 from twistedcubes.weightword import DominantWeight, TwistData, Word, derive_twist_data
 
-from oracles import scaling_invariance_failures
+from oracles import scaling_invariance_failures, untwisted_census_problems
+from test_twistedcube import small_twist_data
 
 
 def test_empty_spec():
@@ -89,6 +91,18 @@ def _raises(*args):
     raise PreconditionViolated("injected")
 
 
+def _one_more_negative(d, prefix, leaf):
+    """census_buckets with one more point of density -1 in its totals."""
+    buckets, positive, negative = twistedcube.census_buckets(d, prefix, leaf)
+    return buckets, positive, negative + 1
+
+
+def _a_bucket_at_x1_minus_1(d, prefix, leaf):
+    """census_buckets with a bucket at x_1 = -1 before its own."""
+    buckets, positive, negative = twistedcube.census_buckets(d, prefix, leaf)
+    return [((-1,), [0])] + buckets, positive, negative
+
+
 # One injected fault per counterexample branch of harness._worker: the
 # instance, the (module, name, replacement) patch, and how the problem starts.
 FAULTS = {
@@ -137,12 +151,12 @@ FAULTS = {
     ),
     "census density -1": (
         UNTWISTED,
-        (harness, "lattice_points", lambda d: LatticeCensus((((0,) * d.n, -1),), 0, 1)),
+        (harness, "census_buckets", _one_more_negative),
         "untwisted census has a point of density != +1",
     ),
     "census point outside PD": (
         UNTWISTED,
-        (harness, "contains_PD", lambda d, p: False),
+        (harness, "census_buckets", _a_bucket_at_x1_minus_1),
         "untwisted census point escapes the weak-inequality polytope",
     ),
 }
@@ -187,6 +201,7 @@ def test_sweep_runs_the_criterion_once_per_twist_data_of_each_word(monkeypatch):
     calls = _count_calls(monkeypatch, cartier, "is_untwisted")
     detector = _count_calls(monkeypatch, walks, "find_hesitant_lambda_walk")
     minimized = _count_calls(monkeypatch, walks, "minimize")
+    censuses = _count_calls(monkeypatch, harness, "census_buckets")
     spec = SweepSpec(("A2", "B2"), 3, (0, 1))
     report = verify_equivalence(spec)
     assert report.counterexamples == []
@@ -198,6 +213,56 @@ def test_sweep_runs_the_criterion_once_per_twist_data_of_each_word(monkeypatch):
     twisted = sum(not result.untwisted for result in calls)
     assert len(minimized) == twisted == 36
     assert twisted < report.twisted_count
+    # The census runs once per untwisted twist data of a word, as one call
+    # of the kernel.
+    assert len(censuses) == len(calls) - twisted == 54
+
+
+@pytest.mark.parametrize(
+    "spec, reads",
+    [
+        (SweepSpec(("A2", "B2"), 3, (0, 1)), 120),
+        (SweepSpec(("D4", "F4"), 2, (0, 1)), 224),
+        (default_specs()[0], 10_424),
+    ],
+    ids=["A2 B2 length 3", "D4 F4 length 2", "first default block"],
+)
+def test_sweep_census_bound_reads_are_pinned(spec, reads, monkeypatch):
+    # Counted work, not time, as upper bounds: the census of each untwisted
+    # twist data reads the kernel's bounds and nothing more.  Listing every
+    # point and testing each against PD read 343, 748 and 32 591.
+    rows = _count_calls(monkeypatch, twistedcube, "bound")
+    report = verify_equivalence(spec)
+    assert report.counterexamples == []
+    assert len(rows) <= reads
+
+
+def test_census_problems_equal_the_point_by_point_oracle_on_the_default_sweep():
+    # Every census the default sweep checks: one per untwisted twist data
+    # of each (type, word).
+    checked = {
+        (inst[0], inst[1], _derive(*inst)) for spec in default_specs() for inst in iter_instances(spec)
+    }
+    untwisted = [d for _, _, d in checked if cartier.is_untwisted(d).untwisted]
+    assert len(untwisted) == 5_138
+    for d in untwisted:
+        assert harness._census_problems(d) == untwisted_census_problems(d) == [], d
+
+
+# n <= 5, |c| <= 2 and ell in -3..3: twisted cubes, with points of density
+# -1 and points outside PD, as well as untwisted ones.
+@settings(max_examples=300, deadline=None)
+@given(small_twist_data(max_n=5, bound=2, ell_bound=3))
+# A point of density -1 at (-1, 5), which also escapes PD.
+@example(TwistData(n=2, c={(1, 2): 1}, ell=(3, 5)))
+# One point, (-1, -1), of density +1 outside PD.
+@example(TwistData(n=2, ell=(-2, -2)))
+# A negative x_2 or x_3 under a nonnegative x_1.
+@example(TwistData(n=2, ell=(0, -3)))
+@example(TwistData(n=3, ell=(0, 0, -3)))
+@example(TwistData(n=0))
+def test_census_problems_equal_the_point_by_point_oracle(d):
+    assert harness._census_problems(d) == untwisted_census_problems(d)
 
 
 def test_sweep_reads_the_cartan_table_once_per_word(monkeypatch):

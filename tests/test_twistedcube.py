@@ -435,6 +435,20 @@ def test_signed_count_matches_the_census(d):
     assert signed_count(d) == lattice_points(d).signed_count
 
 
+def test_signed_count_builds_no_point(monkeypatch):
+    # signed_count reads the kernel's totals alone: its leaf returns one
+    # shared pair, and lattice_points' point-building leaf never runs.
+    kinds = json.loads(CENSUS_DATA.read_text(encoding="utf-8"))["kinds"]
+    cases = [(_census_twist_data(insts[0]), insts[0]["expect"]["signed"]) for insts in kinds.values()]
+    cases += [(EX1, 9), (TwistData(n=0), 1), (TwistData(n=1, ell=(-3,)), -2)]
+
+    def raises(tail):
+        raise AssertionError(f"a point was built for the tail {tail}")
+
+    monkeypatch.setattr(twistedcube, "_signed", raises)
+    assert [signed_count(d) for d, _ in cases] == [signed for _, signed in cases]
+
+
 # Every reduced word of w₀, found as the words of length |Φ⁺| whose Demazure
 # product is w₀, with their expected number as a check of the oracle.
 REDUCED_WORDS_OF_W0 = {"A2": 2, "B2": 2, "G2": 2, "A3": 16}
