@@ -279,8 +279,9 @@ def main(argv=None) -> int:
     except TwistedCubeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    # A census too large to hold is an unsupported request, not "twisted".
-    except MemoryError:
+    # A census too large to hold is an unsupported request, not "twisted";
+    # one too long to index a list raises OverflowError before allocating.
+    except (MemoryError, OverflowError):
         print("error: the output did not fit in memory", file=sys.stderr)
         return EXIT_ERROR
 

@@ -1,12 +1,20 @@
 """Independent reference implementations that the tests compare the library
-against.  They are slow by design and are not part of the installed package."""
+against, and the builders the test files share: instances, hypothesis
+strategies, a call counter and readers of the benchmark's data.  The oracles
+are slow by design, and none of this is part of the installed package."""
 
 from __future__ import annotations
 
 import itertools
+import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import strategies as st
 
 from twistedcubes.cartier import DEFAULT_N_CAP, UntwistResult, compute_m, is_untwisted
+from twistedcubes.cli import load_instance
 from twistedcubes.errors import CapExceeded, RankOutOfRange
 from twistedcubes.harness import SweepSpec, iter_instances
 from twistedcubes.rootdata import (
@@ -281,12 +289,9 @@ def scaling_invariance_failures(spec: SweepSpec, factor: int = 3) -> list[dict]:
     must come back empty."""
     failures: list[dict] = []
     for type_name, word_entries, weight_coeffs in iter_instances(spec):
-        t = parse_lie_type(type_name)
-        w = Word(word_entries)
-        lam = DominantWeight(weight_coeffs)
-        base = is_untwisted(derive_twist_data(t, w, lam)).untwisted
-        scaled_lam = DominantWeight(tuple(factor * c for c in lam.coefficients))
-        scaled = is_untwisted(derive_twist_data(t, w, scaled_lam)).untwisted
+        base = is_untwisted(derived(type_name, word_entries, weight_coeffs)).untwisted
+        scaled_weight = tuple(factor * c for c in weight_coeffs)
+        scaled = is_untwisted(derived(type_name, word_entries, scaled_weight)).untwisted
         if base != scaled:
             failures.append(
                 {
@@ -311,6 +316,18 @@ def demazure_rho(t: LieType, word) -> tuple[int, ...]:
         if m > 0:
             mu = tuple(v - m * a for v, a in zip(mu, table[i - 1]))
     return mu
+
+
+def point_weight(t: LieType, word, weight, x) -> tuple[int, ...]:
+    """The weight λ - Σ_j x_j α_{i_j} of the lattice point x of the word's
+    cube, in fundamental-weight coordinates, where row i of the Cartan table
+    is α_i, as in demazure_rho."""
+    table = cartan_table(t)
+    mu = list(weight)
+    for i, v in zip(word, x):
+        for p, a in enumerate(table[i - 1]):
+            mu[p] -= v * a
+    return tuple(mu)
 
 
 def is_longest_element(t: LieType, word) -> bool:
@@ -345,3 +362,99 @@ def weyl_dimension(t: LieType, weight) -> Fraction:
     for beta in positive_coroots(t):
         dim *= Fraction(sum(c * (l + 1) for c, l in zip(beta, weight)), sum(beta))
     return dim
+
+
+# The builders the test files share.
+
+
+def derived(type_name: str, word, weight) -> TwistData:
+    """The twist data of the derived instance (type, word, weight), with the
+    type by name and the word and weight as sequences of integers."""
+    return derive_twist_data(parse_lie_type(type_name), Word(word), DominantWeight(weight))
+
+
+def raw_twist_data(min_n=0, max_n=3, c_bound=2, ell=None):
+    """Raw TwistData with n in [min_n, max_n], every c[j, k] in
+    [-c_bound, c_bound] and every ell_j in ell = (low, high), by default
+    (-c_bound, c_bound)."""
+    low, high = (-c_bound, c_bound) if ell is None else ell
+    return st.integers(min_n, max_n).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(low, high), min_size=n, max_size=n),
+            st.lists(
+                st.integers(-c_bound, c_bound),
+                min_size=n * (n - 1) // 2,
+                max_size=n * (n - 1) // 2,
+            ),
+        )
+    ).map(_raw)
+
+
+def _raw(args):
+    n, ell, cvals = args
+    keys = [(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
+    return TwistData(n=n, c=dict(zip(keys, cvals)), ell=tuple(ell))
+
+
+@st.composite
+def word_instances(draw, types, max_len, max_coefficient):
+    """A type drawn from types, a word over its letters of at most max_len
+    letters, and a weight with coefficients in [0, max_coefficient]."""
+    t = draw(st.sampled_from(types))
+    word = Word(tuple(draw(st.lists(st.integers(1, t.rank), max_size=max_len))))
+    lam = DominantWeight(
+        tuple(draw(st.lists(st.integers(0, max_coefficient), min_size=t.rank, max_size=t.rank)))
+    )
+    return t, word, lam
+
+
+def record_calls(monkeypatch, module, name) -> list[tuple[tuple, object]]:
+    """Patch module.name with a wrapper that forwards each call and records
+    it in the returned list as (positional arguments, result)."""
+    calls = []
+    real = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+WORKLOAD_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+
+
+def workload_data(workload: str):
+    """The committed data of a benchmark workload,
+    perfbench/data/<workload>.json: its instances, each with the outcome the
+    workload expects under "expect"."""
+    return json.loads((WORKLOAD_DATA / f"{workload}.json").read_text(encoding="utf-8"))
+
+
+def check_untwisted_instances() -> list[dict]:
+    """The 63 instances of the check-untwisted workload: the fixed ones, then
+    the pool's, by type and length in file order."""
+    data = workload_data("check-untwisted")
+    pool = [inst for by_length in data["pool"].values() for group in by_length.values() for inst in group]
+    return data["fixed"] + pool
+
+
+def write_input(path: Path, obj) -> str:
+    """Write obj, an instance or a sweep spec, to path as JSON and return
+    the path as a string.  A benchmark instance's "expect" field is left
+    out, as the workload leaves it out of the files it runs."""
+    if isinstance(obj, dict):
+        obj = {key: value for key, value in obj.items() if key != "expect"}
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
+
+
+def load_twist_data(inst: dict) -> TwistData:
+    """The twist data of an instance, read from its file by
+    ``cli.load_instance`` as the CLI reads it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        d, _ = load_instance(write_input(Path(tmp) / "inst.json", inst))
+    return d

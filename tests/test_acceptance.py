@@ -30,7 +30,7 @@ from twistedcubes.walks import (
     find_hesitant_lambda_walk,
     is_hesitant_lambda_walk,
 )
-from twistedcubes.weightword import DominantWeight, TwistData, Word, derive_twist_data
+from twistedcubes.weightword import DominantWeight, TwistData, Word
 
 from oracles import (
     all_types_up_to_rank,
@@ -38,10 +38,12 @@ from oracles import (
     contains,
     demazure_rho,
     density,
+    derived,
     find_hesitant_lambda_walk_naive,
     first_hesitant_lambda_walk,
     is_longest_element,
     is_untwisted_exhaustive,
+    point_weight,
     scaling_invariance_failures,
     weyl_dimension,
 )
@@ -69,10 +71,6 @@ def _report(number: int, label: str, ok: bool) -> None:
     assert ok, f"acceptance criterion {number} failed: {label}"
 
 
-def _derived(type_name, word, weight):
-    return derive_twist_data(parse_lie_type(type_name), Word(word), DominantWeight(weight))
-
-
 def test_criterion_1_equivalence_sweep():
     start = time.monotonic()
     total = untwisted = twisted = 0
@@ -94,7 +92,7 @@ def test_criterion_1_equivalence_sweep():
 
 
 def test_criterion_2_derived_constants():
-    d = _derived("A2", (1, 2, 1), (2, 1))
+    d = derived("A2", (1, 2, 1), (2, 1))
     ok = (
         d.c_at(1, 2) == -1
         and d.c_at(1, 3) == 2
@@ -119,7 +117,7 @@ def test_criterion_3_running_example_census():
 
 
 def test_criterion_4_untwisted_example():
-    d = _derived("A3", (1, 2, 3, 1, 2, 1), (0, 0, 3))
+    d = derived("A3", (1, 2, 3, 1, 2, 1), (0, 0, 3))
     vectors = [
         compute_m(d, "".join(sigma)) for sigma in itertools.product("+-", repeat=6)
     ]
@@ -132,9 +130,9 @@ def test_criterion_4_untwisted_example():
 
 
 def test_criterion_5_closed_form_witnesses():
-    chain = _derived("A3", (1, 1, 2, 3), (0, 0, 1))
+    chain = derived("A3", (1, 1, 2, 3), (0, 0, 1))
     _, mv_chain = witness_sigma_from_walk(chain, (1, 2, 3, 4))
-    against = _derived("B3", (3, 3, 2, 1), (1, 0, 0))
+    against = derived("B3", (3, 3, 2, 1), (1, 0, 0))
     _, mv_against = witness_sigma_from_walk(against, (1, 2, 3, 4))
     ok = (
         mv_chain.m[0] == -chain.ell[3] == -1
@@ -229,7 +227,7 @@ def _weyl_dim_a2(l1: int, l2: int) -> int:
     [((1, 0), 3, 3, 0), ((1, 1), 8, 8, 0), ((2, 1), 15, 16, 1)],
 )
 def test_criterion_8_signed_counts(weight, expected, positive, negative):
-    d = _derived("A2", (1, 2, 1), weight)
+    d = derived("A2", (1, 2, 1), weight)
     census = lattice_points(d)
     oracle = brute_force_census(d)
     ok = (
@@ -260,7 +258,7 @@ def test_criterion_9_support_scaling_invariance():
 
 def test_criterion_10_criterion_oracle_agreement():
     distinct = {
-        _derived(type_name, word, weight)
+        derived(type_name, word, weight)
         for spec in default_specs()
         for type_name, word, weight in iter_instances(spec)
     }
@@ -274,32 +272,61 @@ def test_criterion_10_criterion_oracle_agreement():
     )
 
 
+def _character(t, word, weight, d) -> dict:
+    """The signed character of the census of d, the cube of (t, word,
+    weight): each point's density added at its weight, zeros dropped."""
+    character: dict = {}
+    for x, rho in lattice_points(d).points:
+        mu = point_weight(t, word, weight, x)
+        character[mu] = character.get(mu, 0) + rho
+    return {mu: mult for mu, mult in character.items() if mult}
+
+
+def _is_weyl_character(t, character: dict, weight) -> bool:
+    """Whether the character is that of V(weight): its multiplicities are
+    positive, equal at mu and s_i mu = mu - mu_i alpha_i for every i, and
+    sum to Weyl's dimension."""
+    return (
+        all(mult > 0 for mult in character.values())
+        and all(
+            character.get(point_weight(t, (i,), mu, (mu[i - 1],))) == mult
+            for mu, mult in character.items()
+            for i in range(1, t.rank + 1)
+        )
+        and sum(character.values()) == weyl_dimension(t, weight)
+    )
+
+
 def test_criterion_11_signed_count_follows_the_demazure_product():
-    # The census applies Demazure operators, so its signed count depends on
-    # the word only through its Demazure product w*, and at w* = w0 it is
-    # dim V(lambda).  Each (type, word, ell) is counted once, at the first
-    # weight that gives it.
+    # The census applies Demazure operators, so its signed character
+    # depends on the word only through its Demazure product w*, and at
+    # w* = w0 it is the Weyl character of V(lambda).  Each (type, word, ell)
+    # is counted once, at the first weight that gives it.
     seen = set()
-    counts: dict = {}
-    w0_checks = wrong_dimensions = 0
+    characters: dict = {}
+    w0_checks = wrong_counts = wrong_w0 = 0
     for spec in default_specs():
         for type_name, word, weight in iter_instances(spec):
             t = parse_lie_type(type_name)
-            d = derive_twist_data(t, Word(word), DominantWeight(weight))
+            d = derived(type_name, word, weight)
             if (type_name, word, d.ell) in seen:
                 continue
             seen.add((type_name, word, d.ell))
-            count = signed_count(d)
-            counts.setdefault((type_name, demazure_rho(t, word), weight), set()).add(count)
+            character = _character(t, word, weight, d)
+            wrong_counts += signed_count(d) != sum(character.values())
+            key = (type_name, demazure_rho(t, word), weight)
+            characters.setdefault(key, set()).add(frozenset(character.items()))
             if is_longest_element(t, word):
                 w0_checks += 1
-                wrong_dimensions += count != weyl_dimension(t, weight)
-    split = sum(len(values) > 1 for values in counts.values())
+                wrong_w0 += not _is_weyl_character(t, character, weight)
+    split = sum(len(values) > 1 for values in characters.values())
     _report(
         11,
-        f"the signed count takes one value per (type, w*, lambda) over {len(seen)} distinct "
-        f"(type, word, ell) of the default sweep ({len(counts)} keys, {split} split), and "
-        f"equals Weyl's dimension at w* = w0 ({w0_checks} checks, {wrong_dimensions} wrong)",
-        len(seen) == 13_228 and len(counts) == 1_525 and w0_checks == 429
-        and not split and not wrong_dimensions,
+        f"the signed character takes one value per (type, w*, lambda) over {len(seen)} distinct "
+        f"(type, word, ell) of the default sweep ({len(characters)} keys, {split} split), "
+        f"and sums to the signed count ({wrong_counts} wrong); at w* = w0 it is W-invariant "
+        f"with positive multiplicities and sums to Weyl's dimension ({w0_checks} checks, "
+        f"{wrong_w0} wrong)",
+        len(seen) == 13_228 and len(characters) == 1_525 and w0_checks == 429
+        and not split and not wrong_counts and not wrong_w0,
     )

@@ -1,6 +1,3 @@
-import json
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,11 +22,14 @@ from twistedcubes.rootdata import parse_lie_type
 from twistedcubes.walks import is_hesitant_lambda_walk
 from twistedcubes.weightword import DominantWeight, TwistData, Word, derive_twist_data
 
-from oracles import is_untwisted_exhaustive
-
-
-def derived(type_name, word, weight):
-    return derive_twist_data(parse_lie_type(type_name), Word(word), DominantWeight(weight))
+from oracles import (
+    check_untwisted_instances,
+    derived,
+    is_untwisted_exhaustive,
+    load_twist_data,
+    raw_twist_data,
+    record_calls,
+)
 
 
 A2_TWISTED = derived("A2", (1, 2, 1), (2, 1))
@@ -130,14 +130,9 @@ def test_criterion_computes_m_only_for_the_failing_sign_vector(d, computed, monk
     # The sweep runs the recursion inline and stops each sign vector at its
     # first bound <= 0; compute_m runs once, for the reported m, and never
     # on a sign vector that passes.
-    seen = []
-    real = cartier.compute_m
-    monkeypatch.setattr(cartier, "compute_m", lambda d, sigma: seen.append(sigma) or real(d, sigma))
+    calls = record_calls(monkeypatch, cartier, "compute_m")
     is_untwisted(d)
-    assert seen == computed
-
-
-CHECK_UNTWISTED = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "check-untwisted.json"
+    assert [sigma for (_, sigma), _ in calls] == computed
 
 
 def test_criterion_bound_reads_on_the_check_untwisted_workload_are_pinned(monkeypatch):
@@ -145,18 +140,16 @@ def test_criterion_bound_reads_on_the_check_untwisted_workload_are_pinned(monkey
     # benchmark's check-untwisted workload.  On the fixed A3 words
     # (1, 2, 3, ...) at lambda = 0 every sign vector but the all-plus one
     # stops at its first minus, whose bound is 0: 2**n - 1 reads.
-    data = json.loads(CHECK_UNTWISTED.read_text(encoding="utf-8"))
-    pool = [inst for by_length in data["pool"].values() for group in by_length.values() for inst in group]
-    rows = []
-    real = cartier.bound
-    monkeypatch.setattr(cartier, "bound", lambda d, k, m: (rows.append(k), real(d, k, m))[1])
+    instances = check_untwisted_instances()
+    rows = record_calls(monkeypatch, cartier, "bound")
     reads = []
-    for inst in data["fixed"] + pool:
+    for inst in instances:
         start = len(rows)
-        assert is_untwisted(derived(inst["type"], inst["word"], inst["weight"])).untwisted
+        assert is_untwisted(load_twist_data(inst)).untwisted
         reads.append(len(rows) - start)
     assert len(reads) == 63
-    lengths = [len(inst["word"]) for inst in data["fixed"]]
+    # The nine fixed words come first.
+    lengths = [len(inst["word"]) for inst in instances[:9]]
     assert lengths == list(range(8, 17))
     assert all(r <= 2**n - 1 for n, r in zip(lengths, reads))
     assert sum(reads) <= 228_193
@@ -289,29 +282,11 @@ def test_round_trip_witness_revalidates():
     assert is_hesitant_lambda_walk(t, Word(rebuilt.subword), lam)
 
 
-def _raw(args):
-    n, ell, cvals = args
-    keys = [(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
-    return TwistData(n=n, c=dict(zip(keys, cvals)), ell=tuple(ell))
+# n in 1..5, c and ell in -3..3.
+RAW = raw_twist_data(min_n=1, max_n=5, c_bound=3)
 
 
-def raw_twist_data(max_n=5, bound=3, min_ell=None, max_ell=None):
-    min_ell = -bound if min_ell is None else min_ell
-    max_ell = bound if max_ell is None else max_ell
-    return st.integers(1, max_n).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.lists(st.integers(min_ell, max_ell), min_size=n, max_size=n),
-            st.lists(
-                st.integers(-bound, bound),
-                min_size=n * (n - 1) // 2,
-                max_size=n * (n - 1) // 2,
-            ),
-        )
-    ).map(_raw)
-
-
-@given(raw_twist_data())
+@given(RAW)
 def test_rows_list_the_nonzero_c_entries_in_increasing_k(d):
     # rows feeds the bound kernel behind compute_m and the lattice descent;
     # it must not depend on the order c was given in.
@@ -323,7 +298,7 @@ def test_rows_list_the_nonzero_c_entries_in_increasing_k(d):
     assert TwistData(n=d.n, c=dict(reversed(d.c.items())), ell=d.ell).rows == expected
 
 
-@given(raw_twist_data(), st.data())
+@given(RAW, st.data())
 def test_m_depends_only_on_suffix(d, data):
     k = data.draw(st.integers(1, d.n))
     signs = tuple(data.draw(st.sampled_from("+-")) for _ in range(d.n))
@@ -344,7 +319,7 @@ def test_m_depends_only_on_suffix(d, data):
     assert perturbed[k - 1 :] == base[k - 1 :]
 
 
-@given(raw_twist_data())
+@given(RAW)
 def test_criterion_witness_k_is_the_maximal_failing_index(d):
     # m depends only on the suffix of sigma, so turning every sign before a
     # negative entry into + keeps that entry and gives an earlier sigma.  The
@@ -356,7 +331,7 @@ def test_criterion_witness_k_is_the_maximal_failing_index(d):
 
 
 @settings(max_examples=400, deadline=None)
-@given(raw_twist_data(max_n=8, min_ell=-2, max_ell=4))
+@given(raw_twist_data(min_n=1, max_n=8, c_bound=3, ell=(-2, 4)))
 def test_criterion_equals_the_exhaustive_oracle(d):
     # Zero bounds, negative ell and sign vectors with several negative
     # entries all occur in this range.
@@ -364,7 +339,7 @@ def test_criterion_equals_the_exhaustive_oracle(d):
 
 
 @settings(max_examples=300)
-@given(raw_twist_data(max_n=6, min_ell=0))
+@given(raw_twist_data(min_n=1, max_n=6, c_bound=3, ell=(0, 3)))
 def test_sigma_to_walk_rebuilds_a_walk_from_raw_data_with_nonnegative_ell(d):
     # With every ell >= 0 a failing criterion always yields a walk: the
     # first step repeats (c > 0), every later step walks (c < 0) through
@@ -381,7 +356,7 @@ def test_sigma_to_walk_rebuilds_a_walk_from_raw_data_with_nonnegative_ell(d):
 
 
 @settings(max_examples=80)
-@given(raw_twist_data(), st.data())
+@given(RAW, st.data())
 def test_single_minus_gives_ell(d, data):
     k = data.draw(st.integers(1, d.n))
     mv = compute_m(d, minus_at(d.n, [k]))

@@ -18,26 +18,23 @@ from twistedcubes import cartier, cli, harness, twistedcube, walks
 from twistedcubes.cli import EXIT_ERROR, EXIT_TWISTED, EXIT_UNTWISTED, load_instance, main
 from twistedcubes.errors import MalformedInput
 
+from oracles import check_untwisted_instances, record_calls, workload_data, write_input
+
 
 @pytest.fixture
 def derived_twisted(tmp_path):
-    path = tmp_path / "twisted.json"
-    path.write_text(json.dumps({"type": "A2", "word": [1, 2, 1], "weight": [2, 1]}))
-    return str(path)
+    return write_input(tmp_path / "twisted.json", {"type": "A2", "word": [1, 2, 1], "weight": [2, 1]})
 
 
 @pytest.fixture
 def derived_untwisted(tmp_path):
-    path = tmp_path / "untwisted.json"
-    path.write_text(json.dumps({"type": "A3", "word": [1, 2, 3, 1, 2, 1], "weight": [0, 0, 3]}))
-    return str(path)
+    inst = {"type": "A3", "word": [1, 2, 3, 1, 2, 1], "weight": [0, 0, 3]}
+    return write_input(tmp_path / "untwisted.json", inst)
 
 
 @pytest.fixture
 def raw_n2(tmp_path):
-    path = tmp_path / "raw.json"
-    path.write_text(json.dumps({"n": 2, "c": {"1,2": 1}, "ell": [3, 5]}))
-    return str(path)
+    return write_input(tmp_path / "raw.json", {"n": 2, "c": {"1,2": 1}, "ell": [3, 5]})
 
 
 def test_check_untwisted_exit_and_json(derived_untwisted, capsys):
@@ -107,14 +104,13 @@ def test_render_rejects_wrong_dimension(derived_twisted, tmp_path, capsys):
 def test_render_of_coordinates_too_large_for_floats_exits_2(tmp_path, capsys):
     # The census is empty, but the bound at x_2 = -1 is 10**400, which no
     # float holds; check and lattice read the same file without floats.
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"n": 2, "c": {"1,2": 10**400}, "ell": [0, -1]}))
+    path = write_input(tmp_path / "huge.json", {"n": 2, "c": {"1,2": 10**400}, "ell": [0, -1]})
     out = tmp_path / "huge.svg"
-    assert main(["render", "--instance", str(path), "--out", str(out)]) == EXIT_ERROR
+    assert main(["render", "--instance", path, "--out", str(out)]) == EXIT_ERROR
     assert capsys.readouterr().err == "error: the picture's coordinates are too large to draw as floats\n"
     assert not out.exists()
-    assert main(["lattice", "--instance", str(path)]) == EXIT_UNTWISTED
-    assert main(["check", "--instance", str(path)]) == EXIT_TWISTED
+    assert main(["lattice", "--instance", path]) == EXIT_UNTWISTED
+    assert main(["check", "--instance", path]) == EXIT_TWISTED
 
 
 def test_a_census_that_does_not_fit_in_memory_exits_2(raw_n2, tmp_path, monkeypatch, capsys):
@@ -124,6 +120,17 @@ def test_a_census_that_does_not_fit_in_memory_exits_2(raw_n2, tmp_path, monkeypa
     monkeypatch.setattr(cli, "census_buckets", out_of_memory)
     out = tmp_path / "census.jsonl"
     assert main(["lattice", "--instance", raw_n2, "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: the output did not fit in memory\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["lattice", "render"])
+def test_a_census_too_long_to_list_exits_2(command, tmp_path, capsys):
+    # Level 1 is two runs of about 10**30 values, too many to index a list:
+    # an OverflowError, raised before anything is allocated.
+    path = write_input(tmp_path / "long.json", {"n": 2, "c": {"1,2": 1}, "ell": [10**30, 1]})
+    out = tmp_path / "out"
+    assert main([command, "--instance", path, "--out", str(out)]) == EXIT_ERROR
     assert capsys.readouterr().err == "error: the output did not fit in memory\n"
     assert not out.exists()
 
@@ -149,9 +156,8 @@ def test_unwritable_stdout_exits_2(derived_untwisted, tmp_path, command):
     # buffered stdout: the error shows only when that buffer is flushed, so
     # PYTHONUNBUFFERED is dropped from the caller's environment.
     if command in ("verify", "atlas"):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"lie_types": ["A1"], "max_word_length": 1, "weight_alphabet": [1]}))
-        argv = [command, "--spec", str(spec)]
+        spec = {"lie_types": ["A1"], "max_word_length": 1, "weight_alphabet": [1]}
+        argv = [command, "--spec", write_input(tmp_path / "spec.json", spec)]
     else:
         argv = [command, "--instance", derived_untwisted]
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
@@ -193,14 +199,10 @@ def test_lattice_keeps_the_per_value_check(raw_n2, tmp_path, monkeypatch, capsys
 )
 def test_lattice_checks_both_ends_of_each_run(raw, reject, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(twistedcube, "_coordinate_ok", lambda a, v: not reject(a, v))
-    inst, out = tmp_path / "inst.json", tmp_path / "census.jsonl"
-    inst.write_text(json.dumps(raw))
-    assert main(["lattice", "--instance", str(inst), "--out", str(out)]) == EXIT_ERROR
+    inst, out = write_input(tmp_path / "inst.json", raw), tmp_path / "census.jsonl"
+    assert main(["lattice", "--instance", inst, "--out", str(out)]) == EXIT_ERROR
     assert capsys.readouterr().err == "error: an enumerated lattice point lies outside the cube\n"
     assert not out.exists()
-
-
-CENSUS_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "census.json"
 
 
 # The sha256 of each `lattice --out` file of the census workload, as the
@@ -224,7 +226,7 @@ CENSUS_SHA256 = {
 
 
 def _census_instances():
-    data = json.loads(CENSUS_DATA.read_text(encoding="utf-8"))
+    data = workload_data("census")
     yield pytest.param(data["warmup"], CENSUS_SHA256["warmup"], id="warmup")
     for kind, instances in sorted(data["kinds"].items()):
         for i, inst in enumerate(instances):
@@ -237,9 +239,8 @@ def test_lattice_meets_the_census_workload_expectations(inst, sha256, tmp_path):
     # against the expected totals committed with its data; the digest pins
     # every byte.
     expect = inst["expect"]
-    path, out = tmp_path / "inst.json", tmp_path / "census.jsonl"
-    path.write_text(json.dumps({key: value for key, value in inst.items() if key != "expect"}))
-    assert main(["lattice", "--instance", str(path), "--out", str(out)]) == EXIT_UNTWISTED
+    path, out = write_input(tmp_path / "inst.json", inst), tmp_path / "census.jsonl"
+    assert main(["lattice", "--instance", path, "--out", str(out)]) == EXIT_UNTWISTED
     data = out.read_bytes()
     lines = data.splitlines()
     assert json.loads(lines[-1]) == expect
@@ -262,9 +263,8 @@ def test_lattice_meets_the_census_workload_expectations(inst, sha256, tmp_path):
     ],
 )
 def test_lattice_line_bytes_at_the_edges(tmp_path, raw, first, totals):
-    inst, out = tmp_path / "inst.json", tmp_path / "census.jsonl"
-    inst.write_text(json.dumps(raw))
-    assert main(["lattice", "--instance", str(inst), "--out", str(out)]) == EXIT_UNTWISTED
+    inst, out = write_input(tmp_path / "inst.json", raw), tmp_path / "census.jsonl"
+    assert main(["lattice", "--instance", inst, "--out", str(out)]) == EXIT_UNTWISTED
     lines = out.read_text(encoding="utf-8").splitlines()
     parsed = [json.loads(line) for line in lines]
     assert lines == [json.dumps(obj) for obj in parsed]
@@ -277,18 +277,16 @@ def test_lattice_line_bytes_at_the_edges(tmp_path, raw, first, totals):
 
 
 def test_verify_with_spec_file(tmp_path, capsys):
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"lie_types": ["A2"], "max_word_length": 3}))
-    assert main(["verify", "--spec", str(spec)]) == EXIT_UNTWISTED
+    spec = write_input(tmp_path / "spec.json", {"lie_types": ["A2"], "max_word_length": 3})
+    assert main(["verify", "--spec", spec]) == EXIT_UNTWISTED
     report = json.loads(capsys.readouterr().out)
     assert report["instances"] == 60  # (1 + 2 + 4 + 8) * 4
     assert report["counterexamples"] == []
 
 
 def test_verify_human_format(tmp_path, monkeypatch, capsys):
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"lie_types": ["A1"], "max_word_length": 2, "weight_alphabet": [1]}))
-    argv = ["verify", "--spec", str(spec), "--format", "human"]
+    spec = {"lie_types": ["A1"], "max_word_length": 2, "weight_alphabet": [1]}
+    argv = ["verify", "--spec", write_input(tmp_path / "spec.json", spec), "--format", "human"]
     assert main(argv) == EXIT_UNTWISTED
     summary = r"3 instances: 2 untwisted, 1 twisted, {} counterexamples \(\d+ ms\)\n"
     assert re.fullmatch(summary.format(0), capsys.readouterr().out)
@@ -307,24 +305,21 @@ def test_verify_human_format(tmp_path, monkeypatch, capsys):
 
 
 def test_atlas_with_spec_file(tmp_path, capsys):
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps([{"lie_types": ["A1"], "max_word_length": 2}]))
-    assert main(["atlas", "--spec", str(spec)]) == EXIT_UNTWISTED
+    spec = write_input(tmp_path / "spec.json", [{"lie_types": ["A1"], "max_word_length": 2}])
+    assert main(["atlas", "--spec", spec]) == EXIT_UNTWISTED
     report = json.loads(capsys.readouterr().out)
     assert report["counts"]["A1"]["1"]["2"] == {"avoiding": 0, "total": 1}
 
 
 def test_atlas_merges_blocks_that_share_a_type(tmp_path, capsys):
-    spec = tmp_path / "spec.json"
-    spec.write_text(
-        json.dumps(
-            [
-                {"lie_types": ["A1", "A2"], "max_word_length": 2, "weight_alphabet": [0, 1]},
-                {"lie_types": ["A2"], "max_word_length": 3, "weight_alphabet": [1]},
-            ]
-        )
+    spec = write_input(
+        tmp_path / "spec.json",
+        [
+            {"lie_types": ["A1", "A2"], "max_word_length": 2, "weight_alphabet": [0, 1]},
+            {"lie_types": ["A2"], "max_word_length": 3, "weight_alphabet": [1]},
+        ],
     )
-    assert main(["atlas", "--spec", str(spec)]) == EXIT_UNTWISTED
+    assert main(["atlas", "--spec", spec]) == EXIT_UNTWISTED
     report = json.loads(capsys.readouterr().out)
     tallies = [
         slot
@@ -347,15 +342,14 @@ def test_max_n_cap(derived_twisted, capsys):
 def test_only_the_criterion_is_capped(tmp_path, capsys):
     # n = 21 is past the criterion's 2**n cap, but the census of the zero
     # cube is one point, so lattice takes it.
-    path = tmp_path / "zero21.json"
-    path.write_text(json.dumps({"n": 21, "c": {}, "ell": [0] * 21}))
-    assert main(["lattice", "--instance", str(path)]) == EXIT_UNTWISTED
+    path = write_input(tmp_path / "zero21.json", {"n": 21, "c": {}, "ell": [0] * 21})
+    assert main(["lattice", "--instance", path]) == EXIT_UNTWISTED
     lines = capsys.readouterr().out.splitlines()
     assert [json.loads(line) for line in lines] == [
         {"x": [0] * 21, "rho": 1},
         {"positive": 1, "negative": 0, "signed": 1},
     ]
-    assert main(["check", "--instance", str(path)]) == EXIT_ERROR
+    assert main(["check", "--instance", path]) == EXIT_ERROR
     assert capsys.readouterr().err == "error: n = 21 exceeds cap 20\n"
 
 
@@ -363,29 +357,21 @@ def _check_workload_instances():
     """The instances of the benchmark's check workloads that the compute_m
     pin runs: every fixed twisted one, the first of each twisted stratum,
     and every untwisted one."""
-    data = CENSUS_DATA.parent
-    twisted = json.loads((data / "check-twisted.json").read_text(encoding="utf-8"))
-    untwisted = json.loads((data / "check-untwisted.json").read_text(encoding="utf-8"))
+    twisted = workload_data("check-twisted")
     yield from twisted["fixed_tail"]
     yield from (stratum[0] for stratum in twisted["strata"])
-    yield from untwisted["fixed"]
-    for by_length in untwisted["pool"].values():
-        for group in by_length.values():
-            yield from group
+    yield from check_untwisted_instances()
 
 
 def test_check_computes_m_once_when_twisted_and_never_when_untwisted(tmp_path, monkeypatch, capsys):
     # Counted work: the criterion computes the Cartier vector of its failing
     # sign vector alone, and check adds no call of its own.
-    calls = []
-    real = cartier.compute_m
-    monkeypatch.setattr(cartier, "compute_m", lambda d, sigma: calls.append(sigma) or real(d, sigma))
-    path = tmp_path / "inst.json"
+    calls = record_calls(monkeypatch, cartier, "compute_m")
     exits = []
     for inst in _check_workload_instances():
-        path.write_text(json.dumps({key: v for key, v in inst.items() if key != "expect"}))
+        path = write_input(tmp_path / "inst.json", inst)
         start = len(calls)
-        code = main(["check", "--instance", str(path)])
+        code = main(["check", "--instance", path])
         assert code == inst["expect"]["exit"]
         assert len(calls) - start == (code == EXIT_TWISTED)
         exits.append(code)
@@ -481,16 +467,9 @@ _BEYOND_CAP = {"lie_types": ["A1"], "max_word_length": 21, "weight_alphabet": [1
     ids=["exhaustive", "sampled", "second-block"],
 )
 def test_verify_rejects_words_beyond_the_cap_before_any_check(tmp_path, blocks, monkeypatch, capsys):
-    calls = []
-    real = harness._worker
-    monkeypatch.setattr(
-        harness,
-        "_worker",
-        lambda inst, t, w, memo: calls.append(inst) or real(inst, t, w, memo),
-    )
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(blocks))
-    assert main(["verify", "--spec", str(spec)]) == EXIT_ERROR
+    calls = record_calls(monkeypatch, harness, "_worker")
+    spec = write_input(tmp_path / "spec.json", blocks)
+    assert main(["verify", "--spec", spec]) == EXIT_ERROR
     assert capsys.readouterr().err.startswith("error: ")
     assert calls == []
 
@@ -500,13 +479,11 @@ def test_bad_lie_type_in_a_later_block_fails_before_any_check(tmp_path, command,
     calls = []
     monkeypatch.setattr(harness, "_worker", lambda *args: calls.append(args))
     monkeypatch.setattr(walks, "find_hesitant_lambda_walk", lambda *args: calls.append(args))
-    spec = tmp_path / "spec.json"
-    spec.write_text(
-        json.dumps(
-            [{"lie_types": ["A2"], "max_word_length": 5}, {"lie_types": ["Z9"], "max_word_length": 2}]
-        )
+    spec = write_input(
+        tmp_path / "spec.json",
+        [{"lie_types": ["A2"], "max_word_length": 5}, {"lie_types": ["Z9"], "max_word_length": 2}],
     )
-    assert main([command, "--spec", str(spec)]) == EXIT_ERROR
+    assert main([command, "--spec", spec]) == EXIT_ERROR
     assert capsys.readouterr().err == "error: cannot parse Lie type 'Z9'\n"
     assert calls == []
 
@@ -516,9 +493,8 @@ def test_verify_caps_jobs_at_the_cpu_count(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(
         harness, "verify_equivalence", lambda spec, jobs=1: received.append(jobs) or harness.SweepReport()
     )
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"lie_types": ["A1"], "max_word_length": 2}))
-    assert main(["verify", "--spec", str(spec), "--jobs", "100000"]) == EXIT_UNTWISTED
+    spec = write_input(tmp_path / "spec.json", {"lie_types": ["A1"], "max_word_length": 2})
+    assert main(["verify", "--spec", spec, "--jobs", "100000"]) == EXIT_UNTWISTED
     capsys.readouterr()
     assert received == [os.cpu_count() or 1]
 
@@ -528,9 +504,8 @@ def test_verify_rejects_jobs_below_one(tmp_path, jobs, monkeypatch, capsys):
     started = []
     monkeypatch.setattr(multiprocessing, "Pool", lambda *args: started.append(args))
     monkeypatch.setattr(harness, "_worker", lambda inst, t, w, memo: started.append(inst))
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"lie_types": ["A1"], "max_word_length": 2}))
-    assert main(["verify", "--spec", str(spec), "--jobs", jobs]) == EXIT_ERROR
+    spec = write_input(tmp_path / "spec.json", {"lie_types": ["A1"], "max_word_length": 2})
+    assert main(["verify", "--spec", spec, "--jobs", jobs]) == EXIT_ERROR
     assert capsys.readouterr().err.startswith(f"error: --jobs must be at least 1, got {jobs}")
     assert started == []
 
@@ -546,9 +521,8 @@ def test_the_cli_does_not_import_multiprocessing():
 
 def test_atlas_accepts_words_beyond_the_cap(tmp_path, capsys):
     # The walk detector has no cap.
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(_BEYOND_CAP))
-    assert main(["atlas", "--spec", str(spec)]) == EXIT_UNTWISTED
+    spec = write_input(tmp_path / "spec.json", _BEYOND_CAP)
+    assert main(["atlas", "--spec", spec]) == EXIT_UNTWISTED
     assert json.loads(capsys.readouterr().out)["counts"]["A1"]["1"]["21"]["total"] == 1
 
 
@@ -587,17 +561,15 @@ def test_load_instance_raw(raw_n2):
 
 
 def test_load_instance_rejects_bad_spec_file(tmp_path, capsys):
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"max_word_length": 3}))
-    assert main(["verify", "--spec", str(spec)]) == EXIT_ERROR
+    spec = write_input(tmp_path / "spec.json", {"max_word_length": 3})
+    assert main(["verify", "--spec", spec]) == EXIT_ERROR
     capsys.readouterr()
 
 
 def test_load_instance_names_a_pair_given_twice(tmp_path):
-    path = tmp_path / "inst.json"
-    path.write_text(json.dumps({"n": 2, "c": {"1,2": 1, "01,2": 5}, "ell": [0, 0]}))
+    path = write_input(tmp_path / "inst.json", {"n": 2, "c": {"1,2": 1, "01,2": 5}, "ell": [0, 0]})
     with pytest.raises(MalformedInput, match=r"\(1, 2\) twice"):
-        load_instance(str(path))
+        load_instance(path)
 
 
 def test_load_instance_malformed_raises():
@@ -606,8 +578,9 @@ def test_load_instance_malformed_raises():
 
 
 # Fuzzing the two loaders.  Junk strings use no capital letter, so they never
-# name a Lie type, and spec integers stay small, so no draw can ask for a
-# sweep that runs for more than a moment.
+# name a Lie type, nor the "expect" key that write_input leaves out, and
+# spec integers stay small, so no draw can ask for a sweep that runs for
+# more than a moment.
 _JUNK_TEXT = st.text(alphabet="01,x -", max_size=4)
 
 
@@ -699,10 +672,8 @@ TINY_INSTANCES = (
 
 def _run_on_json(command: str, flag: str, value, codes=(EXIT_UNTWISTED, EXIT_TWISTED, EXIT_ERROR)) -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "input.json"
-        path.write_text(json.dumps(value))
         out, err = io.StringIO(), io.StringIO()
-        argv = [command, flag, str(path)]
+        argv = [command, flag, write_input(Path(tmp) / "input.json", value)]
         if command == "render":
             argv += ["--out", str(Path(tmp) / "out.svg")]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 
 from twistedcubes import cartier, harness, twistedcube, walks, weightword
 from twistedcubes.errors import PreconditionViolated
-from twistedcubes.rootdata import parse_lie_type
 from twistedcubes.harness import (
     SweepReport,
     SweepSpec,
@@ -17,10 +16,15 @@ from twistedcubes.harness import (
     verify_equivalence,
 )
 from twistedcubes.walks import WalkWitness
-from twistedcubes.weightword import DominantWeight, TwistData, Word, derive_twist_data
+from twistedcubes.weightword import TwistData
 
-from oracles import scaling_invariance_failures, untwisted_census_problems
-from test_twistedcube import small_twist_data
+from oracles import (
+    derived,
+    raw_twist_data,
+    record_calls,
+    scaling_invariance_failures,
+    untwisted_census_problems,
+)
 
 
 def test_empty_spec():
@@ -174,34 +178,16 @@ def test_check_instance_reports_each_fault(fault, monkeypatch):
     assert report[0]["problem"].startswith(problem)
 
 
-def _count_calls(monkeypatch, module, name) -> list:
-    """Patch module.name to record the result of each call in the list."""
-    calls = []
-    real = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        result = real(*args, **kwargs)
-        calls.append(result)
-        return result
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def _derive(type_name, word, weight):
-    return derive_twist_data(parse_lie_type(type_name), Word(word), DominantWeight(weight))
-
-
 def _distinct_twist_data(spec) -> int:
     """The number of distinct (type, word, twist data) in the spec's stream."""
-    return len({(inst[0], inst[1], _derive(*inst)) for inst in iter_instances(spec)})
+    return len({(inst[0], inst[1], derived(*inst)) for inst in iter_instances(spec)})
 
 
 def test_sweep_runs_the_criterion_once_per_twist_data_of_each_word(monkeypatch):
-    calls = _count_calls(monkeypatch, cartier, "is_untwisted")
-    detector = _count_calls(monkeypatch, walks, "find_hesitant_lambda_walk")
-    minimized = _count_calls(monkeypatch, walks, "minimize")
-    censuses = _count_calls(monkeypatch, harness, "census_buckets")
+    calls = record_calls(monkeypatch, cartier, "is_untwisted")
+    detector = record_calls(monkeypatch, walks, "find_hesitant_lambda_walk")
+    minimized = record_calls(monkeypatch, walks, "minimize")
+    censuses = record_calls(monkeypatch, harness, "census_buckets")
     spec = SweepSpec(("A2", "B2"), 3, (0, 1))
     report = verify_equivalence(spec)
     assert report.counterexamples == []
@@ -210,7 +196,7 @@ def test_sweep_runs_the_criterion_once_per_twist_data_of_each_word(monkeypatch):
     # The detector runs with the criterion, and minimize on each walk it
     # finds, that is once per twisted twist data of a word.
     assert len(detector) == 90
-    twisted = sum(not result.untwisted for result in calls)
+    twisted = sum(not result.untwisted for _, result in calls)
     assert len(minimized) == twisted == 36
     assert twisted < report.twisted_count
     # The census runs once per untwisted twist data of a word, as one call
@@ -231,7 +217,7 @@ def test_sweep_census_bound_reads_are_pinned(spec, reads, monkeypatch):
     # Counted work, not time, as upper bounds: the census of each untwisted
     # twist data reads the kernel's bounds and nothing more.  Listing every
     # point and testing each against PD read 343, 748 and 32 591.
-    rows = _count_calls(monkeypatch, twistedcube, "bound")
+    rows = record_calls(monkeypatch, twistedcube, "bound")
     report = verify_equivalence(spec)
     assert report.counterexamples == []
     assert len(rows) <= reads
@@ -241,7 +227,7 @@ def test_census_problems_equal_the_point_by_point_oracle_on_the_default_sweep():
     # Every census the default sweep checks: one per untwisted twist data
     # of each (type, word).
     checked = {
-        (inst[0], inst[1], _derive(*inst)) for spec in default_specs() for inst in iter_instances(spec)
+        (inst[0], inst[1], derived(*inst)) for spec in default_specs() for inst in iter_instances(spec)
     }
     untwisted = [d for _, _, d in checked if cartier.is_untwisted(d).untwisted]
     assert len(untwisted) == 5_138
@@ -252,7 +238,7 @@ def test_census_problems_equal_the_point_by_point_oracle_on_the_default_sweep():
 # n <= 5, |c| <= 2 and ell in -3..3: twisted cubes, with points of density
 # -1 and points outside PD, as well as untwisted ones.
 @settings(max_examples=300, deadline=None)
-@given(small_twist_data(max_n=5, bound=2, ell_bound=3))
+@given(raw_twist_data(max_n=5, ell=(-3, 3)))
 # A point of density -1 at (-1, 5), which also escapes PD.
 @example(TwistData(n=2, c={(1, 2): 1}, ell=(3, 5)))
 # One point, (-1, -1), of density +1 outside PD.
@@ -267,15 +253,28 @@ def test_census_problems_equal_the_point_by_point_oracle(d):
 
 def test_sweep_reads_the_cartan_table_once_per_word(monkeypatch):
     # A word outside the sweep is the cached one when the count starts.
-    derive_twist_data(parse_lie_type("A3"), Word((1, 2, 3)), DominantWeight((0, 0, 0)))
-    tables = _count_calls(monkeypatch, weightword, "cartan_table")
-    derived = _count_calls(monkeypatch, harness, "derive_twist_data")
-    calls = _count_calls(monkeypatch, cartier, "is_untwisted")
+    derived("A3", (1, 2, 3), (0, 0, 0))
+    tables = record_calls(monkeypatch, weightword, "cartan_table")
+    derives = record_calls(monkeypatch, harness, "derive_twist_data")
+    calls = record_calls(monkeypatch, cartier, "is_untwisted")
     report = verify_equivalence(SweepSpec(("A2", "B2"), 3, (0, 1)))
-    assert report.instances == len(derived) == 120
+    assert report.instances == len(derives) == 120
     # One read per (type, word) group: 1 + 2 + 4 + 8 words of each type.
     assert len(tables) == 30
     assert len(calls) == 90
+
+
+def test_the_default_sweep_reads_the_cartan_table_once_per_word(monkeypatch):
+    # Counted work, as an upper bound: the word cache is built once per
+    # (type, word) group of the stream, and each other weight of the word
+    # hits it.  A cache rebuilt for each weight would read 22 967 tables.
+    weightword._word_constants.cache_clear()
+    tables = record_calls(monkeypatch, weightword, "cartan_table")
+    derives = record_calls(monkeypatch, harness, "derive_twist_data")
+    for spec in default_specs():
+        verify_equivalence(spec)
+    assert len(derives) == 22_967
+    assert len(tables) <= 2_292
 
 
 def test_verify_streams_its_instances(monkeypatch):
@@ -317,7 +316,7 @@ def test_sweep_report_equals_the_per_instance_checks(fault, monkeypatch):
     expected.sort(key=lambda ce: json.dumps(ce, sort_keys=True))
     assert report.counterexamples == expected
     assert (fault is None) == (expected == [])
-    untwisted = sum(cartier.is_untwisted(_derive(*inst)).untwisted for inst in instances)
+    untwisted = sum(cartier.is_untwisted(derived(*inst)).untwisted for inst in instances)
     assert (report.instances, report.untwisted_count) == (len(instances), untwisted)
 
 
@@ -328,7 +327,7 @@ def test_a_shared_fault_is_reported_for_every_instance_that_shares_it(monkeypatc
         _, (module, name, replacement), problem = FAULTS[fault]
         with monkeypatch.context() as patch:
             patch.setattr(module, name, replacement)
-            calls = _count_calls(patch, cartier, "is_untwisted")
+            calls = record_calls(patch, cartier, "is_untwisted")
             report = verify_equivalence(SHARED)
         sharing = getattr(report, sharers)
         assert len(calls) < report.instances
@@ -352,7 +351,7 @@ def test_the_memo_key_is_the_whole_twist_data(monkeypatch):
         return TwistData(n=d.n, c=d.c, ell=(d.ell[0] + leak,) + d.ell[1:])
 
     monkeypatch.setattr(harness, "derive_twist_data", leaky)
-    calls = _count_calls(monkeypatch, cartier, "is_untwisted")
+    calls = record_calls(monkeypatch, cartier, "is_untwisted")
     spec = SweepSpec(("A2", "B2"), 2, (0, 1))
     report = verify_equivalence(spec)
     nonempty = sum(1 for _, word, _ in iter_instances(spec) if word)
@@ -361,7 +360,7 @@ def test_the_memo_key_is_the_whole_twist_data(monkeypatch):
 
 
 def test_no_memo_outlives_a_call(monkeypatch):
-    calls = _count_calls(monkeypatch, cartier, "is_untwisted")
+    calls = record_calls(monkeypatch, cartier, "is_untwisted")
     verify_equivalence(SHARED)
     first = len(calls)
     verify_equivalence(SHARED)

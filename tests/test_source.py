@@ -11,6 +11,7 @@ import pytest
 import twistedcubes
 
 MODULES = sorted(Path(twistedcubes.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 GEN = PERFBENCH / "gen.py"
@@ -67,6 +68,28 @@ def test_deferred_imports_load_only_the_standard_library(path):
         )
     ]
     assert bad == [], f"{path.name} defers imports of {bad}"
+
+
+def _test_module_imports(path):
+    """The line and name of each import of a test_* module in the file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        for name in names:
+            if name.rpartition(".")[2].startswith("test_"):
+                yield node.lineno, name
+
+
+def test_no_test_file_imports_another():
+    # The builders the test files share live in tests/oracles.py alone, so
+    # that no test file depends on what another one defines.
+    found = {path.name: list(_test_module_imports(path)) for path in TESTS}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 @pytest.mark.parametrize(

@@ -12,16 +12,22 @@ from twistedcubes.cli import EXIT_UNTWISTED, main
 from twistedcubes.errors import DimensionMismatch, PreconditionViolated
 from twistedcubes.rootdata import parse_lie_type
 from twistedcubes.twistedcube import contains_PD, lattice_points, signed_count
-from twistedcubes.weightword import DominantWeight, TwistData, Word, bound, derive_twist_data
+from twistedcubes.weightword import TwistData, bound
 
 from oracles import (
     brute_force_census,
     contains,
     density,
+    derived,
     descent_census,
     is_longest_element,
+    load_twist_data,
     positive_coroots,
+    raw_twist_data,
+    record_calls,
     weyl_dimension,
+    workload_data,
+    write_input,
 )
 
 # The running n=2 instance: half-open region with one negative lattice point.
@@ -83,7 +89,7 @@ def test_example1_census():
 
 
 def test_small_word_census():
-    d = derive_twist_data(parse_lie_type("A2"), Word((1, 2, 1)), DominantWeight((1, 0)))
+    d = derived("A2", (1, 2, 1), (1, 0))
     census = lattice_points(d)
     assert [p for p, _ in census.points] == [(0, 0, 0), (0, 1, 1), (1, 0, 0)]
     assert all(rho == 1 for _, rho in census.points)
@@ -91,7 +97,7 @@ def test_small_word_census():
 
 
 def test_zero_weight_census():
-    d = derive_twist_data(parse_lie_type("B3"), Word((1, 2, 3, 2)), DominantWeight((0, 0, 0)))
+    d = derived("B3", (1, 2, 3, 2), (0, 0, 0))
     census = lattice_points(d)
     assert census.points == (((0, 0, 0, 0), 1),)
     assert signed_count(d) == 1
@@ -112,40 +118,19 @@ def test_census_has_no_cap_on_n():
     assert signed_count(d) == 1
 
 
-def _counted(calls):
-    """The leaf of ``lattice_points``, recording each tail it is called on."""
-
-    def leaf(tail):
-        calls.append(tail)
-        return twistedcube._signed(tail)
-
-    return leaf
-
-
-def test_census_calls_no_leaf_for_a_tail_without_points():
+def test_census_calls_no_leaf_for_a_tail_without_points(monkeypatch):
     # The leaf runs once per tail (x_3, ..., x_n) that level 2 files, so a
     # tail that admits no x_2 reaches none: A_2 = 1 - x_3 is -1 at x_3 = 2.
-    calls = []
-    twistedcube.census_buckets(TwistData(n=3, c={(2, 3): 1}, ell=(0, 1, 3)), tuple, _counted(calls))
-    assert calls == [(0,), (1,), (3,)]
+    calls = record_calls(monkeypatch, twistedcube, "_signed")
+    twistedcube.census_buckets(TwistData(n=3, c={(2, 3): 1}, ell=(0, 1, 3)), tuple, twistedcube._signed)
+    assert [tail for (tail,), _ in calls] == [(0,), (1,), (3,)]
     # ell_1 = -1 leaves x_1 no value for any of the six tails x_2 in 0..5,
     # so the census is empty before level 2 files any of them.
-    calls = []
+    calls.clear()
     buckets, positive, negative = twistedcube.census_buckets(
-        TwistData(n=2, ell=(-1, 5)), tuple, _counted(calls)
+        TwistData(n=2, ell=(-1, 5)), tuple, twistedcube._signed
     )
     assert (calls, buckets, positive, negative) == ([], [], 0, 0)
-
-
-CENSUS_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "census.json"
-
-
-def _census_twist_data(inst: dict) -> TwistData:
-    if "type" in inst:
-        lam = DominantWeight(tuple(inst["weight"]))
-        return derive_twist_data(parse_lie_type(inst["type"]), Word(tuple(inst["word"])), lam)
-    c = {tuple(int(part) for part in key.split(",")): v for key, v in inst["c"].items()}
-    return TwistData(n=inst["n"], c=c, ell=tuple(inst["ell"]))
 
 
 @pytest.mark.parametrize(
@@ -157,12 +142,11 @@ def test_census_work_on_the_census_workload_is_pinned(kind, reads, leaves, monke
     # on the first instance of each kind of the benchmark's census workload,
     # as upper bounds.  The leaf runs once per tail filed at level 2, not
     # once per level-2 tail (x_2, ..., x_n), which made 23 017 / 8 464 / 6.
-    inst = json.loads(CENSUS_DATA.read_text(encoding="utf-8"))["kinds"][kind][0]
-    d = _census_twist_data(inst)
-    rows, calls = [], []
-    real = twistedcube.bound
-    monkeypatch.setattr(twistedcube, "bound", lambda d, j, x: (rows.append(j), real(d, j, x))[1])
-    _, positive, negative = twistedcube.census_buckets(d, tuple, _counted(calls))
+    inst = workload_data("census")["kinds"][kind][0]
+    d = load_twist_data(inst)
+    rows = record_calls(monkeypatch, twistedcube, "bound")
+    calls = record_calls(monkeypatch, twistedcube, "_signed")
+    _, positive, negative = twistedcube.census_buckets(d, tuple, twistedcube._signed)
     assert {"positive": positive, "negative": negative, "signed": positive - negative} == inst["expect"]
     assert len(rows) <= reads
     assert len(calls) <= leaves
@@ -198,10 +182,9 @@ def test_each_filed_item_reads_the_next_row_once(d, reads, monkeypatch):
     # x_j = 0, read once when it is made; each value of its run then costs
     # a subtraction, not a read.  So the census reads a bound once per item
     # filed at levels n..2, plus once for row n.
-    rows = []
-    real = twistedcube.bound
-    monkeypatch.setattr(twistedcube, "bound", lambda d, j, x: (rows.append(j), real(d, j, x))[1])
+    calls = record_calls(monkeypatch, twistedcube, "bound")
     lattice_points(d)
+    rows = [args[1] for args, _ in calls]
     assert {j: rows.count(j) for j in set(rows)} == reads
 
 
@@ -241,29 +224,8 @@ def test_enumeration_checks_both_ends_of_each_run(fault, d, monkeypatch):
         lattice_points(d)
 
 
-def small_twist_data(max_n=3, bound=2, ell_bound=None):
-    ell_bound = bound if ell_bound is None else ell_bound
-    return st.integers(0, max_n).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.lists(st.integers(-ell_bound, ell_bound), min_size=n, max_size=n),
-            st.lists(
-                st.integers(-bound, bound),
-                min_size=n * (n - 1) // 2,
-                max_size=n * (n - 1) // 2,
-            ),
-        )
-    ).map(_build)
-
-
-def _build(args):
-    n, ell, cvals = args
-    keys = [(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
-    return TwistData(n=n, c=dict(zip(keys, cvals)), ell=tuple(ell))
-
-
 @settings(max_examples=60, deadline=None)
-@given(small_twist_data())
+@given(raw_twist_data())
 def test_enumeration_matches_brute_force(d):
     assert lattice_points(d).points == brute_force_census(d).points
 
@@ -272,7 +234,7 @@ def wide_twist_data():
     """n <= 2 with |ell| <= 30 and |c| <= 6: level 1 often holds more than
     ``twistedcube._SMALL_LEVEL`` values, in several runs of both signs with
     values where no run starts or ends, and at most 31 * 210 points."""
-    return small_twist_data(max_n=2, bound=6, ell_bound=30)
+    return raw_twist_data(max_n=2, c_bound=6, ell=(-30, 30))
 
 
 # Level 1 has the runs 0..a for a = 40, 30, 20, 10, 0 and a+1..-1 for
@@ -282,7 +244,7 @@ SHARED_RUNS = TwistData(n=2, c={(1, 2): 10}, ell=(40, 8))
 
 
 @settings(max_examples=600, deadline=None)
-@given(st.one_of(small_twist_data(max_n=5, bound=2, ell_bound=3), wide_twist_data()))
+@given(st.one_of(raw_twist_data(max_n=5, ell=(-3, 3)), wide_twist_data()))
 # A tail with no admissible value (a = -1) at the top, in the middle and
 # at the bottom level.
 @example(TwistData(n=2, c={}, ell=(0, -1)))
@@ -299,13 +261,13 @@ def test_enumeration_matches_the_descent_order_oracle(d):
     assert lattice_points(d) == descent_census(d)
 
 
-@given(small_twist_data(), st.data())
+@given(raw_twist_data(), st.data())
 def test_support_identity(d, data):
     x = tuple(data.draw(st.integers(-6, 6)) for _ in range(d.n))
     assert (density(d, x) != 0) == contains(d, x)
 
 
-@given(small_twist_data(), st.data())
+@given(raw_twist_data(), st.data())
 def test_PD_subset_of_C(d, data):
     x = tuple(
         Fraction(data.draw(st.integers(-12, 12)), data.draw(st.integers(1, 4)))
@@ -316,7 +278,7 @@ def test_PD_subset_of_C(d, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_twist_data())
+@given(raw_twist_data())
 def test_nonnegative_census_points_have_density_one(d):
     for p, rho in lattice_points(d).points:
         if all(v >= 0 for v in p):
@@ -324,7 +286,7 @@ def test_nonnegative_census_points_have_density_one(d):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_twist_data(max_n=4))
+@given(raw_twist_data(max_n=4))
 def test_census_densities_and_lines_match_the_oracles(d):
     # The descent's sign products against the density oracle, and the hand-built
     # `lattice` lines against json.dumps.
@@ -340,9 +302,8 @@ def _lattice_out(d: TwistData) -> str:
     """What `lattice --out` writes for d, given as a raw instance file."""
     raw = {"n": d.n, "c": {f"{j},{k}": v for (j, k), v in d.c.items()}, "ell": list(d.ell)}
     with tempfile.TemporaryDirectory() as tmp:
-        inst, out = Path(tmp) / "inst.json", Path(tmp) / "census.jsonl"
-        inst.write_text(json.dumps(raw), encoding="utf-8")
-        assert main(["lattice", "--instance", str(inst), "--out", str(out)]) == EXIT_UNTWISTED
+        inst, out = write_input(Path(tmp) / "inst.json", raw), Path(tmp) / "census.jsonl"
+        assert main(["lattice", "--instance", inst, "--out", str(out)]) == EXIT_UNTWISTED
         return out.read_text(encoding="utf-8")
 
 
@@ -372,7 +333,7 @@ def _box_size(d: TwistData) -> int:
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(small_twist_data(max_n=5, bound=3, ell_bound=4), wide_twist_data()))
+@given(st.one_of(raw_twist_data(max_n=5, c_bound=3, ell=(-4, 4)), wide_twist_data()))
 @example(SHARED_RUNS)
 def test_lattice_writer_matches_the_descent_oracle(d):
     # The bucket writer against an independent oracle that never goes
@@ -430,7 +391,7 @@ def test_lattice_writer_at_the_edges(d, shape):
 
 
 @settings(max_examples=100, deadline=None)
-@given(small_twist_data(max_n=4))
+@given(raw_twist_data(max_n=4))
 def test_signed_count_matches_the_census(d):
     assert signed_count(d) == lattice_points(d).signed_count
 
@@ -438,8 +399,8 @@ def test_signed_count_matches_the_census(d):
 def test_signed_count_builds_no_point(monkeypatch):
     # signed_count reads the kernel's totals alone: its leaf returns one
     # shared pair, and lattice_points' point-building leaf never runs.
-    kinds = json.loads(CENSUS_DATA.read_text(encoding="utf-8"))["kinds"]
-    cases = [(_census_twist_data(insts[0]), insts[0]["expect"]["signed"]) for insts in kinds.values()]
+    kinds = workload_data("census")["kinds"]
+    cases = [(load_twist_data(insts[0]), insts[0]["expect"]["signed"]) for insts in kinds.values()]
     cases += [(EX1, 9), (TwistData(n=0), 1), (TwistData(n=1, ell=(-3,)), -2)]
 
     def raises(tail):
@@ -476,8 +437,7 @@ def test_lattice_counts_the_weyl_dimension_on_the_census_workload(tmp_path):
     # The A2 instances of the census workload, (1,2,1,2,1,2) and
     # (2,1,2,1,2,1) at λ = (8, 8), are not reduced, but their Demazure
     # product is w₀: dim V(8, 8) = 729.
-    for inst in json.loads(CENSUS_DATA.read_text(encoding="utf-8"))["kinds"]["a2"]:
-        inst = {key: value for key, value in inst.items() if key != "expect"}
+    for inst in workload_data("census")["kinds"]["a2"]:
         t = parse_lie_type(inst["type"])
         assert is_longest_element(t, inst["word"])
         assert _lattice_signed(inst, tmp_path) == weyl_dimension(t, inst["weight"]) == 729
@@ -485,7 +445,6 @@ def test_lattice_counts_the_weyl_dimension_on_the_census_workload(tmp_path):
 
 def _lattice_signed(inst: dict, tmp_path: Path) -> int:
     """The signed total that `lattice --out` writes for the instance."""
-    path, out = tmp_path / "inst.json", tmp_path / "census.jsonl"
-    path.write_text(json.dumps(inst), encoding="utf-8")
-    assert main(["lattice", "--instance", str(path), "--out", str(out)]) == EXIT_UNTWISTED
+    path, out = write_input(tmp_path / "inst.json", inst), tmp_path / "census.jsonl"
+    assert main(["lattice", "--instance", path, "--out", str(out)]) == EXIT_UNTWISTED
     return json.loads(out.read_bytes().splitlines()[-1])["signed"]

@@ -21,7 +21,15 @@ from twistedcubes.walks import (
 )
 from twistedcubes.weightword import DominantWeight, TwistData, Word, derive_twist_data
 
-from oracles import adjacent, all_types_up_to_rank, find_hesitant_lambda_walk_naive, minimize_splice
+from oracles import (
+    adjacent,
+    all_types_up_to_rank,
+    derived,
+    find_hesitant_lambda_walk_naive,
+    minimize_splice,
+    record_calls,
+    word_instances,
+)
 
 A5 = parse_lie_type("A5")
 
@@ -177,13 +185,13 @@ def test_lambda_walk_from_positive_entry():
     # hesitant walk that hesitant_walk_from_twist_witness rebuilds: the
     # positions after its first (repeated) letter.
     a2 = parse_lie_type("A2")
-    d = derive_twist_data(a2, Word((1, 2, 1)), DominantWeight((2, 1)))
+    d = derived("A2", (1, 2, 1), (2, 1))
     walk = hesitant_walk_from_twist_witness(d, Word((1, 2, 1)), compute_m(d, "-+-").m)
     assert walk.positions[1:] == (3,)
     assert is_lambda_walk(a2, Word(walk.subword[1:]), DominantWeight((2, 1)))
 
     a3 = parse_lie_type("A3")
-    d = derive_twist_data(a3, Word((1, 1, 2, 3)), DominantWeight((0, 0, 1)))
+    d = derived("A3", (1, 1, 2, 3), (0, 0, 1))
     m = compute_m(d, "----").m
     walk = hesitant_walk_from_twist_witness(d, Word((1, 1, 2, 3)), m)
     assert walk.positions[1:] == (2, 3, 4)
@@ -211,14 +219,7 @@ def test_minimize_and_is_minimal_need_a_weight_of_the_type_s_rank():
 
 
 TYPES = all_types_up_to_rank(6)
-
-
-@st.composite
-def instances(draw, max_len=8):
-    t = draw(st.sampled_from(TYPES))
-    word = Word(tuple(draw(st.lists(st.integers(1, t.rank), max_size=max_len))))
-    lam = DominantWeight(tuple(draw(st.lists(st.integers(0, 2), min_size=t.rank, max_size=t.rank))))
-    return t, word, lam
+INSTANCES = word_instances(TYPES, max_len=8, max_coefficient=2)
 
 
 @pytest.mark.parametrize(
@@ -228,11 +229,9 @@ def instances(draw, max_len=8):
 def test_is_hesitant_lambda_walk_checks_the_word_once(word, expected, monkeypatch):
     # The walking component is a slice of the word, so its letters need no
     # second check against the type.
-    checked = []
-    validate_for = Word.validate_for
-    monkeypatch.setattr(Word, "validate_for", lambda w, t: (checked.append(w.entries), validate_for(w, t))[1])
+    calls = record_calls(monkeypatch, Word, "validate_for")
     assert is_hesitant_lambda_walk(parse_lie_type("A3"), Word(word), DominantWeight((0, 1, 0))) is expected
-    assert checked == [word]
+    assert [w.entries for (w, _), _ in calls] == [word]
 
 
 def _hesitant_by_parts(t, w, lam):
@@ -259,7 +258,7 @@ def unchecked_instances(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(instances(), unchecked_instances()))
+@given(st.one_of(INSTANCES, unchecked_instances()))
 def test_is_hesitant_lambda_walk_matches_its_parts(inst):
     # Every result and every error, as when the walking component went
     # through is_lambda_walk and its own word check.
@@ -267,7 +266,7 @@ def test_is_hesitant_lambda_walk_matches_its_parts(inst):
 
 
 @settings(max_examples=200, deadline=None)
-@given(instances())
+@given(INSTANCES)
 def test_detectors_agree(inst):
     t, w, lam = inst
     fast = find_hesitant_lambda_walk(t, w, lam)
@@ -279,7 +278,7 @@ def test_detectors_agree(inst):
 
 
 @settings(max_examples=200, deadline=None)
-@given(instances())
+@given(INSTANCES)
 def test_minimize_output_is_minimal_subsequence(inst):
     t, w, lam = inst
     witness = find_hesitant_lambda_walk(t, w, lam)
@@ -335,7 +334,7 @@ def test_minimize_matches_the_splice_oracle_on_walks_with_detours(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(instances(), st.data())
+@given(INSTANCES, st.data())
 def test_support_monotonicity(inst, data):
     t, w, lam = inst
     if find_hesitant_lambda_walk(t, w, lam) is None:
@@ -347,7 +346,7 @@ def test_support_monotonicity(inst, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(instances())
+@given(INSTANCES)
 def test_hesitant_walk_is_never_diagram_walk(inst):
     t, w, lam = inst
     if is_hesitant_lambda_walk(t, w, lam):
@@ -355,11 +354,11 @@ def test_hesitant_walk_is_never_diagram_walk(inst):
 
 
 @st.composite
-def weights_agreeing_on_the_word(draw, max_len=8):
+def weights_agreeing_on_the_word(draw):
     """An instance, a second weight of its type's rank that agrees with lam on
     the letters of the word and is free elsewhere, and a subset of the
     word's positions."""
-    t, w, lam = draw(instances(max_len))
+    t, w, lam = draw(INSTANCES)
     letters = set(w.entries)
     other = DominantWeight(
         tuple(c if i in letters else draw(st.integers(0, 2)) for i, c in enumerate(lam.coefficients, 1))

@@ -12,11 +12,18 @@ from twistedcubes.weightword import (
     derive_twist_data,
 )
 
-from oracles import adjacent, all_types_up_to_rank, derive_twist_data_oracle
+from oracles import (
+    adjacent,
+    all_types_up_to_rank,
+    derive_twist_data_oracle,
+    derived,
+    record_calls,
+    word_instances,
+)
 
 
 def test_sl3_worked_example():
-    d = derive_twist_data(parse_lie_type("A2"), Word((1, 2, 1)), DominantWeight((2, 1)))
+    d = derived("A2", (1, 2, 1), (2, 1))
     assert d.c_at(1, 2) == -1
     assert d.c_at(1, 3) == 2
     assert d.c_at(2, 3) == -1
@@ -24,7 +31,7 @@ def test_sl3_worked_example():
 
 
 def test_empty_word():
-    d = derive_twist_data(parse_lie_type("A2"), Word(()), DominantWeight((2, 1)))
+    d = derived("A2", (), (2, 1))
     assert d.n == 0
     assert d.ell == ()
     assert d.c == {}
@@ -32,7 +39,7 @@ def test_empty_word():
 
 def test_pairing_order_convention():
     # (3, 2) in B3 must pick up the short-root entry -2, not its transpose.
-    d = derive_twist_data(parse_lie_type("B3"), Word((3, 2)), DominantWeight((0, 0, 0)))
+    d = derived("B3", (3, 2), (0, 0, 0))
     assert d.c_at(1, 2) == -2
 
 
@@ -72,24 +79,16 @@ def test_raw_twist_data_permits_any_integers():
 def test_twist_data_is_hashable_consistently_with_eq():
     a = TwistData(n=3, c={(1, 2): -1, (2, 3): -1, (1, 3): 2}, ell=(2, 1, 2))
     b = TwistData(n=3, c={(1, 3): 2, (2, 3): -1, (1, 2): -1}, ell=(2, 1, 2))
-    derived = derive_twist_data(parse_lie_type("A2"), Word((1, 2, 1)), DominantWeight((2, 1)))
-    assert a == b == derived
-    assert len({hash(a), hash(b), hash(derived)}) == 1
+    from_word = derived("A2", (1, 2, 1), (2, 1))
+    assert a == b == from_word
+    assert len({hash(a), hash(b), hash(from_word)}) == 1
     assert TwistData(n=3, c={(1, 2): -1}, ell=(2, 1, 2)) not in {a}
 
 
-TYPES = all_types_up_to_rank(5)
+INSTANCES = word_instances(all_types_up_to_rank(5), max_len=6, max_coefficient=3)
 
 
-@st.composite
-def instances(draw, max_len=6):
-    t = draw(st.sampled_from(TYPES))
-    word = Word(tuple(draw(st.lists(st.integers(1, t.rank), max_size=max_len))))
-    lam = DominantWeight(tuple(draw(st.lists(st.integers(0, 3), min_size=t.rank, max_size=t.rank))))
-    return t, word, lam
-
-
-@given(instances(), st.data())
+@given(INSTANCES, st.data())
 def test_c_depends_only_on_letter_pair(inst, data):
     t, w, lam = inst
     d = derive_twist_data(t, w, lam)
@@ -100,7 +99,7 @@ def test_c_depends_only_on_letter_pair(inst, data):
     assert longer.ell[: d.n] == d.ell
 
 
-@given(instances())
+@given(INSTANCES)
 def test_c_reads_the_cartan_table_in_pairing_order(inst):
     # B, C, F4 and G2 have asymmetric tables, so a transposed read fails here.
     t, w, lam = inst
@@ -110,7 +109,7 @@ def test_c_reads_the_cartan_table_in_pairing_order(inst):
             assert d.c_at(j, k) == cartan_pairing(t, w.entries[k - 1], w.entries[j - 1])
 
 
-@given(instances())
+@given(INSTANCES)
 def test_equal_letters_share_ell(inst):
     t, w, lam = inst
     d = derive_twist_data(t, w, lam)
@@ -120,7 +119,7 @@ def test_equal_letters_share_ell(inst):
                 assert d.ell[j] == d.ell[k]
 
 
-@given(instances())
+@given(INSTANCES)
 def test_c_classification_by_adjacency(inst):
     t, w, lam = inst
     d = derive_twist_data(t, w, lam)
@@ -146,7 +145,7 @@ SAME_LETTERS = [(parse_lie_type(name), Word((1, 2, 3))) for name in ("A3", "B3",
 EMPTY = (parse_lie_type("A2"), Word(()))
 
 
-@given(st.lists(instances(), max_size=3), st.data())
+@given(st.lists(INSTANCES, max_size=3), st.data())
 def test_derive_equals_the_oracle_over_repeated_and_interleaved_words(extra, data):
     words = SAME_LETTERS + [EMPTY] + [(t, w) for t, w, _ in extra]
     calls = data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=16))
@@ -210,10 +209,8 @@ def test_the_word_cache_holds_one_word(monkeypatch):
     u, v, lam = Word((1, 2)), Word((2, 1)), DominantWeight((1, 0))
     # Some other word is the cached one when the count starts.
     derive_twist_data(a2, Word((1, 1, 1)), lam)
-    tables = []
-    real = weightword.cartan_table
-    monkeypatch.setattr(weightword, "cartan_table", lambda t: tables.append(t) or real(t))
+    calls = record_calls(monkeypatch, weightword, "cartan_table")
     for w in (u, u, v, v, u):
         derive_twist_data(a2, w, lam)
     # u is read again after v: a cache of two words would have kept it.
-    assert tables == [a2] * 3
+    assert [t for (t,), _ in calls] == [a2] * 3
