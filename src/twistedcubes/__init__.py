@@ -15,7 +15,7 @@ from .errors import (
     RankOutOfRange,
     TwistedCubeError,
 )
-from .rootdata import LieType, cartan_pairing, parse_lie_type, validate_lie_type
+from .rootdata import LieType, cartan_pairing, parse_lie_type
 from .weightword import (
     DominantWeight,
     TwistData,

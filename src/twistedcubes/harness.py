@@ -10,7 +10,6 @@ import random
 import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
-from operator import itemgetter
 
 from . import cartier, walks
 from .cartier import DEFAULT_N_CAP
@@ -102,30 +101,27 @@ class SweepReport:
 Instance = tuple[str, tuple[int, ...], tuple[int, ...]]
 
 
-def iter_instances(spec: SweepSpec):
-    """Deterministic instance stream: exhaustive by default, seeded-random
-    when sample_count is set."""
+def iter_groups(spec: SweepSpec):
+    """Deterministic stream of (type name, type, word, weights) groups: an
+    exhaustive block gives each word of each type with every weight of the
+    type, and a sampled one (sample_count set) each seeded draw with its
+    drawn weight.  Each type is parsed and named once."""
+    types = [(str(t), t) for t in map(parse_lie_type, spec.lie_types)]
     if spec.sample_count is not None:
         # A missing seed means seed 0, so that the stream stays deterministic.
         rng = random.Random(0 if spec.seed is None else spec.seed)
-        # Each type is parsed and named once; a choice from a list of the
-        # same length draws the same index, so the stream does not change.
-        types = [(t, str(t)) for t in map(parse_lie_type, spec.lie_types)]
         for _ in range(spec.sample_count):
-            t, type_name = rng.choice(types)
+            type_name, t = rng.choice(types)
             n = rng.randint(0, spec.max_word_length)
             word = tuple(rng.randint(1, t.rank) for _ in range(n))
             weight = tuple(rng.choice(spec.weight_alphabet) for _ in range(t.rank))
-            yield (type_name, word, weight)
+            yield type_name, t, word, (weight,)
         return
-    for name in spec.lie_types:
-        t = parse_lie_type(name)
-        type_name = str(t)
-        weights = list(itertools.product(spec.weight_alphabet, repeat=t.rank))
+    for type_name, t in types:
+        weights = tuple(itertools.product(spec.weight_alphabet, repeat=t.rank))
         for n in range(spec.max_word_length + 1):
             for word in itertools.product(range(1, t.rank + 1), repeat=n):
-                for weight in weights:
-                    yield (type_name, word, weight)
+                yield type_name, t, word, weights
 
 
 def _twist_data_checks(
@@ -221,19 +217,20 @@ def _worker(inst: Instance, t: LieType, w: Word, memo: dict) -> tuple[bool, list
 
 
 def _check_group(group) -> list[tuple[bool, list[dict]]]:
-    """_worker over a ((type, word), instances) group: the type is parsed and
-    the word built once, and the memo lives for this group only, so it holds
-    at most one entry per distinct twist data of one word."""
-    (type_name, word_entries), instances = group
-    t = parse_lie_type(type_name)
+    """_worker over each weight of a (type name, type, word, weights) group of
+    iter_groups: the word is built once, and the memo lives for this group
+    only, so it holds at most one entry per distinct twist data of one word."""
+    type_name, t, word_entries, weights = group
     w = Word(word_entries)
     memo: dict = {}
-    return [_worker(inst, t, w, memo) for inst in instances]
+    return [_worker((type_name, word_entries, weight), t, w, memo) for weight in weights]
 
 
 def check_instance(inst: Instance) -> list[dict]:
     """All per-instance assertions; returns a list of counterexample records."""
-    return _check_group((inst[:2], [inst]))[0][1]
+    type_name, word_entries, weight_coeffs = inst
+    group = (type_name, parse_lie_type(type_name), word_entries, (weight_coeffs,))
+    return _check_group(group)[0][1]
 
 
 def verify_equivalence(spec: SweepSpec, jobs: int = 1) -> SweepReport:
@@ -243,21 +240,18 @@ def verify_equivalence(spec: SweepSpec, jobs: int = 1) -> SweepReport:
     require_checkable(spec)
     start = time.monotonic()
     report = SweepReport()
-    # An exhaustive block emits all weights of a word in a row, so runs of
-    # one (type, word) form the groups; a sampled instance is a group of one.
-    groups = itertools.groupby(iter_instances(spec), key=itemgetter(0, 1))
-    # Instances stream in: a serial group draws its instances as it checks
-    # them, and imap feeds whole groups to the workers through a pipe, so
-    # neither path holds a block's whole instance list.  multiprocessing is
-    # loaded only for a pool, so a serial sweep and every other command skip
-    # its modules.
+    # Groups stream in: a serial sweep draws each group as it checks it, and
+    # imap feeds them to the workers through a pipe, so neither path holds a
+    # block's whole instance list.  multiprocessing is loaded only for a
+    # pool, so a serial sweep and every other command skip its modules.
+    groups = iter_groups(spec)
     with (
         importlib.import_module("multiprocessing").Pool(jobs) if jobs > 1 else nullcontext()
     ) as pool:
         if pool is None:
             results = map(_check_group, groups)
         else:
-            results = pool.imap(_check_group, ((key, list(g)) for key, g in groups), chunksize=32)
+            results = pool.imap(_check_group, groups, chunksize=32)
         for untwisted, problems in itertools.chain.from_iterable(results):
             report.instances += 1
             if untwisted:
@@ -273,18 +267,15 @@ def verify_equivalence(spec: SweepSpec, jobs: int = 1) -> SweepReport:
 def atlas(specs: list[SweepSpec]) -> dict:
     """Tally hesitant-lambda-walk-avoiding words per (type, weight, word
     length) slot across the blocks; blocks may share slots.  As in verify,
-    the type is parsed and the word built once per run of one (type, word)."""
+    the word is built once per group of iter_groups."""
     counts: dict = {}
     instances = 0
     for spec in specs:
-        for (type_name, word_entries), group in itertools.groupby(
-            iter_instances(spec), key=itemgetter(0, 1)
-        ):
-            t = parse_lie_type(type_name)
+        for type_name, t, word_entries, weights in iter_groups(spec):
             w = Word(word_entries)
             by_weight = counts.setdefault(type_name, {})
             length_key = str(len(w))
-            for _, _, weight_coeffs in group:
+            for weight_coeffs in weights:
                 lam = DominantWeight(weight_coeffs)
                 avoiding = walks.find_hesitant_lambda_walk(t, w, lam) is None
                 weight_key = ",".join(str(c) for c in weight_coeffs)

@@ -25,35 +25,34 @@ FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
 @dataclass(frozen=True, order=True)
 class LieType:
-    """A Dynkin family letter plus rank, e.g. B3."""
+    """A Dynkin family letter plus rank, e.g. B3.  A pair that names no
+    Dynkin diagram raises RankOutOfRange."""
 
     family: str
     rank: int
 
+    def __post_init__(self) -> None:
+        family, rank = self.family, self.rank
+        if family not in FAMILIES:
+            raise RankOutOfRange(f"unknown family {family!r}; expected one of {FAMILIES}")
+        if family == "E":
+            if rank not in (6, 7, 8):
+                raise RankOutOfRange(f"E requires rank in {{6, 7, 8}}, got {rank}")
+        elif family == "F":
+            if rank != 4:
+                raise RankOutOfRange(f"F requires rank 4, got {rank}")
+        elif family == "G":
+            if rank != 2:
+                raise RankOutOfRange(f"G requires rank 2, got {rank}")
+        else:
+            floor = _RANK_FLOOR[family]
+            if not floor <= rank <= MAX_RANK:
+                raise RankOutOfRange(
+                    f"{family} requires {floor} <= rank <= {MAX_RANK}, got {rank}"
+                )
+
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
-
-
-def validate_lie_type(family: str, rank: int) -> LieType:
-    """Return a validated LieType or raise RankOutOfRange."""
-    if family not in FAMILIES:
-        raise RankOutOfRange(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if family == "E":
-        if rank not in (6, 7, 8):
-            raise RankOutOfRange(f"E requires rank in {{6, 7, 8}}, got {rank}")
-    elif family == "F":
-        if rank != 4:
-            raise RankOutOfRange(f"F requires rank 4, got {rank}")
-    elif family == "G":
-        if rank != 2:
-            raise RankOutOfRange(f"G requires rank 2, got {rank}")
-    else:
-        floor = _RANK_FLOOR[family]
-        if not floor <= rank <= MAX_RANK:
-            raise RankOutOfRange(
-                f"{family} requires {floor} <= rank <= {MAX_RANK}, got {rank}"
-            )
-    return LieType(family, rank)
 
 
 _TYPE_RE = re.compile(r"^([A-G])([0-9]{1,9})$")
@@ -64,7 +63,7 @@ def parse_lie_type(text: str) -> LieType:
     m = _TYPE_RE.match(text.strip())
     if not m:
         raise RankOutOfRange(f"cannot parse Lie type {text!r}")
-    return validate_lie_type(m.group(1), int(m.group(2)))
+    return LieType(m.group(1), int(m.group(2)))
 
 
 def _diagram_edges(t: LieType) -> list[tuple[int, int]]:

@@ -16,14 +16,13 @@ from hypothesis import strategies as st
 from twistedcubes.cartier import DEFAULT_N_CAP, UntwistResult, compute_m, is_untwisted
 from twistedcubes.cli import load_instance
 from twistedcubes.errors import CapExceeded, RankOutOfRange
-from twistedcubes.harness import SweepSpec, iter_instances
+from twistedcubes.harness import SweepSpec, iter_groups
 from twistedcubes.rootdata import (
     FAMILIES,
     LieType,
     cartan_pairing,
     cartan_table,
     parse_lie_type,
-    validate_lie_type,
 )
 from twistedcubes.twistedcube import LatticeCensus, contains_PD, lattice_points
 from twistedcubes.walks import WalkWitness
@@ -98,12 +97,12 @@ def is_untwisted_exhaustive(d: TwistData, cap: int = DEFAULT_N_CAP) -> UntwistRe
 
 def all_types_up_to_rank(max_rank: int) -> list[LieType]:
     """Every admissible LieType with rank <= max_rank, in canonical order:
-    each family-rank pair that validate_lie_type accepts."""
+    each family-rank pair that the LieType constructor accepts."""
     out = []
     for family in FAMILIES:
         for rank in range(1, max_rank + 1):
             try:
-                out.append(validate_lie_type(family, rank))
+                out.append(LieType(family, rank))
             except RankOutOfRange:
                 pass
     return out
@@ -367,6 +366,14 @@ def weyl_dimension(t: LieType, weight) -> Fraction:
 # The builders the test files share.
 
 
+def iter_instances(spec: SweepSpec):
+    """The (type name, word, weight) instances of harness.iter_groups, one
+    weight at a time."""
+    for type_name, _, word, weights in iter_groups(spec):
+        for weight in weights:
+            yield type_name, word, weight
+
+
 def derived(type_name: str, word, weight) -> TwistData:
     """The twist data of the derived instance (type, word, weight), with the
     type by name and the word and weight as sequences of integers."""
@@ -458,3 +465,11 @@ def load_twist_data(inst: dict) -> TwistData:
     with tempfile.TemporaryDirectory() as tmp:
         d, _ = load_instance(write_input(Path(tmp) / "inst.json", inst))
     return d
+
+
+#: The running n = 2 example, c_12 = 1 and ell = (3, 5), as the JSON of
+#: scripts/figure_example.json and as the twist data the CLI reads from it:
+#: a half-open region with one lattice point of density -1, at (-1, 5).
+FIGURE_EXAMPLE = Path(__file__).resolve().parent.parent / "scripts" / "figure_example.json"
+RUNNING_EXAMPLE_JSON = json.loads(FIGURE_EXAMPLE.read_text(encoding="utf-8"))
+RUNNING_EXAMPLE = load_twist_data(RUNNING_EXAMPLE_JSON)

@@ -19,11 +19,7 @@ from twistedcubes.cartier import (
     minus_at,
     witness_sigma_from_walk,
 )
-from twistedcubes.harness import (
-    default_specs,
-    iter_instances,
-    verify_equivalence,
-)
+from twistedcubes.harness import default_specs, verify_equivalence
 from twistedcubes.rootdata import parse_lie_type
 from twistedcubes.twistedcube import lattice_points, signed_count
 from twistedcubes.walks import (
@@ -33,6 +29,7 @@ from twistedcubes.walks import (
 from twistedcubes.weightword import DominantWeight, TwistData, Word
 
 from oracles import (
+    RUNNING_EXAMPLE,
     all_types_up_to_rank,
     brute_force_census,
     contains,
@@ -43,6 +40,7 @@ from oracles import (
     first_hesitant_lambda_walk,
     is_longest_element,
     is_untwisted_exhaustive,
+    iter_instances,
     point_weight,
     scaling_invariance_failures,
     weyl_dimension,
@@ -103,7 +101,7 @@ def test_criterion_2_derived_constants():
 
 
 def test_criterion_3_running_example_census():
-    d = TwistData(n=2, c={(1, 2): 1}, ell=(3, 5))
+    d = RUNNING_EXAMPLE
     census = lattice_points(d)
     negatives = [p for p, rho in census.points if rho == -1]
     ok = (

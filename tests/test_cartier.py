@@ -23,6 +23,7 @@ from twistedcubes.walks import is_hesitant_lambda_walk
 from twistedcubes.weightword import DominantWeight, TwistData, Word, derive_twist_data
 
 from oracles import (
+    RUNNING_EXAMPLE,
     check_untwisted_instances,
     derived,
     is_untwisted_exhaustive,
@@ -196,7 +197,7 @@ def test_witness_sigma_rejects_non_minimal():
         witness_sigma_from_walk(d, (1, 2, 3, 4))
     # Raw instance whose repetition entry is below 2.
     with pytest.raises(NotMinimalWitness):
-        witness_sigma_from_walk(TwistData(n=2, c={(1, 2): 1}, ell=(3, 5)), (1, 2))
+        witness_sigma_from_walk(RUNNING_EXAMPLE, (1, 2))
     with pytest.raises(NotMinimalWitness):
         witness_sigma_from_walk(A2_TWISTED, (3, 1))
 

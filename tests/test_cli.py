@@ -18,7 +18,13 @@ from twistedcubes import cartier, cli, harness, twistedcube, walks
 from twistedcubes.cli import EXIT_ERROR, EXIT_TWISTED, EXIT_UNTWISTED, load_instance, main
 from twistedcubes.errors import MalformedInput
 
-from oracles import check_untwisted_instances, record_calls, workload_data, write_input
+from oracles import (
+    RUNNING_EXAMPLE_JSON,
+    check_untwisted_instances,
+    record_calls,
+    workload_data,
+    write_input,
+)
 
 
 @pytest.fixture
@@ -34,7 +40,7 @@ def derived_untwisted(tmp_path):
 
 @pytest.fixture
 def raw_n2(tmp_path):
-    return write_input(tmp_path / "raw.json", {"n": 2, "c": {"1,2": 1}, "ell": [3, 5]})
+    return write_input(tmp_path / "raw.json", RUNNING_EXAMPLE_JSON)
 
 
 def test_check_untwisted_exit_and_json(derived_untwisted, capsys):
@@ -187,7 +193,7 @@ def test_lattice_keeps_the_per_value_check(raw_n2, tmp_path, monkeypatch, capsys
 
 @pytest.mark.parametrize(
     "raw",
-    [{"n": 2, "c": {"1,2": 1}, "ell": [3, 5]}, {"n": 2, "c": {"1,2": 3}, "ell": [-3, 4]}],
+    [RUNNING_EXAMPLE_JSON, {"n": 2, "c": {"1,2": 3}, "ell": [-3, 4]}],
     ids=["ex1", "negative runs"],
 )
 @pytest.mark.parametrize(
@@ -620,7 +626,7 @@ INSTANCES = (
         {"type": _TYPES, "word": st.lists(_SMALL, max_size=4)},
         _INSTANCE_JSON,
     )
-    | _mutations({"n": 2, "c": {"1,2": 1}, "ell": [3, 5]}, {}, _INSTANCE_JSON)
+    | _mutations(RUNNING_EXAMPLE_JSON, {}, _INSTANCE_JSON)
 )
 
 _SPEC_BLOCKS = _mutations(
@@ -655,7 +661,7 @@ TINY_INSTANCES = (
         {"type": _TYPES, "word": st.lists(_TINY, max_size=3), "weight": st.lists(_TINY, max_size=3)},
         _TINY_JSON,
     )
-    | _mutations({"n": 2, "c": {"1,2": 1}, "ell": [3, 5]}, {"n": _TINY, "ell": st.lists(_TINY, max_size=3)}, _TINY_JSON)
+    | _mutations(RUNNING_EXAMPLE_JSON, {"n": _TINY, "ell": st.lists(_TINY, max_size=3)}, _TINY_JSON)
     # Well-formed raw instances, so that many draws reach the census and the
     # picture rather than a loader error.
     | st.integers(0, 3).flatmap(

@@ -12,18 +12,20 @@ from twistedcubes.harness import (
     atlas,
     check_instance,
     default_specs,
-    iter_instances,
     verify_equivalence,
 )
 from twistedcubes.walks import WalkWitness
 from twistedcubes.weightword import TwistData
 
 from oracles import (
+    RUNNING_EXAMPLE,
     derived,
+    iter_instances,
     raw_twist_data,
     record_calls,
     scaling_invariance_failures,
     untwisted_census_problems,
+    workload_data,
 )
 
 
@@ -240,7 +242,7 @@ def test_census_problems_equal_the_point_by_point_oracle_on_the_default_sweep():
 @settings(max_examples=300, deadline=None)
 @given(raw_twist_data(max_n=5, ell=(-3, 3)))
 # A point of density -1 at (-1, 5), which also escapes PD.
-@example(TwistData(n=2, c={(1, 2): 1}, ell=(3, 5)))
+@example(RUNNING_EXAMPLE)
 # One point, (-1, -1), of density +1 outside PD.
 @example(TwistData(n=2, ell=(-2, -2)))
 # A negative x_2 or x_3 under a nonnegative x_1.
@@ -280,24 +282,49 @@ def test_the_default_sweep_reads_the_cartan_table_once_per_word(monkeypatch):
 def test_verify_streams_its_instances(monkeypatch):
     drawn = []
     first_call = []
-    real_iter, real_worker = harness.iter_instances, harness._worker
+    real_groups, real_worker = harness.iter_groups, harness._worker
 
     def counting(spec):
-        for inst in real_iter(spec):
-            drawn.append(inst)
-            yield inst
+        for group in real_groups(spec):
+            drawn.append(group)
+            yield group
 
     def worker(inst, t, w, memo):
         if not first_call:
             first_call.append(len(drawn))
         return real_worker(inst, t, w, memo)
 
-    monkeypatch.setattr(harness, "iter_instances", counting)
+    monkeypatch.setattr(harness, "iter_groups", counting)
     monkeypatch.setattr(harness, "_worker", worker)
     report = verify_equivalence(SweepSpec(("A2", "B2"), 3, (0, 1)))
-    # The first check runs after one instance is drawn, not after all 120.
+    # The first check runs after one group is drawn, not after all 30: one
+    # per (type, word), each with its 4 weights.
     assert first_call == [1]
-    assert len(drawn) == report.instances == 120
+    assert len(drawn) == 30
+    assert sum(len(weights) for *_, weights in drawn) == report.instances == 120
+
+
+def _sweep_workload_specs() -> list[SweepSpec]:
+    """The sweep workload's blocks and its sampled block at seed 1."""
+    data = workload_data("sweep")
+    blocks = data["blocks"] + [dict(data["sampled"], seed=1)]
+    return [SweepSpec.from_json(block) for block in blocks]
+
+
+@pytest.mark.parametrize(
+    "specs, parses",
+    [(default_specs, 13), (_sweep_workload_specs, 19)],
+    ids=["default sweep", "sweep workload at seed 1"],
+)
+def test_verify_parses_each_lie_type_once_per_block(specs, parses, monkeypatch):
+    # Counted work: each type of a block is parsed once, however many words
+    # and weights it has.  Parsing the type again for each (type, word) read
+    # 2 305 and 4 304.
+    blocks = specs()
+    calls = record_calls(monkeypatch, harness, "parse_lie_type")
+    for spec in blocks:
+        verify_equivalence(spec)
+    assert len(calls) == parses == sum(len(spec.lie_types) for spec in blocks)
 
 
 # D4 and F4 words of length <= 2 over {0, 1}: most of the 16 weights of a

@@ -5,7 +5,7 @@ from twistedcubes.render import render_svg
 from twistedcubes.twistedcube import lattice_points
 from twistedcubes.weightword import TwistData
 
-EX1 = TwistData(n=2, c={(1, 2): 1}, ell=(3, 5))
+from oracles import RUNNING_EXAMPLE
 
 
 def test_rejects_wrong_dimension():
@@ -15,7 +15,7 @@ def test_rejects_wrong_dimension():
 
 
 def test_running_example_structure():
-    svg = render_svg(EX1)
+    svg = render_svg(RUNNING_EXAMPLE)
     assert svg.startswith("<svg")
     assert svg.endswith("</svg>\n")
     # Both density regions are present: solid fill and hatch pattern use.
@@ -24,14 +24,14 @@ def test_running_example_structure():
     # The half-open region has dashed strict edges.
     assert 'stroke-dasharray="6,4"' in svg
     # One dot per census point, colored by density.
-    census = lattice_points(EX1)
+    census = lattice_points(RUNNING_EXAMPLE)
     assert svg.count("<circle") == len(census.points)
     assert svg.count('fill="#000000"') == census.num_positive
     assert svg.count('r="3.5" fill="#b03030"') == census.num_negative
 
 
 def test_deterministic_output():
-    assert render_svg(EX1) == render_svg(EX1)
+    assert render_svg(RUNNING_EXAMPLE) == render_svg(RUNNING_EXAMPLE)
 
 
 def test_closed_cube_has_no_dashes():

@@ -7,7 +7,6 @@ from twistedcubes.rootdata import (
     cartan_pairing,
     cartan_table,
     parse_lie_type,
-    validate_lie_type,
 )
 
 from oracles import adjacent, all_types_up_to_rank
@@ -16,25 +15,30 @@ SMALL_TYPES = all_types_up_to_rank(9)
 
 
 def test_validate_examples():
-    assert validate_lie_type("A", 5) == LieType("A", 5)
-    assert validate_lie_type("G", 2) == LieType("G", 2)
+    assert LieType("A", 5).rank == 5
+    assert LieType("G", 2) == parse_lie_type("G2")
     with pytest.raises(RankOutOfRange):
-        validate_lie_type("C", 2)
+        LieType("C", 2)
 
 
 @pytest.mark.parametrize(
     "family,rank",
-    [("A", 0), ("B", 1), ("C", 2), ("D", 3), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("H", 2)],
+    [
+        ("A", 0), ("B", 1), ("C", 2), ("D", 3), ("E", 5),
+        ("E", 9), ("F", 3), ("G", 3), ("H", 2), ("Z", 3),
+    ],
 )
 def test_validate_rejects(family, rank):
+    # The constructor checks, so no Cartan table, twist data or verdict is
+    # ever built for a pair that names no Dynkin diagram.
     with pytest.raises(RankOutOfRange):
-        validate_lie_type(family, rank)
+        LieType(family, rank)
 
 
 def test_rank_cap():
     with pytest.raises(RankOutOfRange):
-        validate_lie_type("A", 33)
-    assert validate_lie_type("A", 32).rank == 32
+        LieType("A", 33)
+    assert LieType("A", 32).rank == 32
 
 
 def test_parse_serialization():

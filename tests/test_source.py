@@ -1,20 +1,24 @@
 """Checks on the package source itself."""
 
+import argparse
 import ast
 import importlib
 import inspect
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
 import twistedcubes
+from twistedcubes.cli import build_parser
 
 MODULES = sorted(Path(twistedcubes.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 GEN = PERFBENCH / "gen.py"
+README = Path(__file__).parent.parent / "README.md"
 
 # Public names kept although nothing in the package reads them.
 API_ENTRIES = {
@@ -200,3 +204,42 @@ def _generator_targets():
 @pytest.mark.parametrize("module,attr", _generator_targets(), ids=str)
 def test_benchmark_generator_targets_exist(module, attr):
     assert hasattr(importlib.import_module(module), attr), f"{module} has no {attr}"
+
+
+def _readme_synopsis() -> dict[str, dict[str, bool]]:
+    """Each `twistedcubes <command>` line of README's Commands block, as
+    {command: {option: required}}: an option inside brackets is optional."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"Commands:\n\n```sh\n(.*?)```", text, re.S).group(1)
+    synopsis = {}
+    for line in block.splitlines():
+        line = line.partition("#")[0]
+        command = line.split()[1]
+        synopsis[command] = {
+            m.group(): line[: m.start()].count("[") == line[: m.start()].count("]")
+            for m in re.finditer(r"--[a-z-]+", line)
+        }
+    return synopsis
+
+
+def _parser_options() -> dict[str, dict[str, bool]]:
+    """{command: {option: required}} of cli.build_parser(), without -h."""
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        command: {
+            action.option_strings[-1]: action.required
+            for action in parser._actions
+            if action.option_strings and "-h" not in action.option_strings
+        }
+        for command, parser in subparsers.choices.items()
+    }
+
+
+def test_readme_synopsis_names_each_commands_options():
+    # Renaming, adding or dropping an option, or changing whether it is
+    # required, must be written into README's command synopsis too.
+    synopsis = _readme_synopsis()
+    assert len(synopsis) == 5
+    assert synopsis == _parser_options()

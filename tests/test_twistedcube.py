@@ -10,13 +10,16 @@ from hypothesis import assume, example, given, settings, strategies as st
 from twistedcubes import twistedcube
 from twistedcubes.cli import EXIT_UNTWISTED, main
 from twistedcubes.errors import DimensionMismatch, PreconditionViolated
-from twistedcubes.rootdata import parse_lie_type
+from twistedcubes.rootdata import cartan_table, parse_lie_type
 from twistedcubes.twistedcube import contains_PD, lattice_points, signed_count
-from twistedcubes.weightword import TwistData, bound
+from twistedcubes.weightword import TwistData, Word, bound, derive_twist_data
 
 from oracles import (
+    RUNNING_EXAMPLE,
+    all_types_up_to_rank,
     brute_force_census,
     contains,
+    demazure_rho,
     density,
     derived,
     descent_census,
@@ -26,40 +29,38 @@ from oracles import (
     raw_twist_data,
     record_calls,
     weyl_dimension,
+    word_instances,
     workload_data,
     write_input,
 )
 
-# The running n=2 instance: half-open region with one negative lattice point.
-EX1 = TwistData(n=2, c={(1, 2): 1}, ell=(3, 5))
-
 
 def test_bound_examples():
-    assert bound(EX1, 2, (0, 0)) == 5
-    assert bound(EX1, 2, (7, -9)) == 5
-    assert bound(EX1, 1, (0, 4)) == -1
+    assert bound(RUNNING_EXAMPLE, 2, (0, 0)) == 5
+    assert bound(RUNNING_EXAMPLE, 2, (7, -9)) == 5
+    assert bound(RUNNING_EXAMPLE, 1, (0, 4)) == -1
     zero = TwistData(n=3, c={}, ell=(0, 0, 0))
     assert all(bound(zero, j, (1, 2, 3)) == 0 for j in (1, 2, 3))
 
 
 def test_contains_examples():
-    assert contains(EX1, (1, 1))
-    assert not contains(EX1, (0, 4))
-    assert contains(EX1, (-1, 5))
+    assert contains(RUNNING_EXAMPLE, (1, 1))
+    assert not contains(RUNNING_EXAMPLE, (0, 4))
+    assert contains(RUNNING_EXAMPLE, (-1, 5))
 
 
 def test_contains_excluded_boundary():
     # The segment {(0, x2) : 3 < x2 < 5} and the slanted open edge are out.
-    assert not contains(EX1, (Fraction(0), Fraction(7, 2)))
-    assert not contains(EX1, (Fraction(-1, 2), Fraction(7, 2)))
+    assert not contains(RUNNING_EXAMPLE, (Fraction(0), Fraction(7, 2)))
+    assert not contains(RUNNING_EXAMPLE, (Fraction(-1, 2), Fraction(7, 2)))
     # Interior of the open region is in.
-    assert contains(EX1, (Fraction(-1, 4), Fraction(7, 2)))
+    assert contains(RUNNING_EXAMPLE, (Fraction(-1, 4), Fraction(7, 2)))
 
 
 def test_density_examples():
-    assert density(EX1, (1, 1)) == 1
-    assert density(EX1, (-1, 5)) == -1
-    assert density(EX1, (0, 4)) == 0
+    assert density(RUNNING_EXAMPLE, (1, 1)) == 1
+    assert density(RUNNING_EXAMPLE, (-1, 5)) == -1
+    assert density(RUNNING_EXAMPLE, (0, 4)) == 0
 
 
 def test_sign_convention_at_zero():
@@ -71,20 +72,20 @@ def test_sign_convention_at_zero():
 
 
 def test_contains_PD_examples():
-    assert contains_PD(EX1, (1, 1))
-    assert not contains_PD(EX1, (-1, 5))
-    assert contains_PD(EX1, (0, 0))
+    assert contains_PD(RUNNING_EXAMPLE, (1, 1))
+    assert not contains_PD(RUNNING_EXAMPLE, (-1, 5))
+    assert contains_PD(RUNNING_EXAMPLE, (0, 0))
     assert not contains_PD(TwistData(n=1, c={}, ell=(-1,)), (0,))
     with pytest.raises(DimensionMismatch, match="point has dimension 3, expected 2"):
-        contains_PD(EX1, (0, 0, 0))
+        contains_PD(RUNNING_EXAMPLE, (0, 0, 0))
 
 
 def test_example1_census():
-    census = lattice_points(EX1)
+    census = lattice_points(RUNNING_EXAMPLE)
     assert census.num_positive == 10
     assert census.num_negative == 1
     assert [p for p, rho in census.points if rho == -1] == [(-1, 5)]
-    oracle = brute_force_census(EX1, box=5)
+    oracle = brute_force_census(RUNNING_EXAMPLE, box=5)
     assert oracle.points == census.points
 
 
@@ -193,7 +194,7 @@ def test_enumeration_checks_every_chosen_value(monkeypatch):
     # value that fails there must stop the census.
     monkeypatch.setattr(twistedcube, "_coordinate_ok", lambda a, v: False)
     with pytest.raises(PreconditionViolated):
-        lattice_points(EX1)
+        lattice_points(RUNNING_EXAMPLE)
 
 
 # A fault at either end of a run must stop the census, although each run is
@@ -208,11 +209,11 @@ RUN_END_FAULTS = {
 @pytest.mark.parametrize(
     "fault, d",
     [
-        # EX1 has the runs 0..5 and 0..3 and the one-value run {-1}.
-        ("last of 0..a", EX1),
+        # The running example has the runs 0..5 and 0..3 and the one-value run {-1}.
+        ("last of 0..a", RUNNING_EXAMPLE),
         ("last of 0..a", TwistData(n=1, ell=(0,))),
         ("last of 0..a", TwistData(n=1, ell=(4,))),
-        ("first of a+1..-1", EX1),
+        ("first of a+1..-1", RUNNING_EXAMPLE),
         ("first of a+1..-1", TwistData(n=1, ell=(-12,))),
         # Level 1 has the runs a+1..-1 for a = -3, -6, ..., -15.
         ("first of a+1..-1", TwistData(n=2, c={(1, 2): 3}, ell=(-3, 4))),
@@ -401,7 +402,7 @@ def test_signed_count_builds_no_point(monkeypatch):
     # shared pair, and lattice_points' point-building leaf never runs.
     kinds = workload_data("census")["kinds"]
     cases = [(load_twist_data(insts[0]), insts[0]["expect"]["signed"]) for insts in kinds.values()]
-    cases += [(EX1, 9), (TwistData(n=0), 1), (TwistData(n=1, ell=(-3,)), -2)]
+    cases += [(RUNNING_EXAMPLE, 9), (TwistData(n=0), 1), (TwistData(n=1, ell=(-3,)), -2)]
 
     def raises(tail):
         raise AssertionError(f"a point was built for the tail {tail}")
@@ -441,6 +442,55 @@ def test_lattice_counts_the_weyl_dimension_on_the_census_workload(tmp_path):
         t = parse_lie_type(inst["type"])
         assert is_longest_element(t, inst["word"])
         assert _lattice_signed(inst, tmp_path) == weyl_dimension(t, inst["weight"]) == 729
+
+
+# A1-A4, B2-B4, C3, C4, D4, F4 and G2.
+RANK_4_TYPES = all_types_up_to_rank(4)
+
+
+def _braid_factors(t, letters) -> list[tuple[int, int]]:
+    """(start, m) of each alternating factor i j i ... of the word whose
+    length m is the braid length of i and j: 2, 3, 4 or 6 as c_ij c_ji is
+    0, 1, 2 or 3."""
+    table = cartan_table(t)
+    factors = []
+    for s in range(len(letters) - 1):
+        i, j = letters[s], letters[s + 1]
+        if i != j:
+            m = (2, 3, 4, 6)[table[i - 1][j - 1] * table[j - 1][i - 1]]
+            if letters[s : s + m] == ((i, j) * m)[:m]:
+                factors.append((s, m))
+    return factors
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_signed_count_depends_on_the_word_through_its_demazure_product(data):
+    # The census applies Demazure operators, which satisfy D_i² = D_i and
+    # the braid relations, so repeating a letter in place or swapping an
+    # alternating factor of braid length (iji <-> jij, ...) changes neither
+    # the Demazure product nor the signed count; at w₀ the count is
+    # dim V(λ).
+    t, word, lam = data.draw(word_instances(RANK_4_TYPES, 8, 2))
+    letters = word.entries
+
+    def key(entries):
+        return demazure_rho(t, entries), signed_count(derive_twist_data(t, Word(entries), lam))
+
+    variants = []
+    if letters:
+        p = data.draw(st.integers(0, len(letters) - 1))
+        variants.append(letters[: p + 1] + letters[p:])
+    factors = _braid_factors(t, letters)
+    if factors:
+        s, m = data.draw(st.sampled_from(factors))
+        i, j = letters[s : s + 2]
+        variants.append(letters[:s] + ((j, i) * m)[:m] + letters[s + m :])
+    expected = key(letters)
+    for variant in variants:
+        assert key(variant) == expected, variant
+    if is_longest_element(t, letters):
+        assert expected[1] == weyl_dimension(t, lam.coefficients)
 
 
 def _lattice_signed(inst: dict, tmp_path: Path) -> int:
