@@ -111,19 +111,7 @@ def cmd_check(args) -> int:
         if witness is not None:
             report["walk"] = _walk_json(t, lam, witness)
     with _output(None) as out:
-        if args.format == "json":
-            print(json.dumps(report), file=out)
-        elif result.untwisted:
-            print("untwisted: every Cartier vector is entrywise nonnegative", file=out)
-        else:
-            print(f"twisted: sigma={result.sigma} has m={list(result.m.m)} (k={result.k})", file=out)
-            if "walk" in report:
-                wj = report["walk"]
-                print(
-                    f"hesitant lambda-walk at positions {wj['positions']} "
-                    f"(subword {wj['subword']})",
-                    file=out,
-                )
+        print(json.dumps(report), file=out)
     return EXIT_UNTWISTED if result.untwisted else EXIT_TWISTED
 
 
@@ -214,17 +202,7 @@ def cmd_verify(args) -> int:
     for spec in specs:
         merged.merge(harness.verify_equivalence(spec, jobs=jobs))
     with _output(None) as out:
-        if args.format == "json":
-            print(json.dumps(merged.to_json()), file=out)
-        else:
-            print(
-                f"{merged.instances} instances: {merged.untwisted_count} untwisted, "
-                f"{merged.twisted_count} twisted, "
-                f"{len(merged.counterexamples)} counterexamples ({merged.wall_ms} ms)",
-                file=out,
-            )
-            for ce in merged.counterexamples:
-                print(f"  {json.dumps(ce)}", file=out)
+        print(json.dumps(merged.to_json()), file=out)
     return EXIT_UNTWISTED if not merged.counterexamples else EXIT_TWISTED
 
 
@@ -246,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide the untwistedness criterion")
     p.add_argument("--instance", required=True, help="instance JSON file")
     p.add_argument("--max-n", type=int, default=cartier.DEFAULT_N_CAP, help="sign-sweep cap")
-    p.add_argument("--format", choices=("json", "human"), default="json")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("lattice", help="list the signed lattice-point census")
@@ -262,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the equivalence sweep")
     p.add_argument("--spec", help="sweep spec JSON (object or list); default sweep if omitted")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers, at most the CPU count")
-    p.add_argument("--format", choices=("json", "human"), default="json")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("atlas", help="tally avoiding words per type/weight/length")

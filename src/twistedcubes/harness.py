@@ -43,11 +43,15 @@ class SweepSpec:
         lie_types = obj["lie_types"]
         if not isinstance(lie_types, list) or not all(isinstance(x, str) for x in lie_types):
             raise MalformedInput(f"lie_types must be a list of strings, got {lie_types!r}")
-        for name in lie_types:
-            parse_lie_type(name)
+        # A type or a weight value named twice would count its instances twice.
+        types = [parse_lie_type(name) for name in lie_types]
+        if len(set(types)) < len(types):
+            raise MalformedInput(f"lie_types names one type twice: {lie_types!r}")
         alphabet = require_ints("weight_alphabet", obj.get("weight_alphabet", [0, 1]))
         if any(v < 0 for v in alphabet):
             raise MalformedInput(f"weight_alphabet must be >= 0, got {list(alphabet)}")
+        if len(set(alphabet)) < len(alphabet):
+            raise MalformedInput(f"weight_alphabet repeats a value: {list(alphabet)}")
         seed = obj.get("seed")
         sample_count = obj.get("sample_count")
         if sample_count is not None:

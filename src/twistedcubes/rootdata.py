@@ -35,6 +35,8 @@ class LieType:
         family, rank = self.family, self.rank
         if family not in FAMILIES:
             raise RankOutOfRange(f"unknown family {family!r}; expected one of {FAMILIES}")
+        if type(rank) is not int:  # noqa: E721 - bool is an int subclass
+            raise RankOutOfRange(f"rank must be an integer, got {rank!r}")
         if family == "E":
             if rank not in (6, 7, 8):
                 raise RankOutOfRange(f"E requires rank in {{6, 7, 8}}, got {rank}")

@@ -49,14 +49,21 @@ def _adjacent_in_turn(t: LieType, letters: tuple[int, ...]) -> bool:
     return all(table[a - 1][b - 1] < 0 for a, b in zip(letters, letters[1:]))
 
 
+def _require_rank(t: LieType, lam: DominantWeight) -> None:
+    if lam.rank != t.rank:
+        raise NotAWitness(f"weight rank {lam.rank} does not match {t}")
+
+
 def is_lambda_walk(t: LieType, w: Word, lam: DominantWeight) -> bool:
     """A diagram walk whose final root appears in lam."""
+    _require_rank(t, lam)
     return is_diagram_walk(t, w) and appears_in_lambda(lam, w.entries[-1])
 
 
 def is_hesitant_lambda_walk(t: LieType, w: Word, lam: DominantWeight) -> bool:
     """First two letters equal, and the walking component (all but the first
     letter) is a lambda-walk."""
+    _require_rank(t, lam)
     w.validate_for(t)
     if len(w) < 2 or w.entries[0] != w.entries[1]:
         return False
@@ -76,9 +83,8 @@ def find_hesitant_lambda_walk(t: LieType, w: Word, lam: DominantWeight) -> WalkW
     smallest hesitation pair; ``link`` then gives the greedy minimal-index
     extension up to a root in lam.
     """
+    _require_rank(t, lam)
     w.validate_for(t)
-    if lam.rank != t.rank:
-        raise NotAWitness(f"weight rank {lam.rank} does not match {t}")
     letters = w.entries
     # The letters and the rank are checked above, so the Cartan table and the
     # weight are read directly; adjacency is a negative table entry.
@@ -112,8 +118,6 @@ def find_hesitant_lambda_walk(t: LieType, w: Word, lam: DominantWeight) -> WalkW
 def _require_hesitant(t: LieType, witness: WalkWitness, lam: DominantWeight) -> None:
     """NotAWitness unless the witness's subword is a hesitant lambda-walk of t
     and lam has t's rank; after this every letter indexes lam directly."""
-    if lam.rank != t.rank:
-        raise NotAWitness(f"weight rank {lam.rank} does not match {t}")
     if not is_hesitant_lambda_walk(t, Word(witness.subword), lam):
         raise NotAWitness(f"subword {witness.subword} is not a hesitant lambda-walk")
 

@@ -4,7 +4,6 @@ import io
 import json
 import multiprocessing
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -17,6 +16,8 @@ import twistedcubes
 from twistedcubes import cartier, cli, harness, twistedcube, walks
 from twistedcubes.cli import EXIT_ERROR, EXIT_TWISTED, EXIT_UNTWISTED, load_instance, main
 from twistedcubes.errors import MalformedInput
+from twistedcubes.rootdata import parse_lie_type
+from twistedcubes.weightword import DominantWeight, Word
 
 from oracles import (
     RUNNING_EXAMPLE_JSON,
@@ -58,18 +59,6 @@ def test_check_twisted_includes_walk(derived_twisted, capsys):
     assert report["walk"]["positions"] == [1, 3]
     assert report["walk"]["subword"] == [1, 1]
     assert report["walk"]["minimal"] is True
-
-
-def test_check_human_format(derived_twisted, capsys):
-    assert main(["check", "--instance", derived_twisted, "--format", "human"]) == EXIT_TWISTED
-    out = capsys.readouterr().out
-    assert "twisted" in out
-    assert "-+-" in out
-
-
-def test_check_human_format_untwisted(derived_untwisted, capsys):
-    assert main(["check", "--instance", derived_untwisted, "--format", "human"]) == EXIT_UNTWISTED
-    assert capsys.readouterr().out == "untwisted: every Cartier vector is entrywise nonnegative\n"
 
 
 def test_check_raw_instance_has_no_walk(raw_n2, capsys):
@@ -290,24 +279,24 @@ def test_verify_with_spec_file(tmp_path, capsys):
     assert report["counterexamples"] == []
 
 
-def test_verify_human_format(tmp_path, monkeypatch, capsys):
+def test_verify_reports_a_counterexample(tmp_path, monkeypatch, capsys):
     spec = {"lie_types": ["A1"], "max_word_length": 2, "weight_alphabet": [1]}
-    argv = ["verify", "--spec", write_input(tmp_path / "spec.json", spec), "--format", "human"]
+    argv = ["verify", "--spec", write_input(tmp_path / "spec.json", spec)]
     assert main(argv) == EXIT_UNTWISTED
-    summary = r"3 instances: 2 untwisted, 1 twisted, {} counterexamples \(\d+ ms\)\n"
-    assert re.fullmatch(summary.format(0), capsys.readouterr().out)
-    # With the detector blinded, the twisted word (1, 1) is a verdict mismatch,
-    # printed as one indented JSON line under the summary.
+    report = json.loads(capsys.readouterr().out)
+    assert (report["instances"], report["untwisted_count"], report["twisted_count"]) == (3, 2, 1)
+    assert report["counterexamples"] == []
+    # With the detector blinded, the twisted word (1, 1) is a verdict mismatch.
     monkeypatch.setattr(walks, "find_hesitant_lambda_walk", lambda t, w, lam: None)
     assert main(argv) == EXIT_TWISTED
-    out = capsys.readouterr().out
-    head, line = out.splitlines(keepends=True)
-    assert re.fullmatch(summary.format(1), head)
-    assert line.startswith("  {")
-    assert json.loads(line) == {
-        "instance": {"type": "A1", "word": [1, 1], "weight": [1]},
-        "problem": "verdict mismatch: criterion says untwisted=False, detector witness=None",
-    }
+    report = json.loads(capsys.readouterr().out)
+    assert (report["instances"], report["untwisted_count"], report["twisted_count"]) == (3, 2, 1)
+    assert report["counterexamples"] == [
+        {
+            "instance": {"type": "A1", "word": [1, 1], "weight": [1]},
+            "problem": "verdict mismatch: criterion says untwisted=False, detector witness=None",
+        }
+    ]
 
 
 def test_atlas_with_spec_file(tmp_path, capsys):
@@ -381,7 +370,14 @@ def test_check_computes_m_once_when_twisted_and_never_when_untwisted(tmp_path, m
         assert code == inst["expect"]["exit"]
         assert len(calls) - start == (code == EXIT_TWISTED)
         exits.append(code)
-    capsys.readouterr()
+        # Every twisted derived instance holds a hesitant lambda-walk, and
+        # the report carries it.
+        report = json.loads(capsys.readouterr().out)
+        assert ("walk" in report) == (code == EXIT_TWISTED)
+        if "walk" in report:
+            t = parse_lie_type(inst["type"])
+            lam = DominantWeight(tuple(inst["weight"]))
+            assert walks.is_hesitant_lambda_walk(t, Word(tuple(report["walk"]["subword"])), lam)
     assert (exits.count(EXIT_TWISTED), exits.count(EXIT_UNTWISTED)) == (400, 63)
 
 
@@ -447,6 +443,9 @@ def test_malformed_inputs_exit_2(tmp_path, payload, capsys):
         [{"lie_types": ["A1"], "max_word_length": 1}, 3],
         '{"lie_types": ["A1"], "max_word_length": ' + "9" * 5000 + "}",
         '{"lie_types": ["A1"], "max_word_length": 1, "max_word_length": 2}',
+        # A type or a weight value given twice would count its instances twice.
+        {"lie_types": ["A1", " A1"], "max_word_length": 2, "weight_alphabet": [1]},
+        {"lie_types": ["A1"], "max_word_length": 2, "weight_alphabet": [1, 1]},
         "[" * 100_000 + "]" * 100_000,
     ],
     ids=lambda block: block[:50] + "..." if isinstance(block, str) else json.dumps(block),
@@ -542,12 +541,23 @@ def test_atlas_accepts_words_beyond_the_cap(tmp_path, capsys):
         ["verify", "--max-n", "0"],
         ["atlas", "--max-n", "3"],
         ["atlas", "--format", "human"],
+        ["check", "--format", "json"],
+        ["verify", "--format", "json"],
     ],
     ids=" ".join,
 )
-def test_options_a_command_does_not_read_are_rejected(raw_n2, tmp_path, argv, capsys):
+def test_options_a_command_does_not_read_are_rejected(
+    raw_n2, derived_untwisted, tmp_path, argv, capsys
+):
+    # Each command gets an input that it would take, so that only the
+    # option can end it.
     if argv[0] in ("lattice", "render"):
         argv = argv + ["--instance", raw_n2, "--out", str(tmp_path / "out")]
+    elif argv[0] == "check":
+        argv = argv + ["--instance", derived_untwisted]
+    elif argv[0] == "verify":
+        spec = {"lie_types": ["A1"], "max_word_length": 1}
+        argv = argv + ["--spec", write_input(tmp_path / "spec.json", spec)]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == EXIT_ERROR

@@ -26,6 +26,8 @@ def test_validate_examples():
     [
         ("A", 0), ("B", 1), ("C", 2), ("D", 3), ("E", 5),
         ("E", 9), ("F", 3), ("G", 3), ("H", 2), ("Z", 3),
+        # A rank that is not an int, even one equal to an int.
+        ("A", 2.0), ("A", True), ("A", "3"),
     ],
 )
 def test_validate_rejects(family, rank):

@@ -81,6 +81,16 @@ def test_detector_examples():
 def test_detector_rejects_a_weight_of_the_wrong_rank():
     with pytest.raises(NotAWitness, match="weight rank 2 does not match A5"):
         find_hesitant_lambda_walk(A5, Word((1, 1)), DominantWeight((1, 0)))
+    # The predicates check the rank before they read the word, so they never
+    # answer for a weight of another type, nor index it out of range.
+    a2, lam = parse_lie_type("A2"), DominantWeight((1,))
+    for predicate, letters in [
+        (is_hesitant_lambda_walk, (1, 1)),
+        (is_lambda_walk, (2, 1)),
+        (is_lambda_walk, (1, 2)),
+    ]:
+        with pytest.raises(NotAWitness, match="weight rank 1 does not match A2"):
+            predicate(a2, Word(letters), lam)
 
 
 def test_detector_canonical_extension():
@@ -235,8 +245,10 @@ def test_is_hesitant_lambda_walk_checks_the_word_once(word, expected, monkeypatc
 
 
 def _hesitant_by_parts(t, w, lam):
-    """The hesitant-walk predicate composed from the word check and
-    ``is_lambda_walk`` on the walking component."""
+    """The hesitant-walk predicate composed from the rank check, the word
+    check and ``is_lambda_walk`` on the walking component."""
+    if lam.rank != t.rank:
+        raise NotAWitness(f"weight rank {lam.rank} does not match {t}")
     w.validate_for(t)
     if len(w) < 2 or w.entries[0] != w.entries[1]:
         return False
