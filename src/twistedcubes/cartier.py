@@ -20,7 +20,7 @@ from .weightword import TwistData, Word, bound
 MINUS = "-"
 PLUS = "+"
 
-#: Default cap on the word length n for is_untwisted, which visits up to
+#: The cap on the word length n for is_untwisted, which visits up to
 #: 2**n sign vectors.
 DEFAULT_N_CAP = 20
 
@@ -74,7 +74,7 @@ def compute_m(d: TwistData, sigma: str) -> CartierVector:
     return CartierVector(tuple(m))
 
 
-def is_untwisted(d: TwistData, cap: int = DEFAULT_N_CAP) -> UntwistResult:
+def is_untwisted(d: TwistData) -> UntwistResult:
     """Untwisted iff every m_sigma is entrywise nonnegative.  On failure
     reports the lexicographically first (sigma, k), with + ordered before -,
     and m = compute_m(d, sigma).
@@ -89,8 +89,8 @@ def is_untwisted(d: TwistData, cap: int = DEFAULT_N_CAP) -> UntwistResult:
     from k on, so that sigma has no minus before its failing k: k is its
     only negative entry, and compute_m runs once, for it alone.
     """
-    if d.n > cap:
-        raise CapExceeded(f"n = {d.n} exceeds cap {cap}")
+    if d.n > DEFAULT_N_CAP:
+        raise CapExceeded(f"n = {d.n} exceeds cap {DEFAULT_N_CAP}")
     n = d.n
     # Each sign vector writes m from entry n down, and the bound at k reads
     # only entries above k, so m is reused without a reset.

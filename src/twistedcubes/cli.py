@@ -103,7 +103,7 @@ def _walk_json(t, lam, witness: walks.WalkWitness) -> dict:
 
 def cmd_check(args) -> int:
     d, context = load_instance(args.instance)
-    result = cartier.is_untwisted(d, cap=args.max_n)
+    result = cartier.is_untwisted(d)
     report = result.to_json()
     if not result.untwisted and context is not None:
         t, w, lam = context
@@ -223,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="decide the untwistedness criterion")
     p.add_argument("--instance", required=True, help="instance JSON file")
-    p.add_argument("--max-n", type=int, default=cartier.DEFAULT_N_CAP, help="sign-sweep cap")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("lattice", help="list the signed lattice-point census")

@@ -54,6 +54,9 @@ class SweepSpec:
             raise MalformedInput(f"weight_alphabet repeats a value: {list(alphabet)}")
         seed = obj.get("seed")
         sample_count = obj.get("sample_count")
+        # An exhaustive block draws nothing, so its seed would be ignored silently.
+        if seed is not None and sample_count is None:
+            raise MalformedInput("a seed needs a sample_count")
         if sample_count is not None:
             sample_count = _nonnegative_int("sample_count", sample_count)
             if sample_count and not (lie_types and alphabet):

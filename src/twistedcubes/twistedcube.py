@@ -73,9 +73,9 @@ def census_buckets(d: TwistData, prefix, leaf):
     at -1, so a list changes only after a value where some run ends: the
     runs 0..a are swept up from 0 and the runs a+1..-1 down from -1, a
     list is built at the start and after each run end, and the values in
-    between share it (``_swept_lists``).  A level with one run is one list.
-    A level whose runs hold at most ``_SMALL_LEVEL`` values in all, as in
-    the sweep's small cubes, files its values in a dict instead, which
+    between share it (``_swept_lists``).  A level whose runs hold at most
+    ``_SMALL_LEVEL`` values in all, as in the sweep's small cubes, is one
+    list if it has one run and otherwise files its values in a dict, which
     costs less there.
 
     A tail that admits no value is dropped before anything is built for it,
@@ -116,7 +116,9 @@ def census_buckets(d: TwistData, prefix, leaf):
     tail = leaf(()) if d.n == 1 else ()
     buckets = [((), [(tail, (-1) ** d.n, bound(d, d.n, x))])]
     for j in range(d.n, 0, -1):
-        step = d.c.get((j, j + 1), 0)
+        # A row is in increasing k, so a nonzero c[j, j+1] is its head.
+        row = d.rows[j - 1]
+        step = row[0][1] if row and row[0][0] == j + 1 else 0
         runs = []  # (first, size, item) of each tail that admits a value, in tail order
         positive = negative = 0
         for head, items in buckets:
@@ -164,8 +166,9 @@ def _level_buckets(runs, values):
     """One level's buckets ``((v,), items)`` in increasing v, from its runs
     ``(first, size, item)`` in tail order and the number of values they
     hold in all."""
-    # One run, the commonest level of small cubes, needs no filing at all.
-    if len(runs) == 1:
+    # One short run, the commonest level of small cubes, needs no filing.  A long
+    # one is swept: its list is allocated up front, not grown value by value.
+    if len(runs) == 1 and values <= _SMALL_LEVEL:
         first, size, item = runs[0]
         items = [item]
         return [((v,), items) for v in range(first, first + size)]

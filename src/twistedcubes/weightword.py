@@ -67,35 +67,37 @@ class TwistData:
     """The integers c[j, k] (1 <= j < k <= n) and ell defining one twisted cube.
 
     Raw construction permits arbitrary integers; data derived from a dominant
-    weight always has ell >= 0.  ``rows[j - 1]`` holds the nonzero
-    ``(k, c[j, k])`` of row j in increasing k, for the bound kernel.
+    weight always has ell >= 0.  c is stored once, as ``rows``: ``rows[j - 1]``
+    holds the nonzero ``(k, c[j, k])`` of row j in increasing k, which is what
+    the bound kernel reads.
     """
 
     n: int
-    c: dict[tuple[int, int], int] = field(default_factory=dict, hash=False)
-    ell: tuple[int, ...] = ()
-    rows: tuple = field(init=False, compare=False, repr=False)
+    ell: tuple[int, ...]
+    rows: tuple = field(hash=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "ell", tuple(self.ell))
-        if len(self.ell) != self.n:
-            raise DimensionMismatch(f"ell has length {len(self.ell)}, expected {self.n}")
-        clean: dict[tuple[int, int], int] = {}
-        rows = [[] for _ in range(self.n)]
-        for (j, k), v in self.c.items():
-            if not 1 <= j < k <= self.n:
-                raise DimensionMismatch(f"c index ({j}, {k}) outside 1 <= j < k <= {self.n}")
+    def __init__(self, n: int, c: dict[tuple[int, int], int] = {}, ell=()):
+        ell = tuple(ell)
+        if len(ell) != n:
+            raise DimensionMismatch(f"ell has length {len(ell)}, expected {n}")
+        rows = [[] for _ in range(n)]
+        for (j, k), v in c.items():
+            if not 1 <= j < k <= n:
+                raise DimensionMismatch(f"c index ({j}, {k}) outside 1 <= j < k <= {n}")
             if v != 0:
-                clean[(j, k)] = v
                 rows[j - 1].append((k, v))
-        object.__setattr__(self, "c", clean)
-        object.__setattr__(self, "rows", tuple(tuple(sorted(r)) for r in rows))
+        vars(self).update(n=n, ell=ell, rows=tuple(tuple(sorted(r)) for r in rows))
+
+    @property
+    def c(self) -> dict[tuple[int, int], int]:
+        """The nonzero c[j, k] as a new dict, built from the rows."""
+        return {(j, k): v for j, row in enumerate(self.rows, 1) for k, v in row}
 
     def c_at(self, j: int, k: int) -> int:
         """c[j, k] for j < k; absent entries are 0."""
         if not 1 <= j < k <= self.n:
             raise DimensionMismatch(f"c index ({j}, {k}) outside 1 <= j < k <= {self.n}")
-        return self.c.get((j, k), 0)
+        return dict(self.rows[j - 1]).get(k, 0)
 
 
 def bound(d: TwistData, j: int, x):
@@ -109,15 +111,14 @@ def bound(d: TwistData, j: int, x):
 
 @lru_cache(maxsize=1)
 def _word_constants(t: LieType, letters: tuple[int, ...]):
-    """The c entries and rows of the word with these letters in type t, as
-    TwistData.__post_init__ would clean them; they depend on the word alone.
-    A sweep derives all weights of one word in a row, so one cached word is
-    enough; a letter outside the rank raises, and a failure is not cached."""
+    """The rows of the word with these letters in type t, as the TwistData
+    constructor would build them; they depend on the word alone.  A sweep
+    derives all weights of one word in a row, so one cached word is enough;
+    a letter outside the rank raises, and a failure is not cached."""
     Word(letters).validate_for(t)
     # The letters are checked above, so no index below is 0 or negative.
     table = cartan_table(t)
     n = len(letters)
-    c = {}
     rows = []
     for j in range(1, n + 1):
         column = letters[j - 1] - 1
@@ -125,25 +126,19 @@ def _word_constants(t: LieType, letters: tuple[int, ...]):
         for k in range(j + 1, n + 1):
             v = table[letters[k - 1] - 1][column]
             if v:
-                c[(j, k)] = v
                 row.append((k, v))
         rows.append(tuple(row))
-    return c, tuple(rows)
+    return tuple(rows)
 
 
 def derive_twist_data(t: LieType, w: Word, lam: DominantWeight) -> TwistData:
-    """The twisted-cube constants of (t, w, lam).  The word's part, c and
-    rows, is built once for a run of calls on one word; each call checks the
-    weight's rank and reads ell, and gets its own copy of c."""
-    c, rows = _word_constants(t, w.entries)
+    """The twisted-cube constants of (t, w, lam).  The word's rows are built
+    once for a run of calls on one word and shared, read-only, by every
+    TwistData of that run; each call checks the weight's rank and reads ell."""
+    rows = _word_constants(t, w.entries)
     if lam.rank != t.rank:
         raise DimensionMismatch(f"weight has rank {lam.rank}, expected {t.rank}")
     d = object.__new__(TwistData)
-    # The cached parts are already clean, so __post_init__ is not run again.
-    vars(d).update(
-        n=len(rows),
-        c=dict(c),
-        ell=tuple(lam.coefficients[i - 1] for i in w.entries),
-        rows=rows,
-    )
+    # The cached rows are already clean, so __init__ is not run again.
+    vars(d).update(n=len(rows), ell=tuple(lam.coefficients[i - 1] for i in w.entries), rows=rows)
     return d

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from twistedcubes import cartier
 from twistedcubes.cartier import (
+    DEFAULT_N_CAP,
     CartierVector,
     compute_m,
     hesitant_walk_from_twist_witness,
@@ -157,9 +158,9 @@ def test_criterion_bound_reads_on_the_check_untwisted_workload_are_pinned(monkey
 
 
 def test_cap_exceeded():
-    d = TwistData(n=3, c={}, ell=(0, 0, 0))
-    with pytest.raises(CapExceeded):
-        is_untwisted(d, cap=2)
+    n = DEFAULT_N_CAP + 1
+    with pytest.raises(CapExceeded, match=f"^n = {n} exceeds cap {DEFAULT_N_CAP}$"):
+        is_untwisted(TwistData(n=n, ell=(0,) * n))
 
 
 def test_witness_sigma_simple_chain():

@@ -119,6 +119,18 @@ def test_a_census_that_does_not_fit_in_memory_exits_2(raw_n2, tmp_path, monkeypa
     assert not out.exists()
 
 
+# Runs the CLI on its arguments under a 512 MB address-space limit of its
+# own, and prints its peak RSS in KB.
+_UNDER_A_MEMORY_LIMIT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from twistedcubes.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(code)
+"""
+
+
 @pytest.mark.parametrize("command", ["lattice", "render"])
 def test_a_census_too_long_to_list_exits_2(command, tmp_path, capsys):
     # Level 1 is two runs of about 10**30 values, too many to index a list:
@@ -127,6 +139,20 @@ def test_a_census_too_long_to_list_exits_2(command, tmp_path, capsys):
     out = tmp_path / "out"
     assert main([command, "--instance", path, "--out", str(out)]) == EXIT_ERROR
     assert capsys.readouterr().err == "error: the output did not fit in memory\n"
+    assert not out.exists()
+    # Level 1 is one run of 10**30 + 1 values.  A list built value by value
+    # would grow until memory ran out, so the case runs in a child process
+    # with a memory limit, and must fail there before it allocates.
+    path = write_input(tmp_path / "one_run.json", {"n": 2, "c": {}, "ell": [10**30, 0]})
+    env = dict(os.environ, PYTHONPATH=str(Path(twistedcubes.__file__).parents[1]))
+    argv = [command, "--instance", path, "--out", str(out)]
+    child = subprocess.run(
+        [sys.executable, "-c", _UNDER_A_MEMORY_LIMIT, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == EXIT_ERROR
+    assert child.stderr == "error: the output did not fit in memory\n"
+    assert int(child.stdout) < 100 * 1024
     assert not out.exists()
 
 
@@ -329,11 +355,6 @@ def test_atlas_merges_blocks_that_share_a_type(tmp_path, capsys):
     assert report["counts"]["A2"]["0,0"]["2"]["total"] == 4
 
 
-def test_max_n_cap(derived_twisted, capsys):
-    assert main(["check", "--instance", derived_twisted, "--max-n", "2"]) == EXIT_ERROR
-    assert "error:" in capsys.readouterr().err
-
-
 def test_only_the_criterion_is_capped(tmp_path, capsys):
     # n = 21 is past the criterion's 2**n cap, but the census of the zero
     # cube is one point, so lattice takes it.
@@ -446,6 +467,8 @@ def test_malformed_inputs_exit_2(tmp_path, payload, capsys):
         # A type or a weight value given twice would count its instances twice.
         {"lie_types": ["A1", " A1"], "max_word_length": 2, "weight_alphabet": [1]},
         {"lie_types": ["A1"], "max_word_length": 2, "weight_alphabet": [1, 1]},
+        # A seed without a sample count would be ignored silently.
+        {"lie_types": ["A1"], "max_word_length": 2, "seed": 5},
         "[" * 100_000 + "]" * 100_000,
     ],
     ids=lambda block: block[:50] + "..." if isinstance(block, str) else json.dumps(block),
@@ -543,6 +566,7 @@ def test_atlas_accepts_words_beyond_the_cap(tmp_path, capsys):
         ["atlas", "--format", "human"],
         ["check", "--format", "json"],
         ["verify", "--format", "json"],
+        ["check", "--max-n", "20"],
     ],
     ids=" ".join,
 )

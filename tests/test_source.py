@@ -74,6 +74,26 @@ def test_deferred_imports_load_only_the_standard_library(path):
     assert bad == [], f"{path.name} defers imports of {bad}"
 
 
+def test_frozen_dataclasses_hold_no_mutable_containers():
+    # A frozen object with a dict, list or set in a field can still be
+    # changed through it, and a second store kept beside another can go out
+    # of step with it.
+    found = [
+        f"{path.name}:{node.lineno} {cls.name}.{node.target.id}"
+        for path in MODULES
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(cls, ast.ClassDef)
+        and any(ast.unparse(dec) == "dataclass(frozen=True)" for dec in cls.decorator_list)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign)
+        and any(
+            isinstance(name, ast.Name) and name.id in ("dict", "list", "set")
+            for name in ast.walk(node.annotation)
+        )
+    ]
+    assert found == []
+
+
 def _test_module_imports(path):
     """The line and name of each import of a test_* module in the file."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))

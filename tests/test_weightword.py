@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from twistedcubes import weightword
 from twistedcubes.errors import DimensionMismatch, IndexOutOfRange
 from twistedcubes.rootdata import cartan_pairing, parse_lie_type
+from twistedcubes.twistedcube import signed_count
 from twistedcubes.weightword import (
     DominantWeight,
     TwistData,
@@ -13,10 +14,12 @@ from twistedcubes.weightword import (
 )
 
 from oracles import (
+    RUNNING_EXAMPLE_JSON,
     adjacent,
     all_types_up_to_rank,
     derive_twist_data_oracle,
     derived,
+    load_twist_data,
     record_calls,
     word_instances,
 )
@@ -202,6 +205,16 @@ def test_a_mutated_c_does_not_reach_a_later_derive():
     d2 = derive_twist_data(t, w, lam)
     assert d2.c is not d1.c
     assert _fields(d2) == _fields(derive_twist_data_oracle(t, w, lam))
+
+
+def test_c_is_stored_once():
+    # c is read from the rows that the kernels read, so changing the dict
+    # that c returns changes neither c_at, the census nor equality.
+    d = load_twist_data(RUNNING_EXAMPLE_JSON)
+    d.c[(1, 2)] = 0
+    assert d.c_at(1, 2) == 1
+    assert signed_count(d) == 9
+    assert d == load_twist_data(RUNNING_EXAMPLE_JSON)
 
 
 def test_the_word_cache_holds_one_word(monkeypatch):
