@@ -13,6 +13,7 @@ from .errors import (
     IndexOutOfRange,
     NotMinimalWitness,
     PreconditionViolated,
+    require_int,
 )
 from .walks import WalkWitness
 from .weightword import TwistData, Word, bound
@@ -28,8 +29,10 @@ DEFAULT_N_CAP = 20
 def minus_at(n: int, positions) -> str:
     """The sign vector of length n with minus exactly at the 1-based positions."""
     marked = set(positions)
-    if not all(1 <= p <= n for p in marked):
-        raise IndexOutOfRange(f"positions {sorted(marked)} outside [1, {n}]")
+    require_int("n", n)
+    # A bool or a float would pass the range check alone: True reads as 1.
+    if not all(type(p) is int and 1 <= p <= n for p in marked):  # noqa: E721
+        raise IndexOutOfRange(f"a position of {marked} is not an integer or lies outside [1, {n}]")
     return "".join(MINUS if p in marked else PLUS for p in range(1, n + 1))
 
 

@@ -15,7 +15,7 @@ import sys
 from contextlib import contextmanager, nullcontext
 
 from . import cartier, harness, walks
-from .errors import MalformedInput, TwistedCubeError, require_int, require_ints
+from .errors import MalformedInput, TwistedCubeError
 from .render import render_svg
 from .rootdata import parse_lie_type
 from .twistedcube import census_buckets
@@ -56,23 +56,18 @@ def _read_json(path: str, what: str):
 
 def load_instance(path: str):
     """Read an instance file; returns (twist_data, context) where context is
-    (lie_type, word, weight) for derived instances and None for raw ones."""
+    (lie_type, word, weight) for derived instances and None for raw ones.
+    The constructors check the values; this checks only the JSON shape."""
     obj = _read_json(path, "instance file")
     if not isinstance(obj, dict):
         raise MalformedInput("instance file must hold a JSON object")
-    derived_keys = {"type", "word", "weight"}
-    raw_keys = {"n", "c", "ell"}
-    # A field of the other schema would be ignored silently.
-    if derived_keys & obj.keys() and raw_keys & obj.keys():
-        raise MalformedInput("instance mixes derived and raw fields")
-    if derived_keys <= obj.keys():
-        if not isinstance(obj["type"], str):
-            raise MalformedInput(f"type must be a string, got {obj['type']!r}")
+    # Any other key, a misspelt c or a field of the other schema, would be
+    # ignored silently.
+    if obj.keys() == {"type", "word", "weight"}:
         t = parse_lie_type(obj["type"])
-        w = Word(require_ints("word", obj["word"]))
-        lam = DominantWeight(require_ints("weight", obj["weight"]))
+        w, lam = Word(obj["word"]), DominantWeight(obj["weight"])
         return derive_twist_data(t, w, lam), (t, w, lam)
-    if {"n", "ell"} <= obj.keys():
+    if obj.keys() in ({"n", "ell"}, {"n", "c", "ell"}):
         raw_c = obj.get("c", {})
         if not isinstance(raw_c, dict):
             raise MalformedInput(f"c must be an object, got {raw_c!r}")
@@ -84,11 +79,10 @@ def load_instance(path: str):
                 raise MalformedInput(f"bad c key {key!r}; expected 'j,k'") from exc
             if (j, k) in c:
                 raise MalformedInput(f"c names the pair ({j}, {k}) twice")
-            c[(j, k)] = require_int(f"c[{key!r}]", value)
-        n = require_int("n", obj["n"])
-        return TwistData(n=n, c=c, ell=require_ints("ell", obj["ell"])), None
+            c[(j, k)] = value
+        return TwistData(n=obj["n"], c=c, ell=obj["ell"]), None
     raise MalformedInput(
-        "instance must be {type, word, weight} or {n, c, ell}"
+        "instance must be {type, word, weight}, or {n, ell} with an optional c"
     )
 
 

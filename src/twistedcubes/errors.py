@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, and the integer checks
-that the instance and sweep-spec loaders share."""
+that the value types share."""
 
 
 class TwistedCubeError(Exception):
@@ -35,7 +35,8 @@ class PreconditionViolated(TwistedCubeError):
 
 
 class MalformedInput(TwistedCubeError):
-    """Instance or sweep file does not match any accepted schema."""
+    """An instance or sweep file, or a value built in code, does not match
+    any accepted schema."""
 
 
 def require_int(field: str, value) -> int:
@@ -47,6 +48,12 @@ def require_int(field: str, value) -> int:
 
 
 def require_ints(field: str, values) -> tuple[int, ...]:
-    if not isinstance(values, list):
+    """values as a tuple if it is an iterable of ints other than a str,
+    bytes or dict; bools are rejected, as in require_int."""
+    try:
+        items = None if isinstance(values, (str, bytes, dict)) else tuple(values)
+    except TypeError:
+        items = None
+    if items is None or not all(type(v) is int for v in items):  # noqa: E721
         raise MalformedInput(f"{field} must be a list of integers, got {values!r}")
-    return tuple(require_int(field, v) for v in values)
+    return items

@@ -29,44 +29,48 @@ class SweepSpec:
     seed: int | None = None
     sample_count: int | None = None
 
+    def __post_init__(self) -> None:
+        """Every rule of a block, for one built in code as for one read from
+        JSON: a malformed field raises MalformedInput, and a Lie type that
+        does not parse RankOutOfRange.  Lists are stored as tuples."""
+        names = self.lie_types
+        if not isinstance(names, (list, tuple)):
+            raise MalformedInput(f"lie_types must be a list of strings, got {names!r}")
+        # A type or a weight value named twice would count its instances twice.
+        types = [parse_lie_type(name) for name in names]
+        if len(set(types)) < len(types):
+            raise MalformedInput(f"lie_types names one type twice: {list(names)!r}")
+        alphabet = require_ints("weight_alphabet", self.weight_alphabet)
+        if any(v < 0 for v in alphabet):
+            raise MalformedInput(f"weight_alphabet must be >= 0, got {list(alphabet)}")
+        if len(set(alphabet)) < len(alphabet):
+            raise MalformedInput(f"weight_alphabet repeats a value: {list(alphabet)}")
+        _nonnegative_int("max_word_length", self.max_word_length)
+        if self.seed is not None:
+            # An exhaustive block draws nothing, so its seed would be ignored silently.
+            if self.sample_count is None:
+                raise MalformedInput("a seed needs a sample_count")
+            require_int("seed", self.seed)
+        count = self.sample_count
+        if count is not None and _nonnegative_int("sample_count", count) and not (names and alphabet):
+            raise MalformedInput("sampling needs a lie type and a weight value")
+        vars(self).update(lie_types=tuple(names), weight_alphabet=alphabet)
+
     @classmethod
     def from_json(cls, obj) -> "SweepSpec":
-        """One block of a spec file.  Every known field is checked, and a
-        malformed one raises MalformedInput (RankOutOfRange for a Lie type
-        that does not parse); other keys, such as a block's name, are
-        ignored."""
+        """One block of a spec file; the constructor checks every field.
+        Other keys, such as a block's name, are ignored."""
         if not isinstance(obj, dict):
             raise MalformedInput(f"sweep block must be an object, got {obj!r}")
         missing = {"lie_types", "max_word_length"} - obj.keys()
         if missing:
             raise MalformedInput(f"sweep block lacks {sorted(missing)}")
-        lie_types = obj["lie_types"]
-        if not isinstance(lie_types, list) or not all(isinstance(x, str) for x in lie_types):
-            raise MalformedInput(f"lie_types must be a list of strings, got {lie_types!r}")
-        # A type or a weight value named twice would count its instances twice.
-        types = [parse_lie_type(name) for name in lie_types]
-        if len(set(types)) < len(types):
-            raise MalformedInput(f"lie_types names one type twice: {lie_types!r}")
-        alphabet = require_ints("weight_alphabet", obj.get("weight_alphabet", [0, 1]))
-        if any(v < 0 for v in alphabet):
-            raise MalformedInput(f"weight_alphabet must be >= 0, got {list(alphabet)}")
-        if len(set(alphabet)) < len(alphabet):
-            raise MalformedInput(f"weight_alphabet repeats a value: {list(alphabet)}")
-        seed = obj.get("seed")
-        sample_count = obj.get("sample_count")
-        # An exhaustive block draws nothing, so its seed would be ignored silently.
-        if seed is not None and sample_count is None:
-            raise MalformedInput("a seed needs a sample_count")
-        if sample_count is not None:
-            sample_count = _nonnegative_int("sample_count", sample_count)
-            if sample_count and not (lie_types and alphabet):
-                raise MalformedInput("sampling needs a lie type and a weight value")
         return cls(
-            lie_types=tuple(lie_types),
-            max_word_length=_nonnegative_int("max_word_length", obj["max_word_length"]),
-            weight_alphabet=alphabet,
-            seed=None if seed is None else require_int("seed", seed),
-            sample_count=sample_count,
+            lie_types=obj["lie_types"],
+            max_word_length=obj["max_word_length"],
+            weight_alphabet=obj.get("weight_alphabet", (0, 1)),
+            seed=obj.get("seed"),
+            sample_count=obj.get("sample_count"),
         )
 
 
@@ -112,7 +116,8 @@ def iter_groups(spec: SweepSpec):
     """Deterministic stream of (type name, type, word, weights) groups: an
     exhaustive block gives each word of each type with every weight of the
     type, and a sampled one (sample_count set) each seeded draw with its
-    drawn weight.  Each type is parsed and named once."""
+    drawn weight.  Each type is parsed and named, and each of its weights
+    built as a DominantWeight, once (once per draw when sampled)."""
     types = [(str(t), t) for t in map(parse_lie_type, spec.lie_types)]
     if spec.sample_count is not None:
         # A missing seed means seed 0, so that the stream stays deterministic.
@@ -121,11 +126,11 @@ def iter_groups(spec: SweepSpec):
             type_name, t = rng.choice(types)
             n = rng.randint(0, spec.max_word_length)
             word = tuple(rng.randint(1, t.rank) for _ in range(n))
-            weight = tuple(rng.choice(spec.weight_alphabet) for _ in range(t.rank))
+            weight = DominantWeight(rng.choice(spec.weight_alphabet) for _ in range(t.rank))
             yield type_name, t, word, (weight,)
         return
     for type_name, t in types:
-        weights = tuple(itertools.product(spec.weight_alphabet, repeat=t.rank))
+        weights = tuple(map(DominantWeight, itertools.product(spec.weight_alphabet, repeat=t.rank)))
         for n in range(spec.max_word_length + 1):
             for word in itertools.product(range(1, t.rank + 1), repeat=n):
                 yield type_name, t, word, weights
@@ -203,15 +208,15 @@ def _negative_tail(tail: tuple[int, ...]) -> tuple[bool, bool]:
     return negative, negative
 
 
-def _worker(inst: Instance, t: LieType, w: Word, memo: dict) -> tuple[bool, list[dict]]:
-    """The criterion's verdict and the counterexample records of inst, whose
-    type and word are t and w.  memo maps the twist data already seen for
-    this word to its _twist_data_checks, so that weights with the same
-    (c, ell) share every check; a fault in derive_twist_data changes the key
-    and misses the memo rather than hiding behind it.  A problem found once
-    is reported for every instance that shares it."""
-    type_name, word_entries, weight_coeffs = inst
-    lam = DominantWeight(weight_coeffs)
+def _worker(inst: tuple, t: LieType, w: Word, memo: dict) -> tuple[bool, list[dict]]:
+    """The criterion's verdict and the counterexample records of inst, a
+    (type name, word, weight) triple whose type and word are t and w.  memo
+    maps the twist data already seen for this word to its
+    _twist_data_checks, so that weights with the same (c, ell) share every
+    check; a fault in derive_twist_data changes the key and misses the memo
+    rather than hiding behind it.  A problem found once is reported for
+    every instance that shares it."""
+    type_name, word_entries, lam = inst
     d = derive_twist_data(t, w, lam)
     checked = memo.get(d)
     if checked is None:
@@ -219,7 +224,7 @@ def _worker(inst: Instance, t: LieType, w: Word, memo: dict) -> tuple[bool, list
     untwisted, problems = checked
     if not problems:
         return untwisted, []
-    instance_json = {"type": type_name, "word": list(word_entries), "weight": list(weight_coeffs)}
+    instance_json = {"type": type_name, "word": list(word_entries), "weight": list(lam.coefficients)}
     return untwisted, [{"instance": instance_json, "problem": p} for p in problems]
 
 
@@ -236,7 +241,7 @@ def _check_group(group) -> list[tuple[bool, list[dict]]]:
 def check_instance(inst: Instance) -> list[dict]:
     """All per-instance assertions; returns a list of counterexample records."""
     type_name, word_entries, weight_coeffs = inst
-    group = (type_name, parse_lie_type(type_name), word_entries, (weight_coeffs,))
+    group = (type_name, parse_lie_type(type_name), word_entries, (DominantWeight(weight_coeffs),))
     return _check_group(group)[0][1]
 
 
@@ -282,10 +287,9 @@ def atlas(specs: list[SweepSpec]) -> dict:
             w = Word(word_entries)
             by_weight = counts.setdefault(type_name, {})
             length_key = str(len(w))
-            for weight_coeffs in weights:
-                lam = DominantWeight(weight_coeffs)
+            for lam in weights:
                 avoiding = walks.find_hesitant_lambda_walk(t, w, lam) is None
-                weight_key = ",".join(str(c) for c in weight_coeffs)
+                weight_key = ",".join(str(c) for c in lam.coefficients)
                 slot = by_weight.setdefault(weight_key, {}).setdefault(
                     length_key, {"avoiding": 0, "total": 0}
                 )

@@ -73,9 +73,6 @@ def render_svg(d: TwistData) -> str:
     for p in pieces:
         xs += [bound(d, 1, (0, p.x2_lo)), bound(d, 1, (0, p.x2_hi)), Fraction(0)]
         ys += [p.x2_lo, p.x2_hi]
-    for (x1, x2), _ in census.points:
-        xs.append(Fraction(x1))
-        ys.append(Fraction(x2))
     x_min, x_max = min(xs) - MARGIN_UNITS, max(xs) + MARGIN_UNITS
     y_min, y_max = min(ys) - MARGIN_UNITS, max(ys) + MARGIN_UNITS
     # Every pixel coordinate lies between 0 and the width or the height.

@@ -61,8 +61,9 @@ _TYPE_RE = re.compile(r"^([A-G])([0-9]{1,9})$")
 
 
 def parse_lie_type(text: str) -> LieType:
-    """Parse the serialized form 'A5', 'E7', 'G2'."""
-    m = _TYPE_RE.match(text.strip())
+    """Parse the serialized form 'A5', 'E7', 'G2'; any other value, a
+    non-string too, raises RankOutOfRange."""
+    m = isinstance(text, str) and _TYPE_RE.match(text.strip())
     if not m:
         raise RankOutOfRange(f"cannot parse Lie type {text!r}")
     return LieType(m.group(1), int(m.group(2)))

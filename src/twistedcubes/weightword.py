@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import DimensionMismatch, IndexOutOfRange
+from .errors import DimensionMismatch, IndexOutOfRange, MalformedInput, require_int, require_ints
 from .rootdata import LieType, cartan_table
 
 
@@ -27,7 +27,7 @@ class Word:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+        object.__setattr__(self, "entries", require_ints("word", self.entries))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -45,7 +45,7 @@ class DominantWeight:
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(self.coefficients)
+        coeffs = require_ints("weight", self.coefficients)
         if any(c < 0 for c in coeffs):
             raise DimensionMismatch(f"dominant weight needs nonnegative coefficients: {coeffs}")
         object.__setattr__(self, "coefficients", coeffs)
@@ -66,10 +66,10 @@ def appears_in_lambda(lam: DominantWeight, i: int) -> bool:
 class TwistData:
     """The integers c[j, k] (1 <= j < k <= n) and ell defining one twisted cube.
 
-    Raw construction permits arbitrary integers; data derived from a dominant
-    weight always has ell >= 0.  c is stored once, as ``rows``: ``rows[j - 1]``
-    holds the nonzero ``(k, c[j, k])`` of row j in increasing k, which is what
-    the bound kernel reads.
+    Raw construction permits arbitrary integers, and only integers; data
+    derived from a dominant weight always has ell >= 0.  c is stored once,
+    as ``rows``: ``rows[j - 1]`` holds the nonzero ``(k, c[j, k])`` of row j
+    in increasing k, which is what the bound kernel reads.
     """
 
     n: int
@@ -77,14 +77,17 @@ class TwistData:
     rows: tuple = field(hash=False)
 
     def __init__(self, n: int, c: dict[tuple[int, int], int] = {}, ell=()):
-        ell = tuple(ell)
-        if len(ell) != n:
+        ell = require_ints("ell", ell)
+        if len(ell) != require_int("n", n):
             raise DimensionMismatch(f"ell has length {len(ell)}, expected {n}")
         rows = [[] for _ in range(n)]
-        for (j, k), v in c.items():
+        for key, v in c.items():
+            if len(pair := require_ints("c key", key)) != 2:
+                raise MalformedInput(f"c key must be a pair (j, k), got {key!r}")
+            j, k = pair
             if not 1 <= j < k <= n:
                 raise DimensionMismatch(f"c index ({j}, {k}) outside 1 <= j < k <= {n}")
-            if v != 0:
+            if require_int(f"c[{j}, {k}]", v):
                 rows[j - 1].append((k, v))
         vars(self).update(n=n, ell=ell, rows=tuple(tuple(sorted(r)) for r in rows))
 

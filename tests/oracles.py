@@ -368,10 +368,10 @@ def weyl_dimension(t: LieType, weight) -> Fraction:
 
 def iter_instances(spec: SweepSpec):
     """The (type name, word, weight) instances of harness.iter_groups, one
-    weight at a time."""
+    weight at a time, with the weight as its tuple of coefficients."""
     for type_name, _, word, weights in iter_groups(spec):
         for weight in weights:
-            yield type_name, word, weight
+            yield type_name, word, weight.coefficients
 
 
 def derived(type_name: str, word, weight) -> TwistData:

@@ -18,6 +18,7 @@ from twistedcubes.errors import (
     IndexOutOfRange,
     NotMinimalWitness,
     PreconditionViolated,
+    TwistedCubeError,
 )
 from twistedcubes.rootdata import parse_lie_type
 from twistedcubes.walks import is_hesitant_lambda_walk
@@ -84,6 +85,15 @@ def test_minus_at():
     for positions in ([0], [4], [1, 5]):
         with pytest.raises(IndexOutOfRange, match=r"outside \[1, 3\]"):
             minus_at(3, positions)
+
+
+@pytest.mark.parametrize(
+    "n, positions", [(3, [1.5]), (3, [True]), (3, [2, 1.0]), (3.0, []), (True, [1]), ("3", [])]
+)
+def test_minus_at_rejects_a_position_or_length_that_is_not_an_int(n, positions):
+    # 1.5 would mark nothing and True would mark position 1.
+    with pytest.raises(TwistedCubeError):
+        minus_at(n, positions)
 
 
 def test_untwisted_avoiding_example():

@@ -412,6 +412,10 @@ def test_check_computes_m_once_when_twisted_and_never_when_untwisted(tmp_path, m
         # A field of the other schema, which would be ignored silently.
         json.dumps({"type": "A2", "word": [1, 2], "weight": [1, 0], "c": {"1,2": 5}}),
         json.dumps({"n": 1, "ell": [0], "word": [1]}),
+        # An unknown key, such as a misspelt c, would be ignored silently: this
+        # one would read as c = {} and exit 0, where c makes it exit 1.
+        json.dumps({"n": 2, "C": {"1,2": 1}, "ell": [3, 5]}),
+        json.dumps({"type": "A2", "word": [1, 2], "weight": [1, 0], "name": "x"}),
         json.dumps({"n": 2, "c": {"1;2": 1}, "ell": [0, 0]}),
         # Two keys for one pair: neither value may win silently.
         json.dumps({"n": 2, "c": {"1,2": 1, "01,2": 5}, "ell": [0, 0]}),
@@ -449,9 +453,27 @@ def test_malformed_inputs_exit_2(tmp_path, payload, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_every_benchmark_and_script_instance_holds_only_instance_keys():
+    # load_instance rejects any other key, and the benchmark leaves out only
+    # "expect" from the files it writes.
+    twisted, census = workload_data("check-twisted"), workload_data("census")
+    instances = [
+        *twisted["fixed_tail"],
+        *(inst for stratum in twisted["strata"] for inst in stratum),
+        *check_untwisted_instances(),
+        census["warmup"],
+        *(inst for kind in census["kinds"].values() for inst in kind),
+        RUNNING_EXAMPLE_JSON,
+    ]
+    keys = {frozenset(inst.keys() - {"expect"}) for inst in instances}
+    assert keys <= {frozenset({"type", "word", "weight"}), frozenset({"n", "ell"}), frozenset({"n", "c", "ell"})}
+
+
 @pytest.mark.parametrize(
     "block",
     [
+        {"lie_types": "A1", "max_word_length": 1},
+        {"lie_types": [3], "max_word_length": 1},
         {"lie_types": ["A1"], "max_word_length": 1, "weight_alphabet": ["x"]},
         {"lie_types": ["A1"], "max_word_length": 1, "weight_alphabet": [0, -1]},
         {"lie_types": ["A1"], "max_word_length": 1.7},

@@ -460,6 +460,8 @@ def test_spec_from_json_round_trip():
         {"lie_types": ["A2", "B2"], "max_word_length": 3, "weight_alphabet": [0, 2]}
     )
     assert spec == SweepSpec(("A2", "B2"), 3, (0, 2))
+    # The constructor stores lists as tuples, so a spec built from lists equals it.
+    assert SweepSpec(["A2", "B2"], 3, [0, 2]) == spec
     assert SweepSpec.from_json({"lie_types": ["A1"], "max_word_length": 1}).weight_alphabet == (
         0,
         1,

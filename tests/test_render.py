@@ -1,7 +1,10 @@
+import itertools
+import re
+
 import pytest
 
 from twistedcubes.errors import DimensionMismatch
-from twistedcubes.render import render_svg
+from twistedcubes.render import MARGIN_UNITS, SCALE, render_svg
 from twistedcubes.twistedcube import lattice_points
 from twistedcubes.weightword import TwistData
 
@@ -53,3 +56,17 @@ def test_lattice_free_region_still_renders():
     svg = render_svg(TwistData(n=2, c={}, ell=(0, -1)))
     assert svg.count("<circle") == 0
     assert 'stroke-dasharray="6,4"' in svg
+
+
+def test_every_dot_lies_inside_the_box_of_the_pieces_corners():
+    # The picture's box is built from the region pieces' corners alone: each
+    # lattice point lies in the hull of one piece's corners, since A_1 is
+    # affine in x_2.  So every dot lies at least the margin inside the
+    # picture, on a grid of c_12 and ell that covers every sign pattern.
+    inset = MARGIN_UNITS * SCALE - 0.01
+    for c12, ell1, ell2 in itertools.product(range(-6, 7), range(-7, 8), range(-7, 8)):
+        svg = render_svg(TwistData(n=2, c={(1, 2): c12}, ell=(ell1, ell2)))
+        width, height = map(float, re.match(r'<svg [^>]*width="(\d+)" height="(\d+)"', svg).groups())
+        for cx, cy in re.findall(r'<circle cx="([-\d.]+)" cy="([-\d.]+)"', svg):
+            assert inset <= float(cx) <= width - inset, (c12, ell1, ell2, cx, width)
+            assert inset <= float(cy) <= height - inset, (c12, ell1, ell2, cy, height)

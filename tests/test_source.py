@@ -3,15 +3,20 @@
 import argparse
 import ast
 import importlib
+import importlib.util
 import inspect
 import re
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 import twistedcubes
+from twistedcubes import harness
 from twistedcubes.cli import build_parser
+
+from oracles import load_twist_data, workload_data
 
 MODULES = sorted(Path(twistedcubes.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
@@ -224,6 +229,43 @@ def _generator_targets():
 @pytest.mark.parametrize("module,attr", _generator_targets(), ids=str)
 def test_benchmark_generator_targets_exist(module, attr):
     assert hasattr(importlib.import_module(module), attr), f"{module} has no {attr}"
+
+
+def test_benchmark_generator_reproduces_its_committed_expectations(monkeypatch):
+    # The imports above are not all the generator reads: it also reads
+    # result.m.m, census.signed_count and d.c.  Its expect helpers, run on one
+    # instance of each kind, must give back what its data holds.  Loading it
+    # puts src/ on sys.path, which the fresh list below takes back.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("benchmark_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    twisted = workload_data("check-twisted")["fixed_tail"][0]
+    untwisted = workload_data("check-untwisted")["fixed"][0]
+    warmup = workload_data("census")["warmup"]
+    block = next(b for b in workload_data("sweep")["blocks"] if b["name"] == "g2-w01")
+    assert gen._check_expect(twisted) == twisted["expect"]
+    assert gen._check_expect(untwisted) == untwisted["expect"]
+    assert gen._census_expect(load_twist_data(warmup)) == warmup["expect"]
+    assert gen._sweep_expect(block) == block["expect"]
+    assert gen._twisted_cost(gen._derived(twisted), twisted["expect"]["sigma"]) > 0
+
+
+def test_cli_leaves_integer_checks_to_the_value_types():
+    # require_int also matches require_ints.
+    source = (Path(twistedcubes.__file__).parent / "cli.py").read_text(encoding="utf-8")
+    assert "require_int" not in source
+
+
+def test_sweep_spec_from_json_checks_only_the_json_shape():
+    # SweepSpec's constructor holds every rule on a field's value; from_json
+    # raises only for a block that is not an object or that lacks a key.
+    source = inspect.getsource(harness.SweepSpec.from_json)
+    tree = ast.parse(textwrap.dedent(source))
+    guards = [ast.unparse(node.test) for node in ast.walk(tree) if isinstance(node, ast.If)]
+    raises = [node for node in ast.walk(tree) if isinstance(node, ast.Raise)]
+    assert guards == ["not isinstance(obj, dict)", "missing"]
+    assert len(raises) == 2
 
 
 def _readme_synopsis() -> dict[str, dict[str, bool]]:

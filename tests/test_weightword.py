@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twistedcubes import weightword
-from twistedcubes.errors import DimensionMismatch, IndexOutOfRange
+from twistedcubes.errors import DimensionMismatch, IndexOutOfRange, TwistedCubeError
+from twistedcubes.harness import SweepSpec
 from twistedcubes.rootdata import cartan_pairing, parse_lie_type
 from twistedcubes.twistedcube import signed_count
 from twistedcubes.weightword import (
@@ -77,6 +78,45 @@ def test_raw_twist_data_permits_any_integers():
         TwistData(n=2, c={}, ell=(0, 0, 0))
     with pytest.raises(DimensionMismatch):
         d.c_at(2, 2)
+
+
+# Each value type checks its own fields, so a value built in code meets the
+# rules of one read from an instance or sweep file.
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "TwistData(n=2, c={(1, 2): 1.5}, ell=(3, 5))",
+        "TwistData(n=2.0, ell=(3, 5))",
+        "TwistData(n=1, ell=(True,))",
+        "TwistData(n=2, c={(1.0, 2): 1}, ell=(0, 0))",
+        "TwistData(n=3, c={(1, 2, 3): 1}, ell=(0, 0, 0))",
+        "TwistData(n=2, c={1: 1}, ell=(0, 0))",
+        'TwistData(n=1, ell="3")',
+        "Word((1.5, 2))",
+        "Word((True, 2))",
+        "Word(5)",
+        'Word("12")',
+        "DominantWeight((1.5, 1))",
+        "DominantWeight({1: 0})",
+        # Sampling draws from both lists, so neither may be empty.
+        "SweepSpec((), 3, sample_count=5)",
+        'SweepSpec(("A1",), 3, (), sample_count=5)',
+        'SweepSpec(("A1",), 3, seed=5)',
+        'SweepSpec(("A1", "A1"), 2)',
+        'SweepSpec(("A1",), 2, (1, 1))',
+        'SweepSpec(("A1",), 2, (0, -1))',
+        'SweepSpec(("A1",), -1)',
+        'SweepSpec(("A1",), 2.5)',
+        "SweepSpec((3,), 2)",
+        'SweepSpec("A1", 2)',
+        'SweepSpec(("A1",), 2, seed=1.5, sample_count=2)',
+        'SweepSpec(("A1",), 2, sample_count=True)',
+    ],
+)
+def test_a_value_built_in_code_meets_the_file_rules(expr):
+    names = {"TwistData": TwistData, "Word": Word, "DominantWeight": DominantWeight, "SweepSpec": SweepSpec}
+    with pytest.raises(TwistedCubeError):
+        eval(expr, names)
 
 
 def test_twist_data_is_hashable_consistently_with_eq():
