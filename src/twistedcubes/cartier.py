@@ -14,6 +14,7 @@ from .errors import (
     NotMinimalWitness,
     PreconditionViolated,
     require_int,
+    require_ints,
 )
 from .walks import WalkWitness
 from .weightword import TwistData, Word, bound
@@ -28,12 +29,15 @@ DEFAULT_N_CAP = 20
 
 def minus_at(n: int, positions) -> str:
     """The sign vector of length n with minus exactly at the 1-based positions."""
-    marked = set(positions)
     require_int("n", n)
     # A bool or a float would pass the range check alone: True reads as 1.
-    if not all(type(p) is int and 1 <= p <= n for p in marked):  # noqa: E721
-        raise IndexOutOfRange(f"a position of {marked} is not an integer or lies outside [1, {n}]")
-    return "".join(MINUS if p in marked else PLUS for p in range(1, n + 1))
+    positions = require_ints("positions", positions)
+    if positions and not (1 <= min(positions) and max(positions) <= n):
+        raise IndexOutOfRange(f"a position of {positions} lies outside [1, {n}]")
+    signs = [PLUS] * n
+    for p in positions:
+        signs[p - 1] = MINUS
+    return "".join(signs)
 
 
 @dataclass(frozen=True)
@@ -130,10 +134,10 @@ def witness_sigma_from_walk(d: TwistData, positions) -> tuple[str, CartierVector
     The minimality preconditions are re-checked against d at the level of the
     constants themselves (repetition entry >= 2, adjacent steps negative,
     non-consecutive walking pairs zero, interior ells zero); failures raise
-    NotMinimalWitness.
+    NotMinimalWitness.  Positions that are not ints raise MalformedInput.
     """
-    J = tuple(positions)
-    if list(J) != sorted(set(J)) or len(J) < 2 or not (1 <= J[0] and J[-1] <= d.n):
+    J = require_ints("positions", positions)
+    if len(J) < 2 or not all(map(int.__lt__, J, J[1:])) or not (1 <= J[0] and J[-1] <= d.n):
         raise NotMinimalWitness(f"positions {J} are not an increasing index sequence")
     s = len(J) - 1
     if d.c_at(J[0], J[1]) < 2:

@@ -47,13 +47,21 @@ def require_int(field: str, value) -> int:
     return value
 
 
+# The one type that require_ints accepts for an item: type(True) is bool.
+_INT = frozenset({int})
+
+
 def require_ints(field: str, values) -> tuple[int, ...]:
     """values as a tuple if it is an iterable of ints other than a str,
     bytes or dict; bools are rejected, as in require_int."""
-    try:
-        items = None if isinstance(values, (str, bytes, dict)) else tuple(values)
-    except TypeError:
-        items = None
-    if items is None or not all(type(v) is int for v in items):  # noqa: E721
+    if type(values) is tuple:
+        items = values
+    else:
+        try:
+            items = None if isinstance(values, (str, bytes, dict)) else tuple(values)
+        except TypeError:
+            items = None
+    if items is None or not _INT.issuperset(map(type, items)):
         raise MalformedInput(f"{field} must be a list of integers, got {values!r}")
     return items
+

@@ -14,8 +14,9 @@ from dataclasses import asdict, dataclass, field
 from . import cartier, walks
 from .cartier import DEFAULT_N_CAP
 from .errors import CapExceeded, MalformedInput, require_int, require_ints
-from .rootdata import LieType, parse_lie_type
+from .rootdata import LieType, cartan_table, parse_lie_type
 from .twistedcube import census_buckets
+from .walks import WalkWitness
 from .weightword import DominantWeight, TwistData, Word, derive_twist_data
 
 
@@ -144,24 +145,32 @@ def _twist_data_checks(
     predicate, the untwisted census, the detector, the verdict comparison
     and the walk-to-sigma round trip.  Each reads lam only at the letters of
     w, that is through ell, so the result depends on d alone.  Returns the
-    criterion's verdict (True when untwisted) and the problems found."""
+    criterion's verdict (True when untwisted) and the problems found.
+
+    derive_twist_data has checked w's letters against t, once per word, and
+    lam's rank, so the detector and minimization run as the kernels of
+    walks on the Cartan table, the letters and the coefficients, read once
+    here; a WalkWitness is built only to print a verdict mismatch.  The
+    rebuilt walk is new, so is_hesitant_lambda_walk checks its letters."""
     problems: list[str] = []
     result = cartier.is_untwisted(d)
-    walk = walks.find_hesitant_lambda_walk(t, w, lam)
+    table, letters, coefficients = cartan_table(t), w.entries, lam.coefficients
+    walk = walks.hesitant_walk(table, letters, coefficients)
     if result.untwisted != (walk is None):
+        witness = None if walk is None else WalkWitness(*walk)
         problems.append(
             f"verdict mismatch: criterion says untwisted={result.untwisted}, "
-            f"detector witness={walk}"
+            f"detector witness={witness}"
         )
 
     if walk is not None:
-        # Each fact is checked once, where it is made: minimize raises
+        # Each fact is checked once, where it is made: minimal_walk raises
         # NotAWitness on a detector walk that is not hesitant, and
         # witness_sigma_from_walk raises NotMinimalWitness on a sigma whose
         # leading Cartier entry is not negative.
         try:
-            minimal = walks.minimize(t, walk, lam)
-            cartier.witness_sigma_from_walk(d, minimal.positions)
+            minimal, _ = walks.minimal_walk(table, *walk, coefficients)
+            cartier.witness_sigma_from_walk(d, minimal)
         except Exception as exc:  # noqa: BLE001 - failures are data here
             problems.append(f"walk-to-sigma round trip raised {exc!r}")
 
@@ -278,22 +287,25 @@ def verify_equivalence(spec: SweepSpec, jobs: int = 1) -> SweepReport:
 
 def atlas(specs: list[SweepSpec]) -> dict:
     """Tally hesitant-lambda-walk-avoiding words per (type, weight, word
-    length) slot across the blocks; blocks may share slots.  As in verify,
-    the word is built once per group of iter_groups."""
+    length) slot across the blocks; blocks may share slots.  Each group's
+    word is checked against its type once, and the detector kernel reads the
+    Cartan table and each weight's coefficients; iter_groups builds every
+    weight with the type's rank."""
     counts: dict = {}
     instances = 0
     for spec in specs:
         for type_name, t, word_entries, weights in iter_groups(spec):
-            w = Word(word_entries)
+            Word(word_entries).validate_for(t)
+            table = cartan_table(t)
             by_weight = counts.setdefault(type_name, {})
-            length_key = str(len(w))
+            length_key = str(len(word_entries))
             for lam in weights:
-                avoiding = walks.find_hesitant_lambda_walk(t, w, lam) is None
+                walk = walks.hesitant_walk(table, word_entries, lam.coefficients)
                 weight_key = ",".join(str(c) for c in lam.coefficients)
                 slot = by_weight.setdefault(weight_key, {}).setdefault(
                     length_key, {"avoiding": 0, "total": 0}
                 )
-                slot["avoiding"] += avoiding
+                slot["avoiding"] += walk is None
                 slot["total"] += 1
                 instances += 1
     return {"instances": instances, "counts": counts}

@@ -13,6 +13,7 @@ therefore gets c[1, 2] = -2, not -1.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -33,9 +34,10 @@ class Word:
         return len(self.entries)
 
     def validate_for(self, t: LieType) -> None:
-        for i in self.entries:
-            if not 1 <= i <= t.rank:
-                raise DimensionMismatch(f"word letter {i} outside [1, {t.rank}] for {t}")
+        entries, rank = self.entries, t.rank
+        if entries and not (1 <= min(entries) and max(entries) <= rank):
+            bad = next(i for i in entries if not 1 <= i <= rank)
+            raise DimensionMismatch(f"word letter {bad} outside [1, {rank}] for {t}")
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,8 @@ class TwistData:
         ell = require_ints("ell", ell)
         if len(ell) != require_int("n", n):
             raise DimensionMismatch(f"ell has length {len(ell)}, expected {n}")
+        if not isinstance(c, Mapping):
+            raise MalformedInput(f"c must map pairs (j, k) to integers, got {c!r}")
         rows = [[] for _ in range(n)]
         for key, v in c.items():
             if len(pair := require_ints("c key", key)) != 2:
@@ -100,7 +104,11 @@ class TwistData:
         """c[j, k] for j < k; absent entries are 0."""
         if not 1 <= j < k <= self.n:
             raise DimensionMismatch(f"c index ({j}, {k}) outside 1 <= j < k <= {self.n}")
-        return dict(self.rows[j - 1]).get(k, 0)
+        # The row is in increasing k, so the scan stops at the first k' >= k.
+        for key, v in self.rows[j - 1]:
+            if key >= k:
+                return v if key == k else 0
+        return 0
 
 
 def bound(d: TwistData, j: int, x):
@@ -143,5 +151,5 @@ def derive_twist_data(t: LieType, w: Word, lam: DominantWeight) -> TwistData:
         raise DimensionMismatch(f"weight has rank {lam.rank}, expected {t.rank}")
     d = object.__new__(TwistData)
     # The cached rows are already clean, so __init__ is not run again.
-    vars(d).update(n=len(rows), ell=tuple(lam.coefficients[i - 1] for i in w.entries), rows=rows)
+    vars(d).update(n=len(rows), ell=tuple([lam.coefficients[i - 1] for i in w.entries]), rows=rows)
     return d

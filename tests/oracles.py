@@ -13,6 +13,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
+from twistedcubes import cartier, harness, walks
 from twistedcubes.cartier import DEFAULT_N_CAP, UntwistResult, compute_m, is_untwisted
 from twistedcubes.cli import load_instance
 from twistedcubes.errors import CapExceeded, RankOutOfRange
@@ -280,6 +281,38 @@ def untwisted_census_problems(d: TwistData) -> list[str]:
     if any(not contains_PD(d, p) for p, _ in census.points):
         problems.append("untwisted census point escapes the weak-inequality polytope")
     return problems
+
+
+def twist_data_checks_oracle(
+    d: TwistData, t: LieType, w: Word, lam: DominantWeight
+) -> tuple[bool, tuple[str, ...]]:
+    """Oracle for ``harness._twist_data_checks``: the same checks, each made
+    through the public functions, which check the word and the weight again
+    on every call and pass WalkWitness objects between them."""
+    problems: list[str] = []
+    result = cartier.is_untwisted(d)
+    walk = walks.find_hesitant_lambda_walk(t, w, lam)
+    if result.untwisted != (walk is None):
+        problems.append(
+            f"verdict mismatch: criterion says untwisted={result.untwisted}, "
+            f"detector witness={walk}"
+        )
+    if walk is not None:
+        try:
+            minimal = walks.minimize(t, walk, lam)
+            cartier.witness_sigma_from_walk(d, minimal.positions)
+        except Exception as exc:  # noqa: BLE001 - failures are data here
+            problems.append(f"walk-to-sigma round trip raised {exc!r}")
+    if not result.untwisted:
+        try:
+            rebuilt = cartier.hesitant_walk_from_twist_witness(d, w, result.m.m)
+            if not walks.is_hesitant_lambda_walk(t, Word(rebuilt.subword), lam):
+                problems.append(f"rebuilt walk {rebuilt} fails its predicate")
+        except Exception as exc:  # noqa: BLE001
+            problems.append(f"sigma-to-walk round trip raised {exc!r}")
+    else:
+        problems += harness._census_problems(d)
+    return result.untwisted, tuple(problems)
 
 
 def scaling_invariance_failures(spec: SweepSpec, factor: int = 3) -> list[dict]:

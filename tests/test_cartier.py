@@ -16,6 +16,7 @@ from twistedcubes.errors import (
     CapExceeded,
     DimensionMismatch,
     IndexOutOfRange,
+    MalformedInput,
     NotMinimalWitness,
     PreconditionViolated,
     TwistedCubeError,
@@ -88,7 +89,17 @@ def test_minus_at():
 
 
 @pytest.mark.parametrize(
-    "n, positions", [(3, [1.5]), (3, [True]), (3, [2, 1.0]), (3.0, []), (True, [1]), ("3", [])]
+    "n, positions",
+    [
+        (3, [1.5]),
+        (3, [True]),
+        (3, [2, 1.0]),
+        (3.0, []),
+        (True, [1]),
+        ("3", []),
+        (3, [[1]]),
+        (3, None),
+    ],
 )
 def test_minus_at_rejects_a_position_or_length_that_is_not_an_int(n, positions):
     # 1.5 would mark nothing and True would mark position 1.
@@ -211,6 +222,13 @@ def test_witness_sigma_rejects_non_minimal():
         witness_sigma_from_walk(RUNNING_EXAMPLE, (1, 2))
     with pytest.raises(NotMinimalWitness):
         witness_sigma_from_walk(A2_TWISTED, (3, 1))
+
+
+def test_witness_sigma_rejects_positions_that_are_not_ints():
+    d = TwistData(n=2, c={(1, 2): 2}, ell=(1, 1))
+    assert witness_sigma_from_walk(d, (1, 2))[0] == "--"
+    with pytest.raises(MalformedInput):
+        witness_sigma_from_walk(d, (1.0, 2.0))
 
 
 @pytest.mark.parametrize(

@@ -313,7 +313,7 @@ def test_verify_reports_a_counterexample(tmp_path, monkeypatch, capsys):
     assert (report["instances"], report["untwisted_count"], report["twisted_count"]) == (3, 2, 1)
     assert report["counterexamples"] == []
     # With the detector blinded, the twisted word (1, 1) is a verdict mismatch.
-    monkeypatch.setattr(walks, "find_hesitant_lambda_walk", lambda t, w, lam: None)
+    monkeypatch.setattr(walks, "hesitant_walk", lambda table, letters, coefficients: None)
     assert main(argv) == EXIT_TWISTED
     report = json.loads(capsys.readouterr().out)
     assert (report["instances"], report["untwisted_count"], report["twisted_count"]) == (3, 2, 1)
@@ -528,7 +528,7 @@ def test_verify_rejects_words_beyond_the_cap_before_any_check(tmp_path, blocks, 
 def test_bad_lie_type_in_a_later_block_fails_before_any_check(tmp_path, command, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(harness, "_worker", lambda *args: calls.append(args))
-    monkeypatch.setattr(walks, "find_hesitant_lambda_walk", lambda *args: calls.append(args))
+    monkeypatch.setattr(walks, "hesitant_walk", lambda *args: calls.append(args))
     spec = write_input(
         tmp_path / "spec.json",
         [{"lie_types": ["A2"], "max_word_length": 5}, {"lie_types": ["Z9"], "max_word_length": 2}],

@@ -6,6 +6,7 @@ from twistedcubes.errors import (
     CapExceeded,
     DimensionMismatch,
     IndexOutOfRange,
+    MalformedInput,
     NotAWitness,
     PreconditionViolated,
 )
@@ -146,6 +147,21 @@ def _witness(word):
 def test_walk_witness_rejects_malformed_positions(positions, subword, message):
     with pytest.raises(NotAWitness, match=message):
         WalkWitness(positions, subword)
+
+
+@pytest.mark.parametrize(
+    "positions, subword",
+    [((1.0, 2.0), (1, 1)), ((1, 2), (1, True)), (None, ()), ((1, 2), "11")],
+    ids=["float positions", "bool letter", "no positions", "string subword"],
+)
+def test_walk_witness_fields_are_ints(positions, subword):
+    with pytest.raises(MalformedInput):
+        WalkWitness(positions, subword)
+
+
+def test_from_word_rejects_positions_that_are_not_ints():
+    with pytest.raises(MalformedInput):
+        WalkWitness.from_word(Word((1, 1, 2)), (1.0, 2.0))
 
 
 def test_is_minimal_examples():

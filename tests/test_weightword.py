@@ -91,6 +91,8 @@ def test_raw_twist_data_permits_any_integers():
         "TwistData(n=2, c={(1.0, 2): 1}, ell=(0, 0))",
         "TwistData(n=3, c={(1, 2, 3): 1}, ell=(0, 0, 0))",
         "TwistData(n=2, c={1: 1}, ell=(0, 0))",
+        "TwistData(n=2, c=[1], ell=(0, 0))",
+        "TwistData(n=2, c=None, ell=(0, 0))",
         'TwistData(n=1, ell="3")',
         "Word((1.5, 2))",
         "Word((True, 2))",
