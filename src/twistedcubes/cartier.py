@@ -29,7 +29,8 @@ DEFAULT_N_CAP = 20
 
 def minus_at(n: int, positions) -> str:
     """The sign vector of length n with minus exactly at the 1-based positions."""
-    require_int("n", n)
+    if require_int("n", n) < 0:
+        raise DimensionMismatch(f"sign vector length {n} is negative")
     # A bool or a float would pass the range check alone: True reads as 1.
     positions = require_ints("positions", positions)
     if positions and not (1 <= min(positions) and max(positions) <= n):
@@ -179,6 +180,8 @@ def hesitant_walk_from_twist_witness(d: TwistData, w: Word, m: tuple[int, ...]) 
     and positive m, then, while the current ell is zero, steps to the minimal
     later position with negative c-entry and positive m.
     """
+    if len(w) != d.n:
+        raise DimensionMismatch(f"word has length {len(w)}, expected {d.n}")
     if len(m) != d.n:
         raise DimensionMismatch(f"m has length {len(m)}, expected {d.n}")
     k = maximal_failing_index(m)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager, nullcontext
 
@@ -39,6 +40,10 @@ def _unique_keys(pairs):
 
 # Built once: json.load with a hook would build a decoder on every call.
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+# A key of c: two ASCII decimal integers joined by one comma.  int() alone
+# would also take a sign, spaces, underscores and non-ASCII digits.
+_C_KEY = re.compile(r"([0-9]+),([0-9]+)")
 
 
 def _read_json(path: str, what: str):
@@ -74,8 +79,9 @@ def load_instance(path: str):
         c: dict[tuple[int, int], int] = {}
         for key, value in raw_c.items():
             try:
-                j, k = (int(part) for part in key.split(","))
-            except ValueError as exc:
+                j, k = map(int, _C_KEY.fullmatch(key).groups())
+            # AttributeError: no match; ValueError: too many digits for int().
+            except (AttributeError, ValueError) as exc:
                 raise MalformedInput(f"bad c key {key!r}; expected 'j,k'") from exc
             if (j, k) in c:
                 raise MalformedInput(f"c names the pair ({j}, {k}) twice")

@@ -59,23 +59,16 @@ def _adjacent_in_turn(table, letters: tuple[int, ...]) -> bool:
     return True
 
 
-def _require_rank(t: LieType, lam: DominantWeight) -> None:
-    if lam.rank != t.rank:
-        raise NotAWitness(f"weight rank {lam.rank} does not match {t}")
-
-
 def is_lambda_walk(t: LieType, w: Word, lam: DominantWeight) -> bool:
     """A diagram walk whose final root appears in lam."""
-    _require_rank(t, lam)
+    lam.validate_for(t)
     return is_diagram_walk(t, w) and appears_in_lambda(lam, w.entries[-1])
 
 
 def is_hesitant_lambda_walk(t: LieType, w: Word, lam: DominantWeight) -> bool:
     """First two letters equal, and the walking component (all but the first
     letter) is a lambda-walk."""
-    _require_rank(t, lam)
-    w.validate_for(t)
-    return _hesitant(cartan_table(t), w.entries, lam.coefficients)
+    return _hesitant(_checked_table(t, w, lam), w.entries, lam.coefficients)
 
 
 def _hesitant(table, letters: tuple[int, ...], coefficients: tuple[int, ...]) -> bool:
@@ -92,9 +85,7 @@ def _hesitant(table, letters: tuple[int, ...], coefficients: tuple[int, ...]) ->
 def find_hesitant_lambda_walk(t: LieType, w: Word, lam: DominantWeight) -> WalkWitness | None:
     """Canonical hesitant-lambda-walk subword, or None if w is avoiding:
     hesitant_walk, once lam's rank and w's letters are checked."""
-    _require_rank(t, lam)
-    w.validate_for(t)
-    walk = hesitant_walk(cartan_table(t), w.entries, lam.coefficients)
+    walk = hesitant_walk(_checked_table(t, w, lam), w.entries, lam.coefficients)
     return None if walk is None else WalkWitness(*walk)
 
 
@@ -139,11 +130,11 @@ def hesitant_walk(table, letters: tuple[int, ...], coefficients: tuple[int, ...]
     return tuple(positions), tuple([letters[p - 1] for p in positions])
 
 
-def _checked_table(t: LieType, witness: WalkWitness, lam: DominantWeight):
-    """The Cartan table of t, once lam has t's rank and the witness's
-    letters lie in [1, t.rank]; after this every letter indexes both."""
-    _require_rank(t, lam)
-    Word(witness.subword).validate_for(t)
+def _checked_table(t: LieType, w: Word, lam: DominantWeight):
+    """The Cartan table of t, once lam has t's rank and w's letters lie in
+    [1, t.rank]; after this every letter indexes both."""
+    lam.validate_for(t)
+    w.validate_for(t)
     return cartan_table(t)
 
 
@@ -166,7 +157,7 @@ def is_minimal(t: LieType, witness: WalkWitness, lam: DominantWeight) -> bool:
     """Minimality of a hesitant lambda-walk: the walking component visits each
     diagram vertex at most once, and (when it has length >= 2) only its final
     root appears in lam."""
-    table = _checked_table(t, witness, lam)
+    table = _checked_table(t, Word(witness.subword), lam)
     _require_hesitant(table, witness.subword, lam.coefficients)
     return _minimal(witness.subword, lam.coefficients)
 
@@ -174,7 +165,7 @@ def is_minimal(t: LieType, witness: WalkWitness, lam: DominantWeight) -> bool:
 def minimize(t: LieType, witness: WalkWitness, lam: DominantWeight) -> WalkWitness:
     """Extract a minimal hesitant lambda-walk subword of the given witness:
     minimal_walk, once lam's rank and the witness's letters are checked."""
-    table = _checked_table(t, witness, lam)
+    table = _checked_table(t, Word(witness.subword), lam)
     return WalkWitness(*minimal_walk(table, witness.positions, witness.subword, lam.coefficients))
 
 

@@ -56,6 +56,10 @@ class DominantWeight:
     def rank(self) -> int:
         return len(self.coefficients)
 
+    def validate_for(self, t: LieType) -> None:
+        if self.rank != t.rank:
+            raise DimensionMismatch(f"weight has rank {self.rank}, expected {t.rank}")
+
 
 def appears_in_lambda(lam: DominantWeight, i: int) -> bool:
     """Whether the i-th simple root appears in lam (coefficient > 0)."""
@@ -102,6 +106,8 @@ class TwistData:
 
     def c_at(self, j: int, k: int) -> int:
         """c[j, k] for j < k; absent entries are 0."""
+        if type(j) is not int or type(k) is not int:  # noqa: E721 - bool is an int subclass
+            raise MalformedInput(f"c index ({j!r}, {k!r}) must be a pair of integers")
         if not 1 <= j < k <= self.n:
             raise DimensionMismatch(f"c index ({j}, {k}) outside 1 <= j < k <= {self.n}")
         # The row is in increasing k, so the scan stops at the first k' >= k.
@@ -146,9 +152,8 @@ def derive_twist_data(t: LieType, w: Word, lam: DominantWeight) -> TwistData:
     """The twisted-cube constants of (t, w, lam).  The word's rows are built
     once for a run of calls on one word and shared, read-only, by every
     TwistData of that run; each call checks the weight's rank and reads ell."""
+    lam.validate_for(t)
     rows = _word_constants(t, w.entries)
-    if lam.rank != t.rank:
-        raise DimensionMismatch(f"weight has rank {lam.rank}, expected {t.rank}")
     d = object.__new__(TwistData)
     # The cached rows are already clean, so __init__ is not run again.
     vars(d).update(n=len(rows), ell=tuple([lam.coefficients[i - 1] for i in w.entries]), rows=rows)

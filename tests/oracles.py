@@ -190,6 +190,42 @@ def first_hesitant_lambda_walk(
     return None
 
 
+def latest_minimal_walk(t: LieType, w: Word, lam: DominantWeight) -> tuple[int, ...] | None:
+    """The positions of the latest minimal hesitant lambda-walk of w, or None
+    if no position starts a hesitant lambda-walk.
+
+    It starts at k, the largest position that starts a hesitant lambda-walk.
+    It repeats k's letter at the largest later position that starts a
+    lambda-walk, and then, until its letter is in lam, steps to the largest
+    later position of an adjacent letter that starts a lambda-walk.
+    Quadratic in the word's length.
+    """
+    letters = w.entries
+    n = len(letters)
+    # starts[q]: some lambda-walk subword of w begins at position q.
+    starts = [False] * (n + 2)
+    for q in range(n, 0, -1):
+        a = letters[q - 1]
+        starts[q] = appears_in_lambda(lam, a) or any(
+            starts[r] and adjacent(t, a, letters[r - 1]) for r in range(q + 1, n + 1)
+        )
+
+    def latest(after: int, fits) -> int | None:
+        return next((q for q in range(n, after, -1) if starts[q] and fits(letters[q - 1])), None)
+
+    k = next(
+        (p for p in range(n, 0, -1) if latest(p, lambda b: b == letters[p - 1]) is not None),
+        None,
+    )
+    if k is None:
+        return None
+    positions = [k, latest(k, lambda b: b == letters[k - 1])]
+    while not appears_in_lambda(lam, letters[positions[-1] - 1]):
+        last = letters[positions[-1] - 1]
+        positions.append(latest(positions[-1], lambda b: adjacent(t, last, b)))
+    return tuple(positions)
+
+
 def minimize_splice(t: LieType, witness: WalkWitness, lam: DominantWeight) -> WalkWitness:
     """Oracle for ``minimize`` on a hesitant lambda-walk: truncate the
     walking component at its earliest root in lam, then, for each kept root

@@ -23,8 +23,10 @@ from twistedcubes.harness import default_specs, verify_equivalence
 from twistedcubes.rootdata import parse_lie_type
 from twistedcubes.twistedcube import lattice_points, signed_count
 from twistedcubes.walks import (
+    WalkWitness,
     find_hesitant_lambda_walk,
     is_hesitant_lambda_walk,
+    is_minimal,
 )
 from twistedcubes.weightword import DominantWeight, TwistData, Word
 
@@ -41,9 +43,11 @@ from oracles import (
     is_longest_element,
     is_untwisted_exhaustive,
     iter_instances,
+    latest_minimal_walk,
     point_weight,
     scaling_invariance_failures,
     weyl_dimension,
+    workload_data,
 )
 
 
@@ -327,4 +331,50 @@ def test_criterion_11_signed_count_follows_the_demazure_product():
         f"{wrong_w0} wrong)",
         len(seen) == 13_228 and len(characters) == 1_525 and w0_checks == 429
         and not split and not wrong_counts and not wrong_w0,
+    )
+
+
+def test_criterion_12_the_pinned_witness_is_the_latest_minimal_walk():
+    """The criterion's failing (sigma, k) against the walks of the word.
+
+    That it says untwisted exactly when no position starts a hesitant
+    lambda-walk is the paper's theorem.  That its k is the largest position
+    that starts one follows from the paper's two constructions.  That sigma
+    has a minus exactly on the latest minimal hesitant lambda-walk from k
+    (tests/oracles.py::latest_minimal_walk) is a conjecture, checked here
+    and not proved.
+    """
+    instances = wrong_verdict = wrong_k = wrong_sigma = not_minimal = 0
+    for spec in default_specs():
+        for type_name, word, weight in iter_instances(spec):
+            t, w, lam = parse_lie_type(type_name), Word(word), DominantWeight(weight)
+            result = is_untwisted(derived(type_name, word, weight))
+            walk = latest_minimal_walk(t, w, lam)
+            instances += 1
+            if result.untwisted or walk is None:
+                wrong_verdict += result.untwisted != (walk is None)
+                continue
+            wrong_k += result.k != walk[0]
+            wrong_sigma += result.sigma != minus_at(len(w), walk)
+            not_minimal += not is_minimal(t, WalkWitness.from_word(w, walk), lam)
+    data = workload_data("check-twisted")
+    benchmark = data["fixed_tail"] + [inst for stratum in data["strata"] for inst in stratum]
+    wrong_expect = 0
+    for inst in benchmark:
+        walk = latest_minimal_walk(
+            parse_lie_type(inst["type"]), Word(inst["word"]), DominantWeight(inst["weight"])
+        )
+        got = None if walk is None else (walk[0], minus_at(len(inst["word"]), walk))
+        wrong_expect += got != (inst["expect"]["k"], inst["expect"]["sigma"])
+    _report(
+        12,
+        f"on all {instances} default-sweep instances the criterion is untwisted exactly when no "
+        f"position starts a hesitant lambda-walk ({wrong_verdict} wrong), its k is the largest "
+        f"such position ({wrong_k} wrong) and its sigma has a minus exactly on the latest minimal "
+        f"hesitant lambda-walk from k ({wrong_sigma} wrong, {not_minimal} not minimal); that sigma "
+        f"and k match the expected ones of all {len(benchmark)} check-twisted benchmark "
+        f"instances ({wrong_expect} wrong)",
+        instances == 22_967
+        and len(benchmark) == 1_600
+        and not (wrong_verdict or wrong_k or wrong_sigma or not_minimal or wrong_expect),
     )

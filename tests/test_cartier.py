@@ -27,12 +27,15 @@ from twistedcubes.weightword import DominantWeight, TwistData, Word, derive_twis
 
 from oracles import (
     RUNNING_EXAMPLE,
+    all_types_up_to_rank,
     check_untwisted_instances,
     derived,
     is_untwisted_exhaustive,
+    latest_minimal_walk,
     load_twist_data,
     raw_twist_data,
     record_calls,
+    word_instances,
 )
 
 
@@ -105,6 +108,11 @@ def test_minus_at_rejects_a_position_or_length_that_is_not_an_int(n, positions):
     # 1.5 would mark nothing and True would mark position 1.
     with pytest.raises(TwistedCubeError):
         minus_at(n, positions)
+
+
+def test_minus_at_rejects_a_negative_length():
+    with pytest.raises(DimensionMismatch, match="sign vector length -1 is negative"):
+        minus_at(-1, [])
 
 
 def test_untwisted_avoiding_example():
@@ -279,6 +287,12 @@ def test_hesitant_walk_precondition():
         )
     with pytest.raises(DimensionMismatch):
         hesitant_walk_from_twist_witness(A2_TWISTED, Word((1, 2, 1)), (-2, 0))
+    # The walk is found from d and m alone and its letters are read from w,
+    # so a word of another length would give letters of another word.
+    with pytest.raises(DimensionMismatch, match="word has length 5, expected 3"):
+        hesitant_walk_from_twist_witness(
+            derived("A2", (1, 1, 2), (0, 1)), Word((2, 2, 1, 1, 1)), (-1, 1, 1)
+        )
     # c[1, 2] > 0 gives the repetition, but ell_2 = 0 and nothing follows.
     with pytest.raises(PreconditionViolated, match="greedy extension stuck at 2"):
         hesitant_walk_from_twist_witness(
@@ -358,6 +372,19 @@ def test_criterion_witness_k_is_the_maximal_failing_index(d):
     r = is_untwisted(d)
     if not r.untwisted:
         assert maximal_failing_index(r.m.m) == r.k
+
+
+@settings(max_examples=300, deadline=None)
+@given(word_instances(all_types_up_to_rank(8), max_len=10, max_coefficient=2))
+def test_criterion_witness_is_the_latest_minimal_walk_on_every_type(inst):
+    # Acceptance criterion 12 on words of every type up to E8; the sigma
+    # part is a conjecture (see tests/oracles.py::latest_minimal_walk).
+    t, w, lam = inst
+    r = is_untwisted(derive_twist_data(t, w, lam))
+    walk = latest_minimal_walk(t, w, lam)
+    # An untwisted result has neither k nor sigma.
+    expected = (None, None) if walk is None else (walk[0], minus_at(len(w), walk))
+    assert (r.k, r.sigma) == expected
 
 
 @settings(max_examples=400, deadline=None)

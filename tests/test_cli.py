@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 import twistedcubes
 from twistedcubes import cartier, cli, harness, twistedcube, walks
 from twistedcubes.cli import EXIT_ERROR, EXIT_TWISTED, EXIT_UNTWISTED, load_instance, main
-from twistedcubes.errors import MalformedInput
+from twistedcubes.errors import DimensionMismatch, MalformedInput, TwistedCubeError
 from twistedcubes.rootdata import parse_lie_type
-from twistedcubes.weightword import DominantWeight, Word
+from twistedcubes.weightword import DominantWeight, Word, derive_twist_data
 
 from oracles import (
     RUNNING_EXAMPLE_JSON,
@@ -417,6 +417,11 @@ def test_check_computes_m_once_when_twisted_and_never_when_untwisted(tmp_path, m
         json.dumps({"n": 2, "C": {"1,2": 1}, "ell": [3, 5]}),
         json.dumps({"type": "A2", "word": [1, 2], "weight": [1, 0], "name": "x"}),
         json.dumps({"n": 2, "c": {"1;2": 1}, "ell": [0, 0]}),
+        # int() would read the first key as (10, 11) and the others as (1, 2).
+        *(
+            json.dumps({"n": 11, "c": {key: 1}, "ell": [3] * 11})
+            for key in ["1_0,1_1", " 1 , 2", "+1,2", "1,2 ", "\u0661,2"]
+        ),
         # Two keys for one pair: neither value may win silently.
         json.dumps({"n": 2, "c": {"1,2": 1, "01,2": 5}, "ell": [0, 0]}),
         # A key given twice in one object: json.load alone keeps the last.
@@ -451,6 +456,45 @@ def test_malformed_inputs_exit_2(tmp_path, payload, capsys):
     path.write_text(payload)
     assert main(["check", "--instance", str(path)]) == EXIT_ERROR
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _whole_walk(w: Word) -> walks.WalkWitness:
+    return walks.WalkWitness.from_word(w, range(1, len(w) + 1))
+
+
+# Every entry that reads a (type, word, weight) triple, with the word taken
+# whole as a walk by the two that read a walk.
+_TRIPLE_ENTRIES = {
+    "derive_twist_data": derive_twist_data,
+    "is_lambda_walk": walks.is_lambda_walk,
+    "is_hesitant_lambda_walk": walks.is_hesitant_lambda_walk,
+    "find_hesitant_lambda_walk": walks.find_hesitant_lambda_walk,
+    "is_minimal": lambda t, w, lam: walks.is_minimal(t, _whole_walk(w), lam),
+    "minimize": lambda t, w, lam: walks.minimize(t, _whole_walk(w), lam),
+}
+
+
+@pytest.mark.parametrize(
+    "word, weight, message",
+    [
+        ((1, 1, 2), (0, 1, 0), "weight has rank 3, expected 2"),
+        ((1, 1, 3), (0, 1), "word letter 3 outside [1, 2] for A2"),
+        # The weight's rank is checked first.
+        ((1, 1, 3), (0, 1, 0), "weight has rank 3, expected 2"),
+    ],
+    ids=["rank", "letter", "both"],
+)
+def test_each_fault_of_a_triple_raises_one_error_at_every_entry(word, weight, message, tmp_path, capsys):
+    t, w, lam = parse_lie_type("A2"), Word(word), DominantWeight(weight)
+    raised = {}
+    for name, entry in _TRIPLE_ENTRIES.items():
+        with pytest.raises(TwistedCubeError) as info:
+            entry(t, w, lam)
+        raised[name] = (type(info.value), str(info.value))
+    assert raised == dict.fromkeys(_TRIPLE_ENTRIES, (DimensionMismatch, message))
+    path = write_input(tmp_path / "inst.json", {"type": "A2", "word": word, "weight": weight})
+    assert main(["check", "--instance", path]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_every_benchmark_and_script_instance_holds_only_instance_keys():

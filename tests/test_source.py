@@ -257,6 +257,44 @@ def test_cli_leaves_integer_checks_to_the_value_types():
     assert "require_int" not in source
 
 
+def _is_rank(node) -> bool:
+    """Whether an operand reads a rank: x.rank, a name rank, or
+    len(x.coefficients), a weight's rank."""
+    if isinstance(node, ast.Call):
+        return ast.unparse(node.func) == "len" and any(
+            isinstance(arg, ast.Attribute) and arg.attr == "coefficients" for arg in node.args
+        )
+    return (isinstance(node, ast.Attribute) and node.attr == "rank") or (
+        isinstance(node, ast.Name) and node.id == "rank"
+    )
+
+
+def _rank_comparisons(node, scope: str) -> list[str]:
+    """The scope, as module.Class.function, of each comparison below node
+    with two operands that read a rank."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            found += _rank_comparisons(child, f"{scope}.{child.name}")
+            continue
+        if isinstance(child, ast.Compare) and sum(map(_is_rank, [child.left, *child.comparators])) >= 2:
+            found.append(scope)
+        found += _rank_comparisons(child, scope)
+    return found
+
+
+def test_only_the_weight_compares_its_rank_with_a_type_s():
+    # Every entry that reads a (type, word, weight) triple calls
+    # DominantWeight.validate_for, so a weight of the wrong rank raises one
+    # error with one message wherever it is passed.
+    found = [
+        scope
+        for path in MODULES
+        for scope in _rank_comparisons(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    ]
+    assert found == ["weightword.DominantWeight.validate_for"]
+
+
 def test_sweep_spec_from_json_checks_only_the_json_shape():
     # SweepSpec's constructor holds every rule on a field's value; from_json
     # raises only for a block that is not an object or that lacks a key.

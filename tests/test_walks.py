@@ -80,7 +80,7 @@ def test_detector_examples():
 
 
 def test_detector_rejects_a_weight_of_the_wrong_rank():
-    with pytest.raises(NotAWitness, match="weight rank 2 does not match A5"):
+    with pytest.raises(DimensionMismatch, match="weight has rank 2, expected 5"):
         find_hesitant_lambda_walk(A5, Word((1, 1)), DominantWeight((1, 0)))
     # The predicates check the rank before they read the word, so they never
     # answer for a weight of another type, nor index it out of range.
@@ -90,7 +90,7 @@ def test_detector_rejects_a_weight_of_the_wrong_rank():
         (is_lambda_walk, (2, 1)),
         (is_lambda_walk, (1, 2)),
     ]:
-        with pytest.raises(NotAWitness, match="weight rank 1 does not match A2"):
+        with pytest.raises(DimensionMismatch, match="weight has rank 1, expected 2"):
             predicate(a2, Word(letters), lam)
 
 
@@ -240,7 +240,7 @@ def test_from_word_rejects_positions_outside_the_word(positions):
 def test_minimize_and_is_minimal_need_a_weight_of_the_type_s_rank():
     witness = _witness((5, 5))
     for fn in (minimize, is_minimal):
-        with pytest.raises(NotAWitness, match="weight rank 4 does not match A5"):
+        with pytest.raises(DimensionMismatch, match="weight has rank 4, expected 5"):
             fn(A5, witness, DominantWeight((0, 0, 0, 1)))
 
 
@@ -264,7 +264,7 @@ def _hesitant_by_parts(t, w, lam):
     """The hesitant-walk predicate composed from the rank check, the word
     check and ``is_lambda_walk`` on the walking component."""
     if lam.rank != t.rank:
-        raise NotAWitness(f"weight rank {lam.rank} does not match {t}")
+        raise DimensionMismatch(f"weight has rank {lam.rank}, expected {t.rank}")
     w.validate_for(t)
     if len(w) < 2 or w.entries[0] != w.entries[1]:
         return False

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twistedcubes import weightword
-from twistedcubes.errors import DimensionMismatch, IndexOutOfRange, TwistedCubeError
+from twistedcubes.errors import DimensionMismatch, IndexOutOfRange, MalformedInput, TwistedCubeError
 from twistedcubes.harness import SweepSpec
 from twistedcubes.rootdata import cartan_pairing, parse_lie_type
 from twistedcubes.twistedcube import signed_count
@@ -121,6 +121,14 @@ def test_a_value_built_in_code_meets_the_file_rules(expr):
         eval(expr, names)
 
 
+@pytest.mark.parametrize("j, k", [(True, 2), (1, True), (1.0, 2.0), (1, 2.0), ("1", 2)])
+def test_c_at_rejects_an_index_that_is_not_an_int(j, k):
+    # True would read row 1, and a float would index the rows.
+    d = TwistData(n=2, c={(1, 2): 2}, ell=(1, 1))
+    with pytest.raises(MalformedInput, match="must be a pair of integers"):
+        d.c_at(j, k)
+
+
 def test_twist_data_is_hashable_consistently_with_eq():
     a = TwistData(n=3, c={(1, 2): -1, (2, 3): -1, (1, 3): 2}, ell=(2, 1, 2))
     b = TwistData(n=3, c={(1, 3): 2, (2, 3): -1, (1, 2): -1}, ell=(2, 1, 2))
@@ -231,11 +239,13 @@ def test_a_weight_of_the_wrong_rank_raises_after_its_word_is_cached():
             derive_twist_data(t, w, DominantWeight((2, 1, 0)))
 
 
-def test_a_word_with_both_faults_raises_the_letter_error_first():
+def test_a_word_with_both_faults_raises_the_rank_error_first():
+    # As in the walk functions: the weight's rank is checked before the
+    # letters, and before the word cache is read.
     t, w = parse_lie_type("A2"), Word((1, 3))
     derive_twist_data(t, Word((1, 2)), DominantWeight((0, 0)))
     for _ in range(2):
-        with pytest.raises(DimensionMismatch, match="word letter 3 outside"):
+        with pytest.raises(DimensionMismatch, match="weight has rank 3, expected 2"):
             derive_twist_data(t, w, DominantWeight((1, 0, 0)))
 
 
