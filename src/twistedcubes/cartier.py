@@ -121,7 +121,8 @@ def is_untwisted(d: TwistData) -> UntwistResult:
 
 def maximal_failing_index(m: tuple[int, ...]) -> int:
     """The largest k with m[k] < 0, for the entries m of a Cartier vector;
-    raises if m is nonnegative."""
+    raises if m is nonnegative, and MalformedInput if m does not hold ints."""
+    m = require_ints("m", m)
     for k in range(len(m), 0, -1):
         if m[k - 1] < 0:
             return k
@@ -178,8 +179,10 @@ def hesitant_walk_from_twist_witness(d: TwistData, w: Word, m: tuple[int, ...]) 
     Starts at k = maximal_failing_index(m), so every later entry is
     nonnegative; repeats at the minimal later position with positive c-entry
     and positive m, then, while the current ell is zero, steps to the minimal
-    later position with negative c-entry and positive m.
+    later position with negative c-entry and positive m.  An m that does not
+    hold ints raises MalformedInput.
     """
+    m = require_ints("m", m)
     if len(w) != d.n:
         raise DimensionMismatch(f"word has length {len(w)}, expected {d.n}")
     if len(m) != d.n:

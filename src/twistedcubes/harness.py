@@ -138,24 +138,24 @@ def iter_groups(spec: SweepSpec):
 
 
 def _twist_data_checks(
-    d: TwistData, t: LieType, w: Word, lam: DominantWeight
+    d: TwistData, t: LieType, w: Word, lam: DominantWeight, walk
 ) -> tuple[bool, tuple[str, ...]]:
     """Every check of one instance of type t and word w at weight lam, whose
-    twist data is d: the criterion, the sigma-to-walk rebuild and its
-    predicate, the untwisted census, the detector, the verdict comparison
-    and the walk-to-sigma round trip.  Each reads lam only at the letters of
-    w, that is through ell, so the result depends on d alone.  Returns the
-    criterion's verdict (True when untwisted) and the problems found.
+    twist data is d and whose detector walk is walk: the criterion, the
+    sigma-to-walk rebuild and its predicate, the untwisted census, the verdict
+    comparison and the walk-to-sigma round trip.  Each reads lam only at the
+    letters of w, that is through ell, so the result depends on d and the
+    walk alone.  Returns the criterion's verdict (True when untwisted) and
+    the problems found.
 
     derive_twist_data has checked w's letters against t, once per word, and
-    lam's rank, so the detector and minimization run as the kernels of
-    walks on the Cartan table, the letters and the coefficients, read once
-    here; a WalkWitness is built only to print a verdict mismatch.  The
-    rebuilt walk is new, so is_hesitant_lambda_walk checks its letters."""
+    lam's rank, so walk is what the detector kernel walks.hesitant_walk gives
+    on the Cartan table, the letters and the coefficients, and the
+    minimization runs as the kernel walks.minimal_walk on them; a WalkWitness
+    is built only to print a verdict mismatch.  The rebuilt walk is new, so
+    is_hesitant_lambda_walk checks its letters."""
     problems: list[str] = []
     result = cartier.is_untwisted(d)
-    table, letters, coefficients = cartan_table(t), w.entries, lam.coefficients
-    walk = walks.hesitant_walk(table, letters, coefficients)
     if result.untwisted != (walk is None):
         witness = None if walk is None else WalkWitness(*walk)
         problems.append(
@@ -169,7 +169,7 @@ def _twist_data_checks(
         # witness_sigma_from_walk raises NotMinimalWitness on a sigma whose
         # leading Cartier entry is not negative.
         try:
-            minimal, _ = walks.minimal_walk(table, *walk, coefficients)
+            minimal, _ = walks.minimal_walk(cartan_table(t), *walk, lam.coefficients)
             cartier.witness_sigma_from_walk(d, minimal)
         except Exception as exc:  # noqa: BLE001 - failures are data here
             problems.append(f"walk-to-sigma round trip raised {exc!r}")
@@ -219,31 +219,49 @@ def _negative_tail(tail: tuple[int, ...]) -> tuple[bool, bool]:
 
 def _worker(inst: tuple, t: LieType, w: Word, memo: dict) -> tuple[bool, list[dict]]:
     """The criterion's verdict and the counterexample records of inst, a
-    (type name, word, weight) triple whose type and word are t and w.  memo
-    maps the twist data already seen for this word to its
-    _twist_data_checks, so that weights with the same (c, ell) share every
-    check; a fault in derive_twist_data changes the key and misses the memo
-    rather than hiding behind it.  A problem found once is reported for
-    every instance that shares it."""
+    (type name, word, weight) triple whose type and word are t and w.
+
+    memo maps the (ell, rows) of each twist data already checked in this
+    block to the group's word that last used it, the positions of that
+    word's detector walk, and its _twist_data_checks, so that instances
+    with the same (c, ell) share every check, across words too.  Each
+    instance derives its own twist data, so a fault in derive_twist_data
+    that changes the key misses the memo.  A hit from another word runs the
+    detector kernel on this instance's letters and weight, and this instance
+    makes its own checks unless the walk has the entry's positions and the
+    entry has no problem: so a fault that gives two words one twist data
+    cannot hide behind the entry, and a counterexample carries its own
+    word's problem text.  A hit from the same word shares the entry, so a
+    problem found once is reported for every weight of the word that shares
+    it."""
     type_name, word_entries, lam = inst
     d = derive_twist_data(t, w, lam)
-    checked = memo.get(d)
-    if checked is None:
-        checked = memo[d] = _twist_data_checks(d, t, w, lam)
-    untwisted, problems = checked
+    key = d.ell, d.rows
+    entry = memo.get(key)
+    if entry is None or entry[0] is not w:
+        walk = walks.hesitant_walk(cartan_table(t), word_entries, lam.coefficients)
+        positions = None if walk is None else walk[0]
+        if entry is None or entry[1] != positions or entry[3]:
+            entry = (w, positions, *_twist_data_checks(d, t, w, lam, walk))
+        else:
+            entry = (w, positions, entry[2], entry[3])
+        memo[key] = entry
+    _, _, untwisted, problems = entry
     if not problems:
         return untwisted, []
     instance_json = {"type": type_name, "word": list(word_entries), "weight": list(lam.coefficients)}
     return untwisted, [{"instance": instance_json, "problem": p} for p in problems]
 
 
-def _check_group(group) -> list[tuple[bool, list[dict]]]:
+def _check_group(group, memo: dict | None = None) -> list[tuple[bool, list[dict]]]:
     """_worker over each weight of a (type name, type, word, weights) group of
-    iter_groups: the word is built once, and the memo lives for this group
-    only, so it holds at most one entry per distinct twist data of one word."""
+    iter_groups, with the word built once.  memo is the block's, shared by
+    its groups; without one, the group gets its own, which holds at most
+    one entry per distinct twist data of its word."""
     type_name, t, word_entries, weights = group
     w = Word(word_entries)
-    memo: dict = {}
+    if memo is None:
+        memo = {}
     return [_worker((type_name, word_entries, weight), t, w, memo) for weight in weights]
 
 
@@ -257,7 +275,9 @@ def check_instance(inst: Instance) -> list[dict]:
 def verify_equivalence(spec: SweepSpec, jobs: int = 1) -> SweepReport:
     """Run every per-instance check over the sweep; failures are report data,
     never exceptions.  A block whose words outgrow the criterion's cap
-    raises CapExceeded before any check."""
+    raises CapExceeded before any check.  A serial sweep keeps one memo of
+    checked twist data for the block, which dies with the call; a pool
+    worker keeps one per group."""
     require_checkable(spec)
     start = time.monotonic()
     report = SweepReport()
@@ -270,7 +290,8 @@ def verify_equivalence(spec: SweepSpec, jobs: int = 1) -> SweepReport:
         importlib.import_module("multiprocessing").Pool(jobs) if jobs > 1 else nullcontext()
     ) as pool:
         if pool is None:
-            results = map(_check_group, groups)
+            memo: dict = {}
+            results = (_check_group(group, memo) for group in groups)
         else:
             results = pool.imap(_check_group, groups, chunksize=32)
         for untwisted, problems in itertools.chain.from_iterable(results):

@@ -22,18 +22,42 @@ _RANK_FLOOR = {"A": 1, "B": 2, "C": 3, "D": 4}
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
+#: Every LieType built so far, by (family, rank): at most one per Dynkin
+#: diagram of rank <= MAX_RANK.
+_MADE: dict = {}
+
 
 @dataclass(frozen=True, order=True)
 class LieType:
     """A Dynkin family letter plus rank, e.g. B3.  A pair that names no
-    Dynkin diagram raises RankOutOfRange."""
+    Dynkin diagram raises RankOutOfRange.
+
+    Each type is built once: the constructor returns the instance already
+    made for an equal (family, rank), and so does unpickling.  So equal
+    types are one object, and the hash is the object's own, computed in C,
+    which the caches keyed by a type read on every lookup."""
 
     family: str
     rank: int
 
+    __hash__ = object.__hash__
+
+    def __new__(cls, family: str, rank: int):
+        # Only a str and an int are looked up: ("A", 2.0) equals ("A", 2)
+        # but must still fail the checks below, and a list is unhashable.
+        if type(family) is str and type(rank) is int:  # noqa: E721
+            made = _MADE.get((family, rank))
+            if made is not None:
+                return made
+        return super().__new__(cls)
+
+    def __reduce__(self):
+        return LieType, (self.family, self.rank)
+
     def __post_init__(self) -> None:
         family, rank = self.family, self.rank
-        if family not in FAMILIES:
+        # A str subclass would equal a made type without being it.
+        if type(family) is not str or family not in FAMILIES:  # noqa: E721
             raise RankOutOfRange(f"unknown family {family!r}; expected one of {FAMILIES}")
         if type(rank) is not int:  # noqa: E721 - bool is an int subclass
             raise RankOutOfRange(f"rank must be an integer, got {rank!r}")
@@ -52,6 +76,7 @@ class LieType:
                 raise RankOutOfRange(
                     f"{family} requires {floor} <= rank <= {MAX_RANK}, got {rank}"
                 )
+        _MADE.setdefault((family, rank), self)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"

@@ -126,6 +126,12 @@ def bound(d: TwistData, j: int, x):
     return a
 
 
+# One (k, c[j, k]) tuple per value, shared by the rows of every word: a
+# sweep keeps the rows of each distinct twist data of a block alive.  k is
+# at most a word's length and c[j, k] a Cartan entry, so it stays small.
+_PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
+
+
 @lru_cache(maxsize=1)
 def _word_constants(t: LieType, letters: tuple[int, ...]):
     """The rows of the word with these letters in type t, as the TwistData
@@ -143,7 +149,8 @@ def _word_constants(t: LieType, letters: tuple[int, ...]):
         for k in range(j + 1, n + 1):
             v = table[letters[k - 1] - 1][column]
             if v:
-                row.append((k, v))
+                pair = k, v
+                row.append(_PAIRS.setdefault(pair, pair))
         rows.append(tuple(row))
     return tuple(rows)
 

@@ -351,6 +351,26 @@ def twist_data_checks_oracle(
     return result.untwisted, tuple(problems)
 
 
+def per_word_memo_counterexamples(spec: SweepSpec, derive=derive_twist_data) -> list[dict]:
+    """Oracle for the instances ``harness.verify_equivalence`` names: the
+    counterexample records of a sweep whose memo lives for one word, as
+    verify's was before it kept one for the whole block.  Each weight's
+    twist data comes from derive, and the checks of each distinct twist data
+    of a word are made once, through the public functions, and shared by
+    the word's weights that give it."""
+    records = []
+    for type_name, t, word, weights in iter_groups(spec):
+        w = Word(word)
+        memo: dict = {}
+        for lam in weights:
+            d = derive(t, w, lam)
+            if d not in memo:
+                memo[d] = twist_data_checks_oracle(d, t, w, lam)
+            instance = {"type": type_name, "word": list(word), "weight": list(lam.coefficients)}
+            records += [{"instance": instance, "problem": p} for p in memo[d][1]]
+    return records
+
+
 def scaling_invariance_failures(spec: SweepSpec, factor: int = 3) -> list[dict]:
     """Instances whose untwisted verdict changes when the weight is scaled;
     the criterion depends on the weight only through its support, so this

@@ -315,6 +315,16 @@ def test_maximal_failing_index():
         maximal_failing_index(compute_m(A2_TWISTED, "+++").m)
 
 
+@pytest.mark.parametrize("m", [(-1.5, 0.5, 2.0), ("x", 1, 1), None], ids=repr)
+def test_a_cartier_vector_that_holds_no_ints_is_malformed(m):
+    # (-1.5, 0.5, 2.0) gave WalkWitness(positions=(1, 2, 3), ...), and the
+    # other two a TypeError.
+    with pytest.raises(MalformedInput, match="m must be a list of integers"):
+        maximal_failing_index(m)
+    with pytest.raises(MalformedInput, match="m must be a list of integers"):
+        hesitant_walk_from_twist_witness(derived("A2", (1, 1, 2), (0, 1)), Word((1, 1, 2)), m)
+
+
 def test_round_trip_witness_revalidates():
     t = parse_lie_type("B3")
     w = Word((3, 1, 3, 2, 1))

@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 
 import pytest
 
@@ -14,13 +16,15 @@ from twistedcubes.harness import (
     default_specs,
     verify_equivalence,
 )
+from twistedcubes.rootdata import cartan_table
 from twistedcubes.walks import WalkWitness
-from twistedcubes.weightword import TwistData, Word, derive_twist_data
+from twistedcubes.weightword import DominantWeight, TwistData, Word, derive_twist_data
 
 from oracles import (
     RUNNING_EXAMPLE,
     derived,
     iter_instances,
+    per_word_memo_counterexamples,
     raw_twist_data,
     record_calls,
     scaling_invariance_failures,
@@ -192,12 +196,26 @@ def test_a_verdict_mismatch_prints_the_detector_walk(monkeypatch):
 
 
 def _distinct_twist_data(spec) -> int:
+    """The number of distinct twist data in the spec's stream.  TwistData
+    compares ell and the rows, so this counts distinct (ell, rows)."""
+    return len({derived(*inst) for inst in iter_instances(spec)})
+
+
+def _distinct_word_twist_data(spec) -> int:
     """The number of distinct (type, word, twist data) in the spec's stream."""
     return len({(inst[0], inst[1], derived(*inst)) for inst in iter_instances(spec)})
 
 
-def test_sweep_runs_the_criterion_once_per_twist_data_of_each_word(monkeypatch):
+def _one_detector_call_per_instance(detector) -> bool:
+    """Whether the recorded detector kernel calls of one exhaustive block
+    each read another (table, letters, coefficients), that is another
+    instance."""
+    return len({args for args, _ in detector}) == len(detector)
+
+
+def test_sweep_runs_the_criterion_once_per_twist_data_of_each_block(monkeypatch):
     calls = record_calls(monkeypatch, cartier, "is_untwisted")
+    checks = record_calls(monkeypatch, harness, "_twist_data_checks")
     detector = record_calls(monkeypatch, walks, "hesitant_walk")
     minimized = record_calls(monkeypatch, walks, "minimal_walk")
     censuses = record_calls(monkeypatch, harness, "census_buckets")
@@ -205,32 +223,39 @@ def test_sweep_runs_the_criterion_once_per_twist_data_of_each_word(monkeypatch):
     report = verify_equivalence(spec)
     assert report.counterexamples == []
     assert report.instances == 120
-    assert len(calls) == _distinct_twist_data(spec) == 90
-    # The detector kernel runs with the criterion, and the minimization
-    # kernel on each walk it finds, that is once per twisted twist data of a
-    # word.
-    assert len(detector) == 90
+    # A clean block never falls back to an instance's own checks: the
+    # checks run once per distinct (ell, rows) of the block, 90 when the
+    # memo lived for one word.
+    assert len(calls) == len(checks) == _distinct_twist_data(spec) == 43
+    # The detector kernel runs at most once per instance: once per twist
+    # data of a word, on each miss and on the first hit from each other word.
+    assert len(detector) == _distinct_word_twist_data(spec) == 90
+    assert _one_detector_call_per_instance(detector)
+    # The minimization kernel runs on each walk the checks see, that is
+    # once per twisted twist data of the block.
     twisted = sum(not result.untwisted for _, result in calls)
-    assert len(minimized) == twisted == 36
+    assert len(minimized) == twisted == 18
     assert twisted < report.twisted_count
-    # The census runs once per untwisted twist data of a word, as one call
-    # of the kernel.
-    assert len(censuses) == len(calls) - twisted == 54
+    # The census runs once per untwisted twist data of the block, as one
+    # call of the kernel.
+    assert len(censuses) == len(calls) - twisted == 25
 
 
 @pytest.mark.parametrize(
     "spec, reads",
     [
-        (SweepSpec(("A2", "B2"), 3, (0, 1)), 120),
-        (SweepSpec(("D4", "F4"), 2, (0, 1)), 224),
-        (default_specs()[0], 10_424),
+        (SweepSpec(("A2", "B2"), 3, (0, 1)), 59),
+        (SweepSpec(("D4", "F4"), 2, (0, 1)), 28),
+        (default_specs()[0], 4_762),
     ],
     ids=["A2 B2 length 3", "D4 F4 length 2", "first default block"],
 )
 def test_sweep_census_bound_reads_are_pinned(spec, reads, monkeypatch):
     # Counted work, not time, as upper bounds: the census of each untwisted
-    # twist data reads the kernel's bounds and nothing more.  Listing every
-    # point and testing each against PD read 343, 748 and 32 591.
+    # twist data of a block reads the kernel's bounds and nothing more.
+    # Listing every point and testing each against PD read 343, 748 and
+    # 32 591; one census per twist data of each word read 120, 224 and
+    # 10 424.
     rows = record_calls(monkeypatch, twistedcube, "bound")
     report = verify_equivalence(spec)
     assert report.counterexamples == []
@@ -275,7 +300,7 @@ def test_sweep_reads_the_cartan_table_once_per_word(monkeypatch):
     assert report.instances == len(derives) == 120
     # One read per (type, word) group: 1 + 2 + 4 + 8 words of each type.
     assert len(tables) == 30
-    assert len(calls) == 90
+    assert len(calls) == 43
 
 
 def test_the_default_sweep_reads_the_cartan_table_once_per_word(monkeypatch):
@@ -324,13 +349,13 @@ def _sweep_workload_specs() -> list[SweepSpec]:
 
 
 def _checked_twist_data(specs):
-    """(d, t, w, lam) for each distinct twist data d of each (type, word)
-    group of the blocks, with the first weight lam that gives it, as
-    verify checks them."""
+    """(d, t, w, lam) for each distinct twist data d of each block, with the
+    first (type, word, weight) that gives it, as a clean verify checks
+    them."""
     for spec in specs:
+        seen = set()
         for _, t, word, weights in harness.iter_groups(spec):
             w = Word(word)
-            seen = set()
             for lam in weights:
                 d = derive_twist_data(t, w, lam)
                 if d not in seen:
@@ -340,19 +365,26 @@ def _checked_twist_data(specs):
 
 @pytest.mark.parametrize(
     "specs, checks",
-    [(default_specs, 14_178), (_sweep_workload_specs, 16_178)],
+    [(default_specs, 6_778), (_sweep_workload_specs, 7_928)],
     ids=["default sweep", "sweep workload at seed 1"],
 )
-def test_twist_data_checks_equal_the_public_function_oracle(specs, checks):
+def test_twist_data_checks_equal_the_public_function_oracle(specs, checks, monkeypatch):
     # The kernels, fed once per check with the table, the letters and the
     # coefficients, against the same checks made through the public walk
     # functions: the same verdict and the same problems on every check.
+    # One check per twist data of each word made 14 178 and 16 178.
     count = 0
     for d, t, w, lam in _checked_twist_data(specs()):
-        checked = harness._twist_data_checks(d, t, w, lam)
+        walk = walks.hesitant_walk(cartan_table(t), w.entries, lam.coefficients)
+        checked = harness._twist_data_checks(d, t, w, lam, walk)
         assert checked == twist_data_checks_oracle(d, t, w, lam), (t, w, lam)
         count += 1
     assert count == checks
+    # A clean verify runs the criterion once per check listed here.
+    calls = record_calls(monkeypatch, cartier, "is_untwisted")
+    for spec in specs():
+        verify_equivalence(spec)
+    assert len(calls) == checks
 
 
 def test_a_clean_sweep_checks_each_group_word_once_and_builds_no_walk_layer_word(monkeypatch):
@@ -391,7 +423,8 @@ def test_verify_parses_each_lie_type_once_per_block(specs, parses, monkeypatch):
 
 
 # D4 and F4 words of length <= 2 over {0, 1}: most of the 16 weights of a
-# word share their twist data, so the memo is hit far more often than missed.
+# word share their twist data, and so do many words, so the memo is hit far
+# more often than missed.
 SHARED = SweepSpec(("D4", "F4"), 2, (0, 1))
 
 
@@ -410,9 +443,11 @@ def test_sweep_report_equals_the_per_instance_checks(fault, monkeypatch):
     assert (report.instances, report.untwisted_count) == (len(instances), untwisted)
 
 
-def test_a_shared_fault_is_reported_for_every_instance_that_shares_it(monkeypatch):
+def test_a_shared_fault_is_reported_for_every_instance_of_the_block_that_shares_it(monkeypatch):
     # A census fault is shared by the untwisted instances, a detector fault
-    # by the twisted ones; each is found once per twist data of a word.
+    # by the twisted ones.  An entry with a problem is shared only within
+    # its word, so each is found once per twist data of a word, with that
+    # word's own problem text.
     for fault, sharers in (("census density -1", "untwisted_count"), ("verdict mismatch", "twisted_count")):
         _, (module, name, replacement), problem = FAULTS[fault]
         with monkeypatch.context() as patch:
@@ -444,17 +479,70 @@ def test_the_memo_key_is_the_whole_twist_data(monkeypatch):
     calls = record_calls(monkeypatch, cartier, "is_untwisted")
     spec = SweepSpec(("A2", "B2"), 2, (0, 1))
     report = verify_equivalence(spec)
-    nonempty = sum(1 for _, word, _ in iter_instances(spec) if word)
-    assert len(calls) == nonempty + len(spec.lie_types)
-    assert report.instances == nonempty + len(spec.lie_types) * 4
+    # Each leaked twist data is checked once, and once more for each other
+    # word that hits an entry with a problem, as the leak makes: the empty
+    # word and the clean entries are shared by A2 and B2.
+    groups = list(harness.iter_groups(spec))
+    leaked = {leaky(t, Word(word), lam) for _, t, word, weights in groups for lam in weights}
+    assert _distinct_twist_data(spec) < len(leaked) == 23
+    assert len(leaked) < len(calls) == 28 < report.instances == 56
 
 
-def test_no_memo_outlives_a_call(monkeypatch):
+def test_no_memo_outlives_its_block(monkeypatch):
     calls = record_calls(monkeypatch, cartier, "is_untwisted")
     verify_equivalence(SHARED)
     first = len(calls)
     verify_equivalence(SHARED)
-    assert first == len(calls) - first == _distinct_twist_data(SHARED)
+    assert first == len(calls) - first == _distinct_twist_data(SHARED) == 17
+
+
+def test_a_block_leaves_no_memory_behind():
+    # The memo dies with the call: a module-level memo would keep one entry
+    # per distinct twist data of the block, several KB.  The block is SHARED
+    # with lam_i in {0, 3}, which no other test runs, so no memo kept from
+    # an earlier call could hold its entries already.  The warm-up makes D4
+    # and F4 and reads their Cartan tables, which stay cached.
+    verify_equivalence(SweepSpec(("D4", "F4"), 0, (0,)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        verify_equivalence(SweepSpec(("D4", "F4"), 2, (0, 3)))
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 2_048, after - before
+
+
+# The collision fault: a derive_twist_data that reads every ell_j from
+# lam_1, so that words whose twist data differ get one key.
+def _ell_from_lambda_1(t, w, lam):
+    return derive_twist_data(t, w, DominantWeight((lam.coefficients[0],) * t.rank))
+
+
+@pytest.mark.parametrize(
+    "spec, named",
+    [
+        (SweepSpec(("A2", "B2"), 4, (0, 1)), 60),
+        (SweepSpec(("A3", "B3", "C3"), 4, (0, 1)), 864),
+        (SweepSpec(("G2",), 5, (0, 1)), 74),
+    ],
+    ids=["A2 B2", "A3 B3 C3", "G2"],
+)
+def test_a_twist_data_collision_hides_no_fault(spec, named, monkeypatch):
+    # Every instance that a memo of one word names is named: a hit from
+    # another word reruns the detector and, where its walk or the entry's
+    # problems differ, makes the instance's own checks.  Without that
+    # recheck the block memo named 44, 692 and 66.
+    expected = per_word_memo_counterexamples(spec, derive=_ell_from_lambda_1)
+    monkeypatch.setattr(harness, "derive_twist_data", _ell_from_lambda_1)
+    detector = record_calls(monkeypatch, walks, "hesitant_walk")
+    report = verify_equivalence(spec)
+    assert _one_detector_call_per_instance(detector)
+    named_by = {json.dumps(ce["instance"], sort_keys=True) for ce in report.counterexamples}
+    assert {json.dumps(ce["instance"], sort_keys=True) for ce in expected} <= named_by
+    assert len(named_by) == named
 
 
 def _timeless(report: SweepReport) -> dict:

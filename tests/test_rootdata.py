@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,6 +32,9 @@ def test_validate_examples():
         ("E", 9), ("F", 3), ("G", 3), ("H", 2), ("Z", 3),
         # A rank that is not an int, even one equal to an int.
         ("A", 2.0), ("A", True), ("A", "3"),
+        # A family or rank that is not hashable, or a family that is a str
+        # subclass, which would equal a made type without being it.
+        (["A"], 2), ("A", [2]), (type("Family", (str,), {})("A"), 2),
     ],
 )
 def test_validate_rejects(family, rank):
@@ -35,6 +42,25 @@ def test_validate_rejects(family, rank):
     # ever built for a pair that names no Dynkin diagram.
     with pytest.raises(RankOutOfRange):
         LieType(family, rank)
+
+
+def test_equal_types_are_one_object():
+    # The hash is the object's own, so an equal type must be the same one,
+    # however it was made; equality, order and repr are the dataclass's.
+    a2 = LieType("A", 2)
+    for same in (
+        parse_lie_type("A2"),
+        LieType(family="A", rank=2),
+        dataclasses.replace(LieType("A", 3), rank=2),
+        pickle.loads(pickle.dumps(a2)),
+        copy.copy(a2),
+        copy.deepcopy(a2),
+    ):
+        assert same is a2 and hash(same) == hash(a2)
+    assert a2 == LieType("A", 2) != LieType("B", 2) and a2 != ("A", 2)
+    assert sorted([LieType("B", 2), LieType("A", 3), a2]) == [a2, LieType("A", 3), LieType("B", 2)]
+    assert repr(a2) == "LieType(family='A', rank=2)"
+    assert {parse_lie_type(str(t)) for t in SMALL_TYPES} == set(SMALL_TYPES)
 
 
 def test_rank_cap():
