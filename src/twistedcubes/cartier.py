@@ -17,7 +17,7 @@ from .errors import (
     require_ints,
 )
 from .walks import WalkWitness
-from .weightword import TwistData, Word, bound
+from .weightword import TwistData, Word, bound, row_entry
 
 MINUS = "-"
 PLUS = "+"
@@ -35,6 +35,11 @@ def minus_at(n: int, positions) -> str:
     positions = require_ints("positions", positions)
     if positions and not (1 <= min(positions) and max(positions) <= n):
         raise IndexOutOfRange(f"a position of {positions} lies outside [1, {n}]")
+    return _minus_at(n, positions)
+
+
+def _minus_at(n: int, positions) -> str:
+    """minus_at on a length and positions that the caller has checked."""
     signs = [PLUS] * n
     for p in positions:
         signs[p - 1] = MINUS
@@ -75,11 +80,17 @@ def compute_m(d: TwistData, sigma: str) -> CartierVector:
         raise DimensionMismatch(f"sigma must be a string of '+'/'-': {sigma!r}")
     if len(sigma) != d.n:
         raise DimensionMismatch(f"sigma has length {len(sigma)}, expected {d.n}")
+    return CartierVector(_compute_m(d, sigma))
+
+
+def _compute_m(d: TwistData, sigma: str) -> tuple[int, ...]:
+    """The entries of compute_m(d, sigma), for a sign string of length d.n
+    that the caller has checked: the one sigma -> m recursion."""
     m = [0] * d.n
     for k in range(d.n, 0, -1):
         if sigma[k - 1] == MINUS:
             m[k - 1] = bound(d, k, m)
-    return CartierVector(tuple(m))
+    return tuple(m)
 
 
 def is_untwisted(d: TwistData) -> UntwistResult:
@@ -122,7 +133,11 @@ def is_untwisted(d: TwistData) -> UntwistResult:
 def maximal_failing_index(m: tuple[int, ...]) -> int:
     """The largest k with m[k] < 0, for the entries m of a Cartier vector;
     raises if m is nonnegative, and MalformedInput if m does not hold ints."""
-    m = require_ints("m", m)
+    return _maximal_failing_index(require_ints("m", m))
+
+
+def _maximal_failing_index(m: tuple[int, ...]) -> int:
+    """maximal_failing_index on a tuple of ints."""
     for k in range(len(m), 0, -1):
         if m[k - 1] < 0:
             return k
@@ -131,19 +146,36 @@ def maximal_failing_index(m: tuple[int, ...]) -> int:
 
 def witness_sigma_from_walk(d: TwistData, positions) -> tuple[str, CartierVector]:
     """Sign vector with minus exactly on a minimal hesitant lambda-walk, and
-    its Cartier vector; the leading entry is guaranteed negative.
+    its Cartier vector: walk_to_m, once the positions are checked to be
+    ints (else MalformedInput)."""
+    J = require_ints("positions", positions)
+    m = walk_to_m(d, J)
+    return minus_at(d.n, J), CartierVector(m)
 
-    The minimality preconditions are re-checked against d at the level of the
+
+def walk_to_m(d: TwistData, positions: tuple[int, ...]) -> tuple[int, ...]:
+    """The entries of the Cartier vector of the sign vector with minus
+    exactly on the positions of a minimal hesitant lambda-walk, a tuple of
+    ints; the leading entry is guaranteed negative.
+
+    The positions must form an increasing index sequence into d, and the
+    minimality preconditions are re-checked against d at the level of the
     constants themselves (repetition entry >= 2, adjacent steps negative,
     non-consecutive walking pairs zero, interior ells zero); failures raise
-    NotMinimalWitness.  Positions that are not ints raise MalformedInput.
+    NotMinimalWitness.
     """
-    J = require_ints("positions", positions)
+    J = positions
     if len(J) < 2 or not all(map(int.__lt__, J, J[1:])) or not (1 <= J[0] and J[-1] <= d.n):
         raise NotMinimalWitness(f"positions {J} are not an increasing index sequence")
+    rows = d.rows
+
+    def c(j: int, k: int) -> int:
+        # 1 <= j < k <= n, as the sequence check above makes sure.
+        return row_entry(rows[j - 1], k)
+
     s = len(J) - 1
-    if d.c_at(J[0], J[1]) < 2:
-        raise NotMinimalWitness(f"c[{J[0]}, {J[1]}] = {d.c_at(J[0], J[1])} < 2: no hesitation")
+    if c(J[0], J[1]) < 2:
+        raise NotMinimalWitness(f"c[{J[0]}, {J[1]}] = {c(J[0], J[1])} < 2: no hesitation")
     if d.ell[J[-1] - 1] <= 0:
         raise NotMinimalWitness(f"ell[{J[-1]}] = {d.ell[J[-1] - 1]} is not positive")
     if s == 1:
@@ -151,43 +183,49 @@ def witness_sigma_from_walk(d: TwistData, positions) -> tuple[str, CartierVector
             raise NotMinimalWitness("length-2 walk needs equal ells at both positions")
     else:
         for t in range(1, s):
-            if d.c_at(J[t], J[t + 1]) >= 0:
+            if c(J[t], J[t + 1]) >= 0:
                 raise NotMinimalWitness(f"walking step c[{J[t]}, {J[t + 1]}] not negative")
         for p in range(0, s):
             if d.ell[J[p] - 1] != 0:
                 raise NotMinimalWitness(f"interior ell[{J[p]}] nonzero")
         for p in range(1, s + 1):
             for q in range(p + 2, s + 1):
-                if d.c_at(J[p], J[q]) != 0:
+                if c(J[p], J[q]) != 0:
                     raise NotMinimalWitness(f"walking pair c[{J[p]}, {J[q]}] nonzero")
         for q in range(2, s + 1):
-            if d.c_at(J[0], J[q]) != d.c_at(J[1], J[q]):
+            if c(J[0], J[q]) != c(J[1], J[q]):
                 raise NotMinimalWitness(
                     f"hesitation inconsistency: c[{J[0]}, {J[q]}] != c[{J[1]}, {J[q]}]"
                 )
-    sigma = minus_at(d.n, J)
-    mv = compute_m(d, sigma)
-    if mv.m[J[0] - 1] >= 0:
-        raise NotMinimalWitness(f"walk {J} gives m[{J[0]}] = {mv.m[J[0] - 1]}, not negative")
-    return sigma, mv
+    m = _compute_m(d, _minus_at(d.n, J))
+    if m[J[0] - 1] >= 0:
+        raise NotMinimalWitness(f"walk {J} gives m[{J[0]}] = {m[J[0] - 1]}, not negative")
+    return m
 
 
 def hesitant_walk_from_twist_witness(d: TwistData, w: Word, m: tuple[int, ...]) -> WalkWitness:
     """Rebuild a hesitant lambda-walk from the entries m of a failing Cartier
-    vector.
-
-    Starts at k = maximal_failing_index(m), so every later entry is
-    nonnegative; repeats at the minimal later position with positive c-entry
-    and positive m, then, while the current ell is zero, steps to the minimal
-    later position with negative c-entry and positive m.  An m that does not
-    hold ints raises MalformedInput.
-    """
+    vector: the positions of m_to_walk, with their letters read from w, once
+    m is checked to hold ints (else MalformedInput) and w and m to have
+    length d.n."""
     m = require_ints("m", m)
     if len(w) != d.n:
         raise DimensionMismatch(f"word has length {len(w)}, expected {d.n}")
     if len(m) != d.n:
         raise DimensionMismatch(f"m has length {len(m)}, expected {d.n}")
-    k = maximal_failing_index(m)
+    return WalkWitness.from_word(w, m_to_walk(d, m))
+
+
+def m_to_walk(d: TwistData, m: tuple[int, ...]) -> tuple[int, ...]:
+    """The positions of a hesitant lambda-walk rebuilt from the entries m of
+    a failing Cartier vector of d, a tuple of d.n ints.
+
+    Starts at k = maximal_failing_index(m), so every later entry is
+    nonnegative; repeats at the minimal later position with positive c-entry
+    and positive m, then, while the current ell is zero, steps to the minimal
+    later position with negative c-entry and positive m.
+    """
+    k = _maximal_failing_index(m)
     j = next((q for q, c in d.rows[k - 1] if c > 0 and m[q - 1] > 0), None)
     if j is None:
         raise PreconditionViolated(f"no repetition candidate after {k} (negative ell?)")
@@ -197,4 +235,4 @@ def hesitant_walk_from_twist_witness(d: TwistData, w: Word, m: tuple[int, ...]) 
         if j is None:
             raise PreconditionViolated(f"greedy extension stuck at {positions[-1]} (negative ell?)")
         positions.append(j)
-    return WalkWitness.from_word(w, positions)
+    return tuple(positions)

@@ -149,11 +149,15 @@ def _twist_data_checks(
     the problems found.
 
     derive_twist_data has checked w's letters against t, once per word, and
-    lam's rank, so walk is what the detector kernel walks.hesitant_walk gives
-    on the Cartan table, the letters and the coefficients, and the
-    minimization runs as the kernel walks.minimal_walk on them; a WalkWitness
-    is built only to print a verdict mismatch.  The rebuilt walk is new, so
-    is_hesitant_lambda_walk checks its letters."""
+    lam's rank, so every walk check runs as a kernel on t's Cartan table,
+    the letters and the coefficients: walk is what the detector kernel
+    walks.hesitant_walk gives, walks.minimal_walk minimizes it, and
+    walks.hesitant tests the rebuilt walk, whose letters are read from w
+    once its positions are checked to increase inside w.  Both round trips
+    run as the kernels cartier.walk_to_m and cartier.m_to_walk on d and the
+    harness's own positions and m.  A WalkWitness is built only to print a
+    problem, or to raise the public path's error on rebuilt positions that
+    fail their check."""
     problems: list[str] = []
     result = cartier.is_untwisted(d)
     if result.untwisted != (walk is None):
@@ -163,22 +167,33 @@ def _twist_data_checks(
             f"detector witness={witness}"
         )
 
+    table = cartan_table(t)
     if walk is not None:
         # Each fact is checked once, where it is made: minimal_walk raises
-        # NotAWitness on a detector walk that is not hesitant, and
-        # witness_sigma_from_walk raises NotMinimalWitness on a sigma whose
-        # leading Cartier entry is not negative.
+        # NotAWitness on a detector walk that is not hesitant, and walk_to_m
+        # raises NotMinimalWitness on a sigma whose leading Cartier entry is
+        # not negative.
         try:
-            minimal, _ = walks.minimal_walk(cartan_table(t), *walk, lam.coefficients)
-            cartier.witness_sigma_from_walk(d, minimal)
+            minimal, _ = walks.minimal_walk(table, *walk, lam.coefficients)
+            cartier.walk_to_m(d, minimal)
         except Exception as exc:  # noqa: BLE001 - failures are data here
             problems.append(f"walk-to-sigma round trip raised {exc!r}")
 
     if not result.untwisted:
         try:
-            rebuilt = cartier.hesitant_walk_from_twist_witness(d, w, result.m.m)
-            if not walks.is_hesitant_lambda_walk(t, Word(rebuilt.subword), lam):
-                problems.append(f"rebuilt walk {rebuilt} fails its predicate")
+            positions = cartier.m_to_walk(d, result.m.m)
+            letters = w.entries
+            # Positions that do not increase inside w raise what the public
+            # path raises on them, through the WalkWitness it builds.
+            if not (
+                0 < positions[0]
+                and positions[-1] <= len(letters)
+                and all(map(int.__lt__, positions, positions[1:]))
+            ):
+                WalkWitness.from_word(w, positions)
+            rebuilt = tuple([letters[p - 1] for p in positions])
+            if not walks.hesitant(table, rebuilt, lam.coefficients):
+                problems.append(f"rebuilt walk {WalkWitness(positions, rebuilt)} fails its predicate")
         except Exception as exc:  # noqa: BLE001
             problems.append(f"sigma-to-walk round trip raised {exc!r}")
     else:

@@ -1,8 +1,9 @@
 """Diagram walks, hesitant lambda-walks, avoidance detection, and minimization.
 
-The detector and minimization are kernels over a Cartan table, a word's
-letters and a weight's coefficients, which the caller has checked against
-one another; the public functions check their arguments and call them.
+The detector, the hesitancy predicate and minimization are kernels over a
+Cartan table, a word's letters and a weight's coefficients, which the
+caller has checked against one another; the public functions check their
+arguments and call them.
 """
 
 from __future__ import annotations
@@ -68,12 +69,12 @@ def is_lambda_walk(t: LieType, w: Word, lam: DominantWeight) -> bool:
 def is_hesitant_lambda_walk(t: LieType, w: Word, lam: DominantWeight) -> bool:
     """First two letters equal, and the walking component (all but the first
     letter) is a lambda-walk."""
-    return _hesitant(_checked_table(t, w, lam), w.entries, lam.coefficients)
+    return hesitant(_checked_table(t, w, lam), w.entries, lam.coefficients)
 
 
-def _hesitant(table, letters: tuple[int, ...], coefficients: tuple[int, ...]) -> bool:
-    """is_hesitant_lambda_walk on letters already checked against the type
-    of the Cartan table, for a weight of its rank."""
+def hesitant(table, letters: tuple[int, ...], coefficients: tuple[int, ...]) -> bool:
+    """is_hesitant_lambda_walk as a kernel: on letters already checked
+    against the type of the Cartan table, for a weight of its rank."""
     if len(letters) < 2 or letters[0] != letters[1]:
         return False
     # The walking component is a nonempty slice of the letters, so it is a
@@ -139,9 +140,9 @@ def _checked_table(t: LieType, w: Word, lam: DominantWeight):
 
 
 def _require_hesitant(table, letters: tuple[int, ...], coefficients: tuple[int, ...]) -> None:
-    """NotAWitness unless the letters, checked as for _hesitant, are a
+    """NotAWitness unless the letters, checked as for hesitant, are a
     hesitant lambda-walk."""
-    if not _hesitant(table, letters, coefficients):
+    if not hesitant(table, letters, coefficients):
         raise NotAWitness(f"subword {letters} is not a hesitant lambda-walk")
 
 

@@ -110,11 +110,17 @@ class TwistData:
             raise MalformedInput(f"c index ({j!r}, {k!r}) must be a pair of integers")
         if not 1 <= j < k <= self.n:
             raise DimensionMismatch(f"c index ({j}, {k}) outside 1 <= j < k <= {self.n}")
-        # The row is in increasing k, so the scan stops at the first k' >= k.
-        for key, v in self.rows[j - 1]:
-            if key >= k:
-                return v if key == k else 0
-        return 0
+        return row_entry(self.rows[j - 1], k)
+
+
+def row_entry(row, k: int) -> int:
+    """c[j, k] read from row j of a TwistData's rows, for an int k > j that
+    the caller has checked; absent entries are 0."""
+    # The row is in increasing k, so the scan stops at the first k' >= k.
+    for key, v in row:
+        if key >= k:
+            return v if key == k else 0
+    return 0
 
 
 def bound(d: TwistData, j: int, x):

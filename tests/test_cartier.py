@@ -8,8 +8,10 @@ from twistedcubes.cartier import (
     compute_m,
     hesitant_walk_from_twist_witness,
     is_untwisted,
+    m_to_walk,
     maximal_failing_index,
     minus_at,
+    walk_to_m,
     witness_sigma_from_walk,
 )
 from twistedcubes.errors import (
@@ -22,7 +24,7 @@ from twistedcubes.errors import (
     TwistedCubeError,
 )
 from twistedcubes.rootdata import parse_lie_type
-from twistedcubes.walks import is_hesitant_lambda_walk
+from twistedcubes.walks import WalkWitness, is_hesitant_lambda_walk
 from twistedcubes.weightword import DominantWeight, TwistData, Word, derive_twist_data
 
 from oracles import (
@@ -262,8 +264,11 @@ def test_witness_sigma_rejects_positions_that_are_not_ints():
     ],
 )
 def test_witness_sigma_rejects_each_broken_precondition(n, c, ell, positions, message):
+    d = TwistData(n=n, c=c, ell=ell)
     with pytest.raises(NotMinimalWitness, match=message):
-        witness_sigma_from_walk(TwistData(n=n, c=c, ell=ell), positions)
+        witness_sigma_from_walk(d, positions)
+    with pytest.raises(NotMinimalWitness, match=message):
+        walk_to_m(d, positions)
 
 
 def test_hesitant_walk_from_twist_witness_examples():
@@ -440,3 +445,43 @@ def test_cartier_vector_zero_on_plus():
             assert all(
                 m == 0 for s, m in zip(raw, mv.m) if s == "+"
             ), CartierVector(mv.m)
+
+
+def _outcome(f, *args):
+    """f(*args), or the class and message of the error it raises."""
+    try:
+        return f(*args)
+    except TwistedCubeError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(raw_twist_data(min_n=1, max_n=6, c_bound=3, ell=(-1, 3)), st.data())
+def test_each_public_witness_function_returns_its_kernels_result(d, data):
+    # The sweep calls the kernels on positions and entries it built itself;
+    # the public functions check their arguments and then call the same
+    # kernels, so each returns the kernel's result, wrapped, or both raise
+    # the same error with the same message.  m is random or, half the time
+    # on twisted data, the criterion's; the positions are random or, half
+    # the time, the walk rebuilt from m, so that both kernels also succeed.
+    r = is_untwisted(d)
+    if not r.untwisted and data.draw(st.booleans(), label="criterion m"):
+        m = r.m.m
+    else:
+        m = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=d.n, max_size=d.n), label="m"))
+    w = Word(tuple(data.draw(st.lists(st.integers(1, 3), min_size=d.n, max_size=d.n), label="w")))
+    rebuilt = _outcome(m_to_walk, d, m)
+    if all(type(p) is int for p in rebuilt):
+        assert hesitant_walk_from_twist_witness(d, w, m) == WalkWitness.from_word(w, rebuilt)
+        positions = rebuilt if data.draw(st.booleans(), label="rebuilt positions") else None
+    else:
+        assert _outcome(hesitant_walk_from_twist_witness, d, w, m) == rebuilt
+        positions = None
+    assert _outcome(maximal_failing_index, m) == _outcome(cartier._maximal_failing_index, m)
+
+    if positions is None:
+        positions = tuple(sorted(data.draw(st.sets(st.integers(1, d.n)), label="positions")))
+    sigma_m = _outcome(walk_to_m, d, positions)
+    if all(type(v) is int for v in sigma_m):
+        sigma_m = minus_at(d.n, positions), CartierVector(sigma_m)
+    assert _outcome(witness_sigma_from_walk, d, positions) == sigma_m

@@ -133,31 +133,33 @@ FAULTS = {
     ),
     "sigma witness not negative": (
         TWISTED,
-        (cartier, "minus_at", lambda n, positions: "+" * n),
+        (cartier, "_minus_at", lambda n, positions: "+" * n),
         "walk-to-sigma round trip raised NotMinimalWitness("
         "'walk (1, 3) gives m[1] = 0, not negative')",
     ),
     "rebuilt walk not hesitant": (
         TWISTED,
-        (
-            cartier,
-            "hesitant_walk_from_twist_witness",
-            lambda d, w, m: WalkWitness((1,), (1,)),
-        ),
+        (cartier, "m_to_walk", lambda d, m: (1,)),
         "rebuilt walk ",
     ),
     "rebuilt walk predicate raises": (
         TWISTED,
-        (
-            cartier,
-            "hesitant_walk_from_twist_witness",
-            lambda d, w, m: WalkWitness((1, 2), (9, 9)),
-        ),
-        "sigma-to-walk round trip raised DimensionMismatch(",
+        (cartier, "m_to_walk", lambda d, m: (1, 9)),
+        "sigma-to-walk round trip raised IndexOutOfRange(",
+    ),
+    "rebuilt walk before the word": (
+        TWISTED,
+        (cartier, "m_to_walk", lambda d, m: (0, 3)),
+        "sigma-to-walk round trip raised IndexOutOfRange('positions (0, 3) outside [1, 3]')",
+    ),
+    "rebuilt walk not increasing": (
+        TWISTED,
+        (cartier, "m_to_walk", lambda d, m: (3, 1)),
+        "sigma-to-walk round trip raised NotAWitness('positions (3, 1) not strictly increasing')",
     ),
     "sigma-to-walk raises": (
         TWISTED,
-        (cartier, "maximal_failing_index", _raises),
+        (cartier, "_maximal_failing_index", _raises),
         "sigma-to-walk round trip raised PreconditionViolated('injected')",
     ),
     "census density -1": (
@@ -390,20 +392,34 @@ def test_twist_data_checks_equal_the_public_function_oracle(specs, checks, monke
 def test_a_clean_sweep_checks_each_group_word_once_and_builds_no_walk_layer_word(monkeypatch):
     # Counted work: each (type, word) group's word is checked against its
     # type once, by the word cache of derive_twist_data, and the walk
-    # kernels build no Word.  A rebuilt walk is a new word, which
-    # is_hesitant_lambda_walk checks.  Checking through the public walk
-    # functions made 22 528 letter checks and 9 508 walk-layer Words here.
+    # kernels build no Word.  Both round trips run as kernels, so a clean
+    # sweep calls none of the public functions that check their arguments
+    # again.  Checking through the public walk functions made 22 528 letter
+    # checks and 9 508 walk-layer Words here; checking each rebuilt walk
+    # through is_hesitant_lambda_walk made 4 754 more letter checks.
     spec = default_specs()[0]
     weightword._word_constants.cache_clear()
     checks = record_calls(monkeypatch, Word, "validate_for")
     words = record_calls(monkeypatch, walks, "Word")
-    rebuilt = record_calls(monkeypatch, walks, "is_hesitant_lambda_walk")
+    public = [
+        record_calls(monkeypatch, module, name)
+        for module, name in [
+            (WalkWitness, "__init__"),
+            (walks, "is_hesitant_lambda_walk"),
+            (cartier, "minus_at"),
+            (cartier, "witness_sigma_from_walk"),
+            (cartier, "hesitant_walk_from_twist_witness"),
+            (cartier, "maximal_failing_index"),
+            (TwistData, "c_at"),
+        ]
+    ]
     groups = sum(1 for _ in harness.iter_groups(spec))
     report = verify_equivalence(spec)
     assert report.counterexamples == []
     assert groups == 1_224
-    assert len(checks) - len(rebuilt) <= groups
+    assert len(checks) <= groups
     assert words == []
+    assert public == [[]] * len(public)
 
 
 @pytest.mark.parametrize(

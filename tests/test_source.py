@@ -29,6 +29,7 @@ README = Path(__file__).parent.parent / "README.md"
 API_ENTRIES = {
     "signed_count": "the census totals without the point list, for library callers",
     "is_lambda_walk": "the lambda-walk predicate for library callers; the hesitant one checks its slice inline",
+    "is_hesitant_lambda_walk": "the hesitant-lambda-walk predicate for library callers; the sweep runs its kernel",
 }
 
 
