@@ -1,9 +1,8 @@
 """Command-line front door.
 
 Exit-code protocol: 0 = untwisted / success, 1 = twisted / counterexamples
-found, 2 = malformed input or unsupported request, such as a census or a
-picture too large to produce.  This makes the tool usable as a shell
-predicate.
+found, 2 = malformed input or unsupported request, such as a census too
+large to produce.  This makes the tool usable as a shell predicate.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from contextlib import contextmanager, nullcontext
 
 from . import cartier, harness, walks
 from .errors import MalformedInput, TwistedCubeError
-from .render import render_svg
 from .rootdata import parse_lie_type
 from .twistedcube import census_buckets
 from .weightword import DominantWeight, TwistData, Word, derive_twist_data
@@ -122,14 +120,15 @@ def _output(path: str | None):
     not a crash, which would exit 1 and read as "twisted".  The flush is
     inside the try, so that a write error still held in stdout's buffer
     surfaces here rather than at interpreter exit."""
+    to_stdout = path is None
     try:
-        with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
+        with nullcontext(sys.stdout) if to_stdout else open(path, "w", encoding="utf-8") as out:
             yield out
             out.flush()
     except OSError as exc:
-        if not path:
+        if to_stdout:
             _discard_stdout()
-        raise MalformedInput(f"cannot write {path or 'stdout'}: {exc}") from exc
+        raise MalformedInput(f"cannot write {'stdout' if to_stdout else path}: {exc}") from exc
 
 
 def _discard_stdout() -> None:
@@ -173,14 +172,6 @@ def cmd_lattice(args) -> int:
     return EXIT_UNTWISTED
 
 
-def cmd_render(args) -> int:
-    d, _ = load_instance(args.instance)
-    svg = render_svg(d)
-    with _output(args.out) as fh:
-        fh.write(svg)
-    return EXIT_UNTWISTED
-
-
 def _load_specs(path: str | None) -> list[harness.SweepSpec]:
     if path is None:
         return harness.default_specs()
@@ -217,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twistedcubes",
         description="Decide untwistedness, enumerate signed lattice points, "
-        "render n=2 pictures, and run verification sweeps.",
+        "and run verification sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -230,14 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write JSON lines here instead of stdout")
     p.set_defaults(func=cmd_lattice)
 
-    p = sub.add_parser("render", help="render an n=2 instance as SVG")
-    p.add_argument("--instance", required=True, help="instance JSON file")
-    p.add_argument("--out", required=True, help="output SVG path")
-    p.set_defaults(func=cmd_render)
-
     p = sub.add_parser("verify", help="run the equivalence sweep")
     p.add_argument("--spec", help="sweep spec JSON (object or list); default sweep if omitted")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers, at most the CPU count")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="parallel workers, at most the CPU count; more than one gains only on large sweeps",
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("atlas", help="tally avoiding words per type/weight/length")

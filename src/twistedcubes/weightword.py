@@ -139,13 +139,14 @@ _PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
 
 
 @lru_cache(maxsize=1)
-def _word_constants(t: LieType, letters: tuple[int, ...]):
-    """The rows of the word with these letters in type t, as the TwistData
-    constructor would build them; they depend on the word alone.  A sweep
-    derives all weights of one word in a row, so one cached word is enough;
+def _word_constants(t: LieType, w: Word):
+    """The rows of the word w in type t, as the TwistData constructor would
+    build them; they depend on the word alone.  A sweep derives all weights
+    of one word in a row, through one Word, so one cached word is enough;
     a letter outside the rank raises, and a failure is not cached."""
-    Word(letters).validate_for(t)
+    w.validate_for(t)
     # The letters are checked above, so no index below is 0 or negative.
+    letters = w.entries
     table = cartan_table(t)
     n = len(letters)
     rows = []
@@ -166,7 +167,7 @@ def derive_twist_data(t: LieType, w: Word, lam: DominantWeight) -> TwistData:
     once for a run of calls on one word and shared, read-only, by every
     TwistData of that run; each call checks the weight's rank and reads ell."""
     lam.validate_for(t)
-    rows = _word_constants(t, w.entries)
+    rows = _word_constants(t, w)
     d = object.__new__(TwistData)
     # The cached rows are already clean, so __init__ is not run again.
     vars(d).update(n=len(rows), ell=tuple([lam.coefficients[i - 1] for i in w.entries]), rows=rows)

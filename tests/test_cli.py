@@ -82,28 +82,10 @@ def test_lattice_out_file(raw_n2, tmp_path):
     assert len(out.read_text().strip().splitlines()) == 12
 
 
-def test_render_is_byte_stable(raw_n2, tmp_path):
-    a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-    assert main(["render", "--instance", raw_n2, "--out", str(a)]) == EXIT_UNTWISTED
-    assert main(["render", "--instance", raw_n2, "--out", str(b)]) == EXIT_UNTWISTED
-    assert a.read_bytes() == b.read_bytes()
-    assert a.read_text().startswith("<svg")
-
-
-def test_render_rejects_wrong_dimension(derived_twisted, tmp_path, capsys):
-    out = tmp_path / "bad.svg"
-    assert main(["render", "--instance", derived_twisted, "--out", str(out)]) == EXIT_ERROR
-    assert "error:" in capsys.readouterr().err
-
-
-def test_render_of_coordinates_too_large_for_floats_exits_2(tmp_path, capsys):
+def test_lattice_and_check_take_entries_too_large_for_floats(tmp_path):
     # The census is empty, but the bound at x_2 = -1 is 10**400, which no
-    # float holds; check and lattice read the same file without floats.
+    # float holds; check and lattice read it as an int.
     path = write_input(tmp_path / "huge.json", {"n": 2, "c": {"1,2": 10**400}, "ell": [0, -1]})
-    out = tmp_path / "huge.svg"
-    assert main(["render", "--instance", path, "--out", str(out)]) == EXIT_ERROR
-    assert capsys.readouterr().err == "error: the picture's coordinates are too large to draw as floats\n"
-    assert not out.exists()
     assert main(["lattice", "--instance", path]) == EXIT_UNTWISTED
     assert main(["check", "--instance", path]) == EXIT_TWISTED
 
@@ -131,7 +113,7 @@ sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("command", ["lattice", "render"])
+@pytest.mark.parametrize("command", ["lattice"])
 def test_a_census_too_long_to_list_exits_2(command, tmp_path, capsys):
     # Level 1 is two runs of about 10**30 values, too many to index a list:
     # an OverflowError, raised before anything is allocated.
@@ -156,12 +138,12 @@ def test_a_census_too_long_to_list_exits_2(command, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["lattice", "render"])
-@pytest.mark.parametrize("where", ["directory", "missing parent"])
+@pytest.mark.parametrize("command", ["lattice"])
+@pytest.mark.parametrize("where", ["directory", "missing parent", pytest.param("", id="empty")])
 def test_unwritable_out_exits_2(raw_n2, tmp_path, command, where, capsys):
     # Exit 1 would read as "twisted"; an output that cannot be written is
-    # malformed input.
-    out = tmp_path if where == "directory" else tmp_path / "missing" / "out"
+    # malformed input.  An empty path is a path like any other, not stdout.
+    out = {"directory": tmp_path, "missing parent": tmp_path / "missing" / "out", "": ""}[where]
     assert main([command, "--instance", raw_n2, "--out", str(out)]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: cannot write {out}: ")
@@ -604,12 +586,16 @@ def test_verify_rejects_jobs_below_one(tmp_path, jobs, monkeypatch, capsys):
     assert started == []
 
 
-def test_the_cli_does_not_import_multiprocessing():
-    # Only a sweep with more than one job loads it; check and the other
-    # commands pay for none of its modules.
+def test_the_cli_does_not_import_multiprocessing_fractions_or_decimal():
+    # Only a sweep with more than one job loads multiprocessing; check and
+    # the other commands pay for none of its modules.  No command reads a
+    # Fraction or a Decimal.
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(twistedcubes.__file__).parents[1])
-    code = "import sys, twistedcubes.cli; assert 'multiprocessing' not in sys.modules"
+    code = (
+        "import sys, twistedcubes.cli; "
+        "assert not {'multiprocessing', 'fractions', 'decimal'} & sys.modules.keys()"
+    )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
@@ -625,8 +611,6 @@ def test_atlas_accepts_words_beyond_the_cap(tmp_path, capsys):
     [
         ["lattice", "--format", "human"],
         ["lattice", "--max-n", "3"],
-        ["render", "--max-n", "3"],
-        ["render", "--format", "json"],
         ["verify", "--max-n", "0"],
         ["atlas", "--max-n", "3"],
         ["atlas", "--format", "human"],
@@ -641,7 +625,7 @@ def test_options_a_command_does_not_read_are_rejected(
 ):
     # Each command gets an input that it would take, so that only the
     # option can end it.
-    if argv[0] in ("lattice", "render"):
+    if argv[0] == "lattice":
         argv = argv + ["--instance", raw_n2, "--out", str(tmp_path / "out")]
     elif argv[0] == "check":
         argv = argv + ["--instance", derived_untwisted]
@@ -750,7 +734,7 @@ _SPEC_BLOCKS = _mutations(
 SPECS = _SPEC_JSON | _SPEC_BLOCKS | st.lists(_SPEC_BLOCKS, max_size=2)
 
 
-# lattice and render enumerate the census, so their instances keep every
+# lattice enumerates the census, so its instances keep every
 # integer small: an unbounded ell or c could ask for a huge census.
 _TINY = st.integers(-3, 5)
 _TINY_JSON = _json(_TINY)
@@ -762,8 +746,8 @@ TINY_INSTANCES = (
         _TINY_JSON,
     )
     | _mutations(RUNNING_EXAMPLE_JSON, {"n": _TINY, "ell": st.lists(_TINY, max_size=3)}, _TINY_JSON)
-    # Well-formed raw instances, so that many draws reach the census and the
-    # picture rather than a loader error.
+    # Well-formed raw instances, so that many draws reach the census rather
+    # than a loader error.
     | st.integers(0, 3).flatmap(
         lambda n: st.fixed_dictionaries(
             {
@@ -780,8 +764,6 @@ def _run_on_json(command: str, flag: str, value, codes=(EXIT_UNTWISTED, EXIT_TWI
     with tempfile.TemporaryDirectory() as tmp:
         out, err = io.StringIO(), io.StringIO()
         argv = [command, flag, write_input(Path(tmp) / "input.json", value)]
-        if command == "render":
-            argv += ["--out", str(Path(tmp) / "out.svg")]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     assert code in codes
@@ -806,8 +788,3 @@ def test_verify_never_crashes_on_arbitrary_json(value):
 def test_lattice_never_crashes_on_arbitrary_json(value):
     _run_on_json("lattice", "--instance", value, codes=(EXIT_UNTWISTED, EXIT_ERROR))
 
-
-@settings(max_examples=300, deadline=None)
-@given(TINY_INSTANCES)
-def test_render_never_crashes_on_arbitrary_json(value):
-    _run_on_json("render", "--instance", value, codes=(EXIT_UNTWISTED, EXIT_ERROR))

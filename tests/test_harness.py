@@ -390,16 +390,18 @@ def test_twist_data_checks_equal_the_public_function_oracle(specs, checks, monke
 
 
 def test_a_clean_sweep_checks_each_group_word_once_and_builds_no_walk_layer_word(monkeypatch):
-    # Counted work: each (type, word) group's word is checked against its
-    # type once, by the word cache of derive_twist_data, and the walk
+    # Counted work: each (type, word) group builds one Word, which the word
+    # cache of derive_twist_data checks against its type once, and the walk
     # kernels build no Word.  Both round trips run as kernels, so a clean
     # sweep calls none of the public functions that check their arguments
     # again.  Checking through the public walk functions made 22 528 letter
     # checks and 9 508 walk-layer Words here; checking each rebuilt walk
-    # through is_hesitant_lambda_walk made 4 754 more letter checks.
+    # through is_hesitant_lambda_walk made 4 754 more letter checks; a word
+    # cache that built its own Word to check the letters made 2 448 Words.
     spec = default_specs()[0]
     weightword._word_constants.cache_clear()
     checks = record_calls(monkeypatch, Word, "validate_for")
+    built = record_calls(monkeypatch, Word, "__post_init__")
     words = record_calls(monkeypatch, walks, "Word")
     public = [
         record_calls(monkeypatch, module, name)
@@ -418,6 +420,7 @@ def test_a_clean_sweep_checks_each_group_word_once_and_builds_no_walk_layer_word
     assert report.counterexamples == []
     assert groups == 1_224
     assert len(checks) <= groups
+    assert len(built) <= groups
     assert words == []
     assert public == [[]] * len(public)
 

@@ -342,5 +342,5 @@ def test_readme_synopsis_names_each_commands_options():
     # Renaming, adding or dropping an option, or changing whether it is
     # required, must be written into README's command synopsis too.
     synopsis = _readme_synopsis()
-    assert len(synopsis) == 5
+    assert len(synopsis) == 4
     assert synopsis == _parser_options()
