@@ -8,7 +8,6 @@ import itertools
 import json
 import random
 import time
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 from . import cartier, walks
@@ -236,19 +235,19 @@ def _worker(inst: tuple, t: LieType, w: Word, memo: dict) -> tuple[bool, list[di
     """The criterion's verdict and the counterexample records of inst, a
     (type name, word, weight) triple whose type and word are t and w.
 
-    memo maps the (ell, rows) of each twist data already checked in this
-    block to the group's word that last used it, the positions of that
-    word's detector walk, and its _twist_data_checks, so that instances
-    with the same (c, ell) share every check, across words too.  Each
-    instance derives its own twist data, so a fault in derive_twist_data
-    that changes the key misses the memo.  A hit from another word runs the
-    detector kernel on this instance's letters and weight, and this instance
-    makes its own checks unless the walk has the entry's positions and the
-    entry has no problem: so a fault that gives two words one twist data
-    cannot hide behind the entry, and a counterexample carries its own
-    word's problem text.  A hit from the same word shares the entry, so a
-    problem found once is reported for every weight of the word that shares
-    it."""
+    memo maps the (ell, rows) of each twist data already checked by this
+    call of _check_groups to the group's word that last used it, the
+    positions of that word's detector walk, and its _twist_data_checks, so
+    that instances with the same (c, ell) share every check, across words
+    too.  Each instance derives its own twist data, so a fault in
+    derive_twist_data that changes the key misses the memo.  A hit from
+    another word runs the detector kernel on this instance's letters and
+    weight, and this instance makes its own checks unless the walk has the
+    entry's positions and the entry has no problem: so a fault that gives
+    two words one twist data cannot hide behind the entry, and a
+    counterexample carries its own word's problem text.  A hit from the same
+    word shares the entry, so a problem found once is reported for every
+    weight of the word that shares it."""
     type_name, word_entries, lam = inst
     d = derive_twist_data(t, w, lam)
     key = d.ell, d.rows
@@ -268,54 +267,60 @@ def _worker(inst: tuple, t: LieType, w: Word, memo: dict) -> tuple[bool, list[di
     return untwisted, [{"instance": instance_json, "problem": p} for p in problems]
 
 
-def _check_group(group, memo: dict | None = None) -> list[tuple[bool, list[dict]]]:
-    """_worker over each weight of a (type name, type, word, weights) group of
-    iter_groups, with the word built once.  memo is the block's, shared by
-    its groups; without one, the group gets its own, which holds at most
-    one entry per distinct twist data of its word."""
-    type_name, t, word_entries, weights = group
-    w = Word(word_entries)
-    if memo is None:
-        memo = {}
-    return [_worker((type_name, word_entries, weight), t, w, memo) for weight in weights]
-
-
-def check_instance(inst: Instance) -> list[dict]:
-    """All per-instance assertions; returns a list of counterexample records."""
-    type_name, word_entries, weight_coeffs = inst
-    group = (type_name, parse_lie_type(type_name), word_entries, (DominantWeight(weight_coeffs),))
-    return _check_group(group)[0][1]
-
-
-def verify_equivalence(spec: SweepSpec, jobs: int = 1) -> SweepReport:
-    """Run every per-instance check over the sweep; failures are report data,
-    never exceptions.  A block whose words outgrow the criterion's cap
-    raises CapExceeded before any check.  A serial sweep keeps one memo of
-    checked twist data for the block, which dies with the call; a pool
-    worker keeps one per group."""
-    require_checkable(spec)
-    start = time.monotonic()
+def _check_groups(groups) -> SweepReport:
+    """The report of every instance of the (type name, type, word, weights)
+    groups of iter_groups, through _worker with each group's word built
+    once.  One memo serves all the groups and dies with the call: a serial
+    sweep passes its whole block, a pool worker one chunk of it, and
+    check_instance one group.  Counterexamples come in check order."""
+    memo: dict = {}
     report = SweepReport()
-    # Groups stream in: a serial sweep draws each group as it checks it, and
-    # imap feeds them to the workers through a pipe, so neither path holds a
-    # block's whole instance list.  multiprocessing is loaded only for a
-    # pool, so a serial sweep and every other command skip its modules.
-    groups = iter_groups(spec)
-    with (
-        importlib.import_module("multiprocessing").Pool(jobs) if jobs > 1 else nullcontext()
-    ) as pool:
-        if pool is None:
-            memo: dict = {}
-            results = (_check_group(group, memo) for group in groups)
-        else:
-            results = pool.imap(_check_group, groups, chunksize=32)
-        for untwisted, problems in itertools.chain.from_iterable(results):
+    for type_name, t, word_entries, weights in groups:
+        w = Word(word_entries)
+        for weight in weights:
+            untwisted, problems = _worker((type_name, word_entries, weight), t, w, memo)
             report.instances += 1
             if untwisted:
                 report.untwisted_count += 1
             else:
                 report.twisted_count += 1
             report.counterexamples.extend(problems)
+    return report
+
+
+def check_instance(inst: Instance) -> list[dict]:
+    """All per-instance assertions; returns a list of counterexample records."""
+    type_name, word_entries, weight_coeffs = inst
+    group = (type_name, parse_lie_type(type_name), word_entries, (DominantWeight(weight_coeffs),))
+    return _check_groups([group]).counterexamples
+
+
+# Consecutive groups per pool task: each chunk is one pickle and one memo.
+CHUNK_GROUPS = 512
+
+
+def verify_equivalence(spec: SweepSpec, jobs: int = 1) -> SweepReport:
+    """Run every per-instance check over the sweep; failures are report data,
+    never exceptions.  A block whose words outgrow the criterion's cap
+    raises CapExceeded before any check.  A serial sweep checks the block
+    with one memo of checked twist data; a pool checks runs of CHUNK_GROUPS
+    groups, each with a memo of its own, and merges their reports."""
+    require_checkable(spec)
+    start = time.monotonic()
+    # Groups stream in: a serial sweep draws each group as it checks it, and
+    # the pool draws one chunk per task, so neither path holds a block's
+    # whole instance list.
+    groups = iter_groups(spec)
+    if jobs > 1:
+        report = SweepReport()
+        chunks = iter(lambda: list(itertools.islice(groups, CHUNK_GROUPS)), [])
+        # multiprocessing is loaded only for a pool, so a serial sweep and
+        # every other command skip its modules.
+        with importlib.import_module("multiprocessing").Pool(jobs) as pool:
+            for part in pool.imap(_check_groups, chunks):
+                report.merge(part)
+    else:
+        report = _check_groups(groups)
     report.counterexamples.sort(key=lambda ce: json.dumps(ce, sort_keys=True))
     report.wall_ms = int((time.monotonic() - start) * 1000)
     return report

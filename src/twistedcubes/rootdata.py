@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import IndexOutOfRange, RankOutOfRange
+from .errors import IndexOutOfRange, RankOutOfRange, require_int
 
 #: Hard upper bound on rank; everything of interest lives at tiny rank.
 MAX_RANK = 32
@@ -140,6 +140,6 @@ def cartan_pairing(t: LieType, i: int, j: int) -> int:
 
 
 def _check_index(t: LieType, i: int) -> None:
-    if not 1 <= i <= t.rank:
+    if not 1 <= require_int("root index", i) <= t.rank:
         raise IndexOutOfRange(f"root index {i} outside [1, {t.rank}] for {t}")
 

@@ -63,7 +63,7 @@ class DominantWeight:
 
 def appears_in_lambda(lam: DominantWeight, i: int) -> bool:
     """Whether the i-th simple root appears in lam (coefficient > 0)."""
-    if not 1 <= i <= lam.rank:
+    if not 1 <= require_int("root index", i) <= lam.rank:
         raise IndexOutOfRange(f"root index {i} outside [1, {lam.rank}]")
     return lam.coefficients[i - 1] > 0
 

@@ -595,6 +595,23 @@ def test_parallel_matches_serial():
     assert _timeless(serial) == _timeless(parallel)
 
 
+@pytest.mark.parametrize("fault", [None, "verdict mismatch", "rebuilt walk not hesitant"])
+def test_the_pool_matches_the_serial_sweep_across_chunks(fault, monkeypatch):
+    # 728 groups fill two chunks, each checked with a memo of its own, and
+    # the parent merges their reports.  Forked workers inherit the patch of
+    # walks.hesitant_walk or cartier.m_to_walk.
+    spec = SweepSpec(("A3", "B3"), 5, (0, 1))
+    groups = sum(1 for _ in harness.iter_groups(spec))
+    assert harness.CHUNK_GROUPS < groups == 728 <= 2 * harness.CHUNK_GROUPS
+    if fault is not None:
+        _, (module, name, replacement), _ = FAULTS[fault]
+        monkeypatch.setattr(module, name, replacement)
+    serial = verify_equivalence(spec, jobs=1)
+    parallel = verify_equivalence(spec, jobs=2)
+    assert _timeless(serial) == _timeless(parallel)
+    assert len(serial.counterexamples) == (0 if fault is None else 3_848)
+
+
 def test_scaling_invariance_on_small_block():
     assert scaling_invariance_failures(SweepSpec(("A2", "B2"), 4, (0, 1))) == []
 

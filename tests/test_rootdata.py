@@ -5,7 +5,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from twistedcubes.errors import IndexOutOfRange, RankOutOfRange
+from twistedcubes.errors import IndexOutOfRange, MalformedInput, RankOutOfRange
 from twistedcubes.rootdata import (
     LieType,
     cartan_pairing,
@@ -102,6 +102,13 @@ def test_cartan_pairing_index_errors():
     for i, j in [(0, 1), (1, 4), (-2, 2)]:
         with pytest.raises(IndexOutOfRange):
             cartan_pairing(t, i, j)
+
+
+@pytest.mark.parametrize("i, j", [(True, 2), (1, True), ("1", 2), (1, 2.0)], ids=repr)
+def test_cartan_pairing_rejects_an_index_that_is_not_an_int(i, j):
+    # cartan_pairing(A2, True, 2) read the entry at (1, 2), -1.
+    with pytest.raises(MalformedInput, match="root index must be an integer"):
+        cartan_pairing(parse_lie_type("A2"), i, j)
 
 
 def test_adjacent_examples():

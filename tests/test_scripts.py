@@ -4,7 +4,7 @@ import json
 from pathlib import Path
 
 from twistedcubes.cli import EXIT_UNTWISTED, main
-from twistedcubes.harness import SweepSpec, default_specs
+from twistedcubes.harness import SweepSpec, default_specs, iter_groups
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -12,6 +12,14 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 def test_core_sweep_is_the_first_three_default_blocks():
     blocks = json.loads((SCRIPTS / "default_sweep_core.json").read_text(encoding="utf-8"))
     assert [SweepSpec.from_json(block) for block in blocks] == default_specs()[:3]
+
+
+def test_pool_sweep_holds_81_720_instances():
+    # The sweep on which --jobs 2 pays; counted, not run.
+    blocks = json.loads((SCRIPTS / "pool_sweep.json").read_text(encoding="utf-8"))
+    specs = [SweepSpec.from_json(block) for block in blocks]
+    counts = [sum(len(weights) for *_, weights in iter_groups(spec)) for spec in specs]
+    assert counts == [78_720, 3_000]
 
 
 def test_lattice_on_the_figure_example(capsys):

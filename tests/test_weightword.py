@@ -64,6 +64,13 @@ def test_appears_in_lambda():
         appears_in_lambda(lam, 4)
 
 
+@pytest.mark.parametrize("i", [True, "1", 1.0, None], ids=repr)
+def test_appears_in_lambda_rejects_an_index_that_is_not_an_int(i):
+    # True would read coefficient 1 and "1" or 1.0 would raise a bare TypeError.
+    with pytest.raises(MalformedInput, match="root index must be an integer"):
+        appears_in_lambda(DominantWeight((1, 0)), i)
+
+
 def test_dominance_enforced():
     with pytest.raises(DimensionMismatch):
         DominantWeight((1, -1))
