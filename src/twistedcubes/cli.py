@@ -190,8 +190,11 @@ def cmd_verify(args) -> int:
     for spec in specs:
         harness.require_checkable(spec)
     merged = harness.SweepReport()
+    # One memo of checked twist data for the whole run, so that a twist data
+    # an earlier block checked is a hit in a later one; a pool ignores it.
+    memo: dict = {}
     for spec in specs:
-        merged.merge(harness.verify_equivalence(spec, jobs=jobs))
+        merged.merge(harness.verify_equivalence(spec, jobs=jobs, memo=memo))
     with _output(None) as out:
         print(json.dumps(merged.to_json()), file=out)
     return EXIT_UNTWISTED if not merged.counterexamples else EXIT_TWISTED

@@ -235,8 +235,9 @@ def _worker(inst: tuple, t: LieType, w: Word, memo: dict) -> tuple[bool, list[di
     """The criterion's verdict and the counterexample records of inst, a
     (type name, word, weight) triple whose type and word are t and w.
 
-    memo maps the (ell, rows) of each twist data already checked by this
-    call of _check_groups to the group's word that last used it, the
+    memo maps the (ell, rows) of each twist data already checked with it,
+    by this call of _check_groups or by an earlier block of the same
+    verify run, to the group's word that last used it, the
     positions of that word's detector walk, and its _twist_data_checks, so
     that instances with the same (c, ell) share every check, across words
     too.  Each instance derives its own twist data, so a fault in
@@ -267,13 +268,15 @@ def _worker(inst: tuple, t: LieType, w: Word, memo: dict) -> tuple[bool, list[di
     return untwisted, [{"instance": instance_json, "problem": p} for p in problems]
 
 
-def _check_groups(groups) -> SweepReport:
+def _check_groups(groups, memo: dict | None = None) -> SweepReport:
     """The report of every instance of the (type name, type, word, weights)
     groups of iter_groups, through _worker with each group's word built
-    once.  One memo serves all the groups and dies with the call: a serial
-    sweep passes its whole block, a pool worker one chunk of it, and
-    check_instance one group.  Counterexamples come in check order."""
-    memo: dict = {}
+    once.  One memo serves all the groups: memo when given, the run memo of
+    a serial verify, else a new one that dies with the call, as for a pool
+    worker's chunk and check_instance's one group.  Counterexamples come in
+    check order."""
+    if memo is None:
+        memo = {}
     report = SweepReport()
     for type_name, t, word_entries, weights in groups:
         w = Word(word_entries)
@@ -299,12 +302,14 @@ def check_instance(inst: Instance) -> list[dict]:
 CHUNK_GROUPS = 512
 
 
-def verify_equivalence(spec: SweepSpec, jobs: int = 1) -> SweepReport:
+def verify_equivalence(spec: SweepSpec, jobs: int = 1, memo: dict | None = None) -> SweepReport:
     """Run every per-instance check over the sweep; failures are report data,
     never exceptions.  A block whose words outgrow the criterion's cap
     raises CapExceeded before any check.  A serial sweep checks the block
-    with one memo of checked twist data; a pool checks runs of CHUNK_GROUPS
-    groups, each with a memo of its own, and merges their reports."""
+    with one memo of checked twist data: memo, which the blocks of one
+    verify run share, or else one that dies with the call.  A pool ignores
+    memo: it checks runs of CHUNK_GROUPS groups, each with a memo of its
+    own, and merges their reports."""
     require_checkable(spec)
     start = time.monotonic()
     # Groups stream in: a serial sweep draws each group as it checks it, and
@@ -320,7 +325,7 @@ def verify_equivalence(spec: SweepSpec, jobs: int = 1) -> SweepReport:
             for part in pool.imap(_check_groups, chunks):
                 report.merge(part)
     else:
-        report = _check_groups(groups)
+        report = _check_groups(groups, memo)
     report.counterexamples.sort(key=lambda ce: json.dumps(ce, sort_keys=True))
     report.wall_ms = int((time.monotonic() - start) * 1000)
     return report

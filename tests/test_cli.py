@@ -252,6 +252,23 @@ def test_lattice_meets_the_census_workload_expectations(inst, sha256, tmp_path):
     assert hashlib.sha256(data).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_verify_meets_the_sweep_workload_expectations(seed, tmp_path, capsys):
+    # The benchmark's sweep workload runs one `verify --spec` over its blocks
+    # and its sampled block at a drawn seed, and checks the totals against
+    # the expected counts committed with its data.
+    data = workload_data("sweep")
+    blocks = [{key: value for key, value in block.items() if key != "expect"} for block in data["blocks"]]
+    sampled = {key: value for key, value in data["sampled"].items() if key != "expect_by_seed"}
+    expect = [block["expect"] for block in data["blocks"]] + [data["sampled"]["expect_by_seed"][str(seed)]]
+    spec = write_input(tmp_path / "spec.json", blocks + [dict(sampled, seed=seed)])
+    assert main(["verify", "--spec", spec]) == EXIT_UNTWISTED
+    report = json.loads(capsys.readouterr().out)
+    for key in ("instances", "untwisted_count", "twisted_count"):
+        assert report[key] == sum(block[key] for block in expect), key
+    assert report["counterexamples"] == []
+
+
 @pytest.mark.parametrize(
     "raw, first, totals",
     [
@@ -567,7 +584,9 @@ def test_bad_lie_type_in_a_later_block_fails_before_any_check(tmp_path, command,
 def test_verify_caps_jobs_at_the_cpu_count(tmp_path, monkeypatch, capsys):
     received = []
     monkeypatch.setattr(
-        harness, "verify_equivalence", lambda spec, jobs=1: received.append(jobs) or harness.SweepReport()
+        harness,
+        "verify_equivalence",
+        lambda spec, jobs=1, memo=None: received.append(jobs) or harness.SweepReport(),
     )
     spec = write_input(tmp_path / "spec.json", {"lie_types": ["A1"], "max_word_length": 2})
     assert main(["verify", "--spec", spec, "--jobs", "100000"]) == EXIT_UNTWISTED

@@ -1,12 +1,15 @@
 import gc
 import json
 import tracemalloc
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
 from hypothesis import example, given, settings
 
 from twistedcubes import cartier, harness, twistedcube, walks, weightword
+from twistedcubes.cli import EXIT_TWISTED, EXIT_UNTWISTED, main
 from twistedcubes.errors import PreconditionViolated
 from twistedcubes.harness import (
     SweepReport,
@@ -31,6 +34,7 @@ from oracles import (
     twist_data_checks_oracle,
     untwisted_census_problems,
     workload_data,
+    write_input,
 )
 
 
@@ -389,6 +393,41 @@ def test_twist_data_checks_equal_the_public_function_oracle(specs, checks, monke
     assert len(calls) == checks
 
 
+def _verify_run(specs, tmp_path, capsys) -> tuple[int, dict]:
+    """The exit code of one `verify --spec` command over the blocks specs,
+    and the report it prints without wall_ms, its one nondeterministic
+    field."""
+    code = main(["verify", "--spec", write_input(tmp_path / "spec.json", [asdict(s) for s in specs])])
+    report = json.loads(capsys.readouterr().out)
+    del report["wall_ms"]
+    return code, report
+
+
+@pytest.mark.parametrize(
+    "specs, checks, detector_calls",
+    [(default_specs, 5_191, 14_178), (_sweep_workload_specs, 5_932, 16_178)],
+    ids=["default sweep", "sweep workload at seed 1"],
+)
+def test_a_verify_run_checks_each_twist_data_of_the_run_once(
+    specs, checks, detector_calls, tmp_path, monkeypatch, capsys
+):
+    # Counted work: the blocks of one verify command share one memo, so a
+    # twist data that an earlier block checked is a hit in a later one.  A
+    # memo per block made 6 778 and 7 928 checks, as verify_equivalence
+    # still makes on each block alone.
+    blocks = specs()
+    distinct = len({derived(*inst) for spec in blocks for inst in iter_instances(spec)})
+    calls = record_calls(monkeypatch, cartier, "is_untwisted")
+    detector = record_calls(monkeypatch, walks, "hesitant_walk")
+    code, report = _verify_run(blocks, tmp_path, capsys)
+    assert (code, report["counterexamples"]) == (EXIT_UNTWISTED, [])
+    assert len(calls) == distinct == checks
+    # A hit from an earlier block's word reruns the detector, as a hit from
+    # another word of the same block does, so the detector runs as often as
+    # with a memo per block: once per twist data of each word of a block.
+    assert len(detector) == detector_calls
+
+
 def test_a_clean_sweep_checks_each_group_word_once_and_builds_no_walk_layer_word(monkeypatch):
     # Counted work: each (type, word) group builds one Word, which the word
     # cache of derive_twist_data checks against its type once, and the walk
@@ -569,6 +608,77 @@ def _timeless(report: SweepReport) -> dict:
     out = report.to_json()
     del out["wall_ms"]
     return out
+
+
+# Pairs of blocks that overlap.  In the first, the second block repeats the
+# first's A2 words at the weights over {0, 1}, and its weights with a 2 give
+# twist data that B2 words gave in the first.  In the second, A2 words give
+# twist data that G2 words gave; under the collision fault, sharing those
+# entries without the detector's recheck would drop counterexamples.
+OVERLAPPING = {
+    "A2 B2 then A2 over 0 1 2": [SweepSpec(("A2", "B2"), 3, (0, 1)), SweepSpec(("A2",), 3, (0, 1, 2))],
+    "G2 then A2": [SweepSpec(("G2",), 4, (0, 1)), SweepSpec(("A2",), 4, (0, 1))],
+}
+
+
+@pytest.mark.parametrize("blocks", OVERLAPPING)
+@pytest.mark.parametrize("fault", [None, "twist data collision"] + sorted(FAULTS))
+def test_the_run_memo_hides_no_fault_in_a_later_block(fault, blocks, tmp_path, monkeypatch, capsys):
+    # A verify run reports what its blocks report when each is checked on
+    # its own, with a memo of its own, merged in block order: an entry of
+    # an earlier block is shared only as a hit from another word, which
+    # reruns the detector and makes its own checks where they could differ.
+    if fault == "twist data collision":
+        monkeypatch.setattr(harness, "derive_twist_data", _ell_from_lambda_1)
+    elif fault is not None:
+        _, (module, name, replacement), _ = FAULTS[fault]
+        monkeypatch.setattr(module, name, replacement)
+    calls = record_calls(monkeypatch, cartier, "is_untwisted")
+    alone = SweepReport()
+    for spec in OVERLAPPING[blocks]:
+        alone.merge(verify_equivalence(spec))
+    checked_alone = len(calls)
+    code, report = _verify_run(OVERLAPPING[blocks], tmp_path, capsys)
+    assert report == _timeless(alone)
+    assert code == (EXIT_TWISTED if alone.counterexamples else EXIT_UNTWISTED)
+    assert (fault is None) == (alone.counterexamples == [])
+    # The run checks no more than the blocks alone, and a clean run fewer:
+    # the later block hits what the first checked.  An entry with a problem
+    # is rechecked on each hit from another word.
+    checked_in_run = len(calls) - checked_alone
+    assert checked_in_run <= checked_alone
+    assert fault is not None or checked_in_run < checked_alone
+
+
+def test_a_verify_run_leaves_no_memory_behind(tmp_path, capsys):
+    # The run memo dies with the command: a memo kept after it would hold
+    # one entry per distinct twist data of the run, several KB.  The blocks
+    # weigh lam_i in {0, 5}, which no other test runs, so no memo kept from
+    # an earlier call could hold their entries already.  The warm-up runs
+    # the command once on the same words at lam = 0, which makes D4 and F4,
+    # reads their Cartan tables and interns the pairs of their rows, all of
+    # which stay cached.  Only blocks the package's own code allocated are
+    # counted: what argparse and the re module cache depends on the tests
+    # that ran before.
+    warm = write_input(tmp_path / "warm.json", [asdict(SweepSpec(("D4", "F4"), 2, (0,)))])
+    blocks = [SweepSpec(("D4", "F4"), 2, (0, 5)), SweepSpec(("F4",), 2, (0, 5, 6))]
+    spec = write_input(tmp_path / "spec.json", [asdict(s) for s in blocks])
+    assert main(["verify", "--spec", warm]) == EXIT_UNTWISTED
+    capsys.readouterr()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        assert main(["verify", "--spec", spec]) == EXIT_UNTWISTED
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out)["counterexamples"] == []
+    package = [tracemalloc.Filter(True, str(Path(harness.__file__).parent / "*"))]
+    diff = after.filter_traces(package).compare_to(before.filter_traces(package), "filename")
+    left = sum(stat.size_diff for stat in diff)
+    assert left < 2_048, left
 
 
 def test_report_json_is_deterministic():
