@@ -107,19 +107,26 @@ def is_untwisted(d: TwistData) -> UntwistResult:
     the lexicographically first failing one.  m_k depends only on the signs
     from k on, so that sigma has no minus before its failing k: k is its
     only negative entry, and compute_m runs once, for it alone.
+
+    At a sign vector's rightmost minus every m above k is a plus's 0, so a
+    is ell_k, read without the bound kernel; only the minuses below it call
+    bound.  The sweep still visits up to 2**n sign vectors, hence the cap.
     """
     if d.n > DEFAULT_N_CAP:
         raise CapExceeded(f"n = {d.n} exceeds cap {DEFAULT_N_CAP}")
-    n = d.n
+    n, ell = d.n, d.ell
     # Each sign vector writes m from entry n down, and the bound at k reads
-    # only entries above k, so m is reused without a reset.
+    # only entries above k, so m is reused without a reset.  Above the
+    # rightmost minus every entry is a plus's 0, so its bound is ell_k.
     m = [0] * n
     for signs in itertools.product(PLUS + MINUS, repeat=n):
+        below_a_minus = False
         for k in range(n, 0, -1):
             if signs[k - 1] == PLUS:
                 m[k - 1] = 0
                 continue
-            a = bound(d, k, m)
+            a = bound(d, k, m) if below_a_minus else ell[k - 1]
+            below_a_minus = True
             if a > 0:
                 m[k - 1] = a
             elif a == 0:

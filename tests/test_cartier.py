@@ -38,6 +38,7 @@ from oracles import (
     raw_twist_data,
     record_calls,
     word_instances,
+    workload_data,
 )
 
 
@@ -172,7 +173,8 @@ def test_criterion_bound_reads_on_the_check_untwisted_workload_are_pinned(monkey
     # Counted work, not time, as upper bounds, on the 63 instances of the
     # benchmark's check-untwisted workload.  On the fixed A3 words
     # (1, 2, 3, ...) at lambda = 0 every sign vector but the all-plus one
-    # stops at its first minus, whose bound is 0: 2**n - 1 reads.
+    # stops at its rightmost minus, where a is ell_k = 0, read without the
+    # bound kernel: 0 reads.
     instances = check_untwisted_instances()
     rows = record_calls(monkeypatch, cartier, "bound")
     reads = []
@@ -184,8 +186,84 @@ def test_criterion_bound_reads_on_the_check_untwisted_workload_are_pinned(monkey
     # The nine fixed words come first.
     lengths = [len(inst["word"]) for inst in instances[:9]]
     assert lengths == list(range(8, 17))
-    assert all(r <= 2**n - 1 for n, r in zip(lengths, reads))
-    assert sum(reads) <= 228_193
+    assert reads[:9] == [0] * 9
+    assert sum(reads) <= 672
+
+
+def _criterion_bound_reads(d):
+    """is_untwisted(d), each bound read it makes as a pair (inside compute_m,
+    m holds a nonzero entry above k), and the sigmas compute_m ran on."""
+    reads, computed, inside = [], [], []
+    real_bound, real_compute_m = cartier.bound, cartier.compute_m
+
+    def bound(d, k, m):
+        reads.append((bool(inside), any(m[k:])))
+        return real_bound(d, k, m)
+
+    def compute_m(d, sigma):
+        computed.append(sigma)
+        inside.append(sigma)
+        try:
+            return real_compute_m(d, sigma)
+        finally:
+            inside.pop()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cartier, "bound", bound)
+        patch.setattr(cartier, "compute_m", compute_m)
+        result = is_untwisted(d)
+    return result, reads, computed
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_twist_data(min_n=1, max_n=8, c_bound=3, ell=(-2, 4)))
+def test_criterion_reads_ell_at_each_rightmost_minus(d):
+    # A bound read with m all zero above k can only return ell_k.  The loop
+    # reads ell_k itself at each sign vector's rightmost minus, so the only
+    # such read is compute_m's, at the rightmost minus of the reported sigma.
+    result, reads, computed = _criterion_bound_reads(d)
+    all_zero_reads = [in_compute_m for in_compute_m, nonzero_above in reads if not nonzero_above]
+    assert all_zero_reads == ([] if result.untwisted else [True])
+    assert computed == ([] if result.untwisted else [result.sigma])
+
+
+@pytest.mark.parametrize(
+    "d, sigma, k, m, loop_reads",
+    [
+        # "++-" fails at its only minus, where a = ell_3 = -1.
+        (TwistData(n=3, ell=(1, 0, -1)), "++-", 3, (0, 0, -1), 0),
+        # "+-" and "-+" pass on ell_2 = 1 and ell_1 = 0; "--" reads the
+        # kernel at k = 1 below m_2 = 1 and fails there.
+        (TwistData(n=2, c={(1, 2): 1}, ell=(0, 1)), "--", 1, (-1, 1), 1),
+    ],
+    ids=["fails at its rightmost minus", "fails below a minus"],
+)
+def test_criterion_bound_reads_below_the_rightmost_minus_only(d, sigma, k, m, loop_reads):
+    result, reads, computed = _criterion_bound_reads(d)
+    assert (result.sigma, result.k, result.m.m) == (sigma, k, m)
+    assert computed == [sigma]
+    assert sum(not in_compute_m for in_compute_m, _ in reads) == loop_reads
+
+
+def test_criterion_meets_the_check_workload_expectations():
+    # The verdict, and when twisted the sigma, k and m, that the benchmark's
+    # check-twisted and check-untwisted workloads expect of each instance.
+    twisted = workload_data("check-twisted")
+    instances = [
+        *twisted["fixed_tail"],
+        *(inst for stratum in twisted["strata"] for inst in stratum),
+        *check_untwisted_instances(),
+    ]
+    verdicts, wrong = [], []
+    for inst in instances:
+        expected = dict(inst["expect"])
+        expected["untwisted"] = expected.pop("exit") == 0
+        got = is_untwisted(load_twist_data(inst)).to_json()
+        verdicts.append(got["untwisted"])
+        if got != expected:
+            wrong.append((inst, got))
+    assert wrong == []
+    assert (verdicts.count(False), verdicts.count(True)) == (1_600, 63)
 
 
 def test_cap_exceeded():
