@@ -418,6 +418,25 @@ def point_weight(t: LieType, word, weight, x) -> tuple[int, ...]:
     return tuple(mu)
 
 
+def demazure_character(table, word, weight) -> dict:
+    """D_{i_1} ⋯ D_{i_n} e^λ as {weight: multiplicity}, zeros dropped, the
+    operators applied from the right, with α_i row i of the Cartan table, as
+    in point_weight.  D_i e^μ is Σ_{x=0}^{μ_i} e^{μ - xα_i} when μ_i >= 0,
+    0 when μ_i = -1, and -Σ_{x=μ_i+1}^{-1} e^{μ - xα_i} when μ_i <= -2."""
+    character = {tuple(weight): 1}
+    for i in reversed(word):
+        alpha = table[i - 1]
+        image: dict = {}
+        for mu, mult in character.items():
+            m = mu[i - 1]
+            xs, sign = (range(m + 1), 1) if m >= 0 else (range(m + 1, 0), -1)
+            for x in xs:
+                nu = tuple(v - x * a for v, a in zip(mu, alpha))
+                image[nu] = image.get(nu, 0) + sign * mult
+        character = {mu: mult for mu, mult in image.items() if mult}
+    return character
+
+
 def is_longest_element(t: LieType, word) -> bool:
     """Whether the Demazure product of the word is w₀: exactly when w*ρ has
     no entry >= 0, as w₀ρ = -ρ* and no shorter w maps ρ to an antidominant

@@ -6,6 +6,7 @@ output capture).  Every comparison is exact; the only tolerance anywhere is
 the wall-clock budget on the exhaustive sweep.
 """
 
+import functools
 import itertools
 import random
 import sys
@@ -20,7 +21,7 @@ from twistedcubes.cartier import (
     witness_sigma_from_walk,
 )
 from twistedcubes.harness import default_specs, verify_equivalence
-from twistedcubes.rootdata import parse_lie_type
+from twistedcubes.rootdata import cartan_table, parse_lie_type
 from twistedcubes.twistedcube import lattice_points, signed_count
 from twistedcubes.walks import (
     WalkWitness,
@@ -35,6 +36,7 @@ from oracles import (
     all_types_up_to_rank,
     brute_force_census,
     contains,
+    demazure_character,
     demazure_rho,
     density,
     derived,
@@ -299,37 +301,50 @@ def _is_weyl_character(t, character: dict, weight) -> bool:
     )
 
 
+@functools.cache
+def _default_sweep_characters() -> tuple:
+    """(type name, word, weight, d, character) for each distinct (type,
+    word, ell) of the default sweep, at the first weight that gives it, the
+    character being the signed one of d's census.  Criteria 11 and 13 read
+    these characters."""
+    seen = set()
+    found = []
+    for spec in default_specs():
+        for type_name, word, weight in iter_instances(spec):
+            d = derived(type_name, word, weight)
+            if (type_name, word, d.ell) in seen:
+                continue
+            seen.add((type_name, word, d.ell))
+            t = parse_lie_type(type_name)
+            found.append((type_name, word, weight, d, _character(t, word, weight, d)))
+    return tuple(found)
+
+
 def test_criterion_11_signed_count_follows_the_demazure_product():
     # The census applies Demazure operators, so its signed character
     # depends on the word only through its Demazure product w*, and at
     # w* = w0 it is the Weyl character of V(lambda).  Each (type, word, ell)
     # is counted once, at the first weight that gives it.
-    seen = set()
+    distinct = _default_sweep_characters()
     characters: dict = {}
     w0_checks = wrong_counts = wrong_w0 = 0
-    for spec in default_specs():
-        for type_name, word, weight in iter_instances(spec):
-            t = parse_lie_type(type_name)
-            d = derived(type_name, word, weight)
-            if (type_name, word, d.ell) in seen:
-                continue
-            seen.add((type_name, word, d.ell))
-            character = _character(t, word, weight, d)
-            wrong_counts += signed_count(d) != sum(character.values())
-            key = (type_name, demazure_rho(t, word), weight)
-            characters.setdefault(key, set()).add(frozenset(character.items()))
-            if is_longest_element(t, word):
-                w0_checks += 1
-                wrong_w0 += not _is_weyl_character(t, character, weight)
+    for type_name, word, weight, d, character in distinct:
+        t = parse_lie_type(type_name)
+        wrong_counts += signed_count(d) != sum(character.values())
+        key = (type_name, demazure_rho(t, word), weight)
+        characters.setdefault(key, set()).add(frozenset(character.items()))
+        if is_longest_element(t, word):
+            w0_checks += 1
+            wrong_w0 += not _is_weyl_character(t, character, weight)
     split = sum(len(values) > 1 for values in characters.values())
     _report(
         11,
-        f"the signed character takes one value per (type, w*, lambda) over {len(seen)} distinct "
+        f"the signed character takes one value per (type, w*, lambda) over {len(distinct)} distinct "
         f"(type, word, ell) of the default sweep ({len(characters)} keys, {split} split), "
         f"and sums to the signed count ({wrong_counts} wrong); at w* = w0 it is W-invariant "
         f"with positive multiplicities and sums to Weyl's dimension ({w0_checks} checks, "
         f"{wrong_w0} wrong)",
-        len(seen) == 13_228 and len(characters) == 1_525 and w0_checks == 429
+        len(distinct) == 13_228 and len(characters) == 1_525 and w0_checks == 429
         and not split and not wrong_counts and not wrong_w0,
     )
 
@@ -377,4 +392,22 @@ def test_criterion_12_the_pinned_witness_is_the_latest_minimal_walk():
         instances == 22_967
         and len(benchmark) == 1_600
         and not (wrong_verdict or wrong_k or wrong_sigma or not_minimal or wrong_expect),
+    )
+
+
+def test_criterion_13_the_census_character_is_the_demazure_operator_product():
+    # Grossberg-Karshon's character formula: the census points, each counted
+    # with its density at its weight, give D_{i_1} ... D_{i_n} e^lambda, an
+    # oracle that never reads the cube.
+    distinct = _default_sweep_characters()
+    wrong = sum(
+        character != demazure_character(cartan_table(parse_lie_type(type_name)), word, weight)
+        for type_name, word, weight, _, character in distinct
+    )
+    _report(
+        13,
+        f"on all {len(distinct)} distinct (type, word, ell) of the default sweep the signed "
+        f"census character equals the Demazure operator product D_(i_1) ... D_(i_n) e^lambda "
+        f"({wrong} wrong)",
+        len(distinct) == 13_228 and not wrong,
     )

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from twistedcubes import twistedcube
-from twistedcubes.cli import EXIT_UNTWISTED, main
+from twistedcubes.cli import EXIT_ERROR, EXIT_UNTWISTED, main
 from twistedcubes.errors import DimensionMismatch, PreconditionViolated
 from twistedcubes.rootdata import cartan_table, parse_lie_type
 from twistedcubes.twistedcube import contains_PD, lattice_points, signed_count
@@ -153,6 +153,20 @@ def test_census_work_on_the_census_workload_is_pinned(kind, reads, leaves, monke
     assert len(calls) <= leaves
 
 
+@pytest.mark.parametrize("kind, checks", [("a2", 64), ("b2", 106), ("running", 14)])
+def test_run_end_checks_on_the_census_workload_are_pinned(kind, checks, monkeypatch):
+    # Counted work, not time: a run's ends are functions of its bound a
+    # alone, so the census checks them once per distinct a in a call, two
+    # membership checks each, as upper bounds.  Checking each run at its
+    # two ends made 57 100 / 17 698 / 14.
+    d = load_twist_data(workload_data("census")["kinds"][kind][0])
+    calls = record_calls(monkeypatch, twistedcube, "_coordinate_ok")
+    lattice_points(d)
+    bounds = [a for (a, _), _ in calls]
+    assert len(calls) <= checks
+    assert all(bounds.count(a) <= 2 for a in set(bounds))
+
+
 @pytest.mark.parametrize(
     "d",
     [TwistData(n=2, ell=(-1, 200_000)), TwistData(n=3, c={(1, 3): 2}, ell=(4, -1, 7))],
@@ -225,6 +239,40 @@ def test_enumeration_checks_both_ends_of_each_run(fault, d, monkeypatch):
         lattice_points(d)
 
 
+# Level 2 of this n = 3 cube reads a = 3, 2, 1 and level 1 reads
+# a = 0, 0, 0, -1, -1, -1, -2, -2, -3; level 3 reads a = 2.
+TWO_LEVELS = TwistData(n=3, c={(1, 2): 1, (2, 3): 1}, ell=(0, 3, 2))
+
+# Level 2 of this n = 3 cube reads a = 3 for each of its three tails, and
+# level 1 reads a = 3, 1, -1 and -3, each for three tails in a row.
+SHARED_BOUNDS = TwistData(n=3, c={(1, 2): 2}, ell=(3, 3, 2))
+
+
+@pytest.mark.parametrize(
+    "d, rejected",
+    [
+        # First met on a later tail of its level: level 1 of the running
+        # example reads a = 3, 2, 1, 0, -1, -2 ...
+        pytest.param(RUNNING_EXAMPLE, -2, id="last tail of level 1"),
+        # ... and level 1 of SHARED_BOUNDS reads a = -3 on its tenth tail.
+        pytest.param(SHARED_BOUNDS, -3, id="tenth tail of level 1"),
+        # First met at a level below the top, on that level's first tail.
+        pytest.param(TWO_LEVELS, 3, id="level 2 of 3"),
+        pytest.param(TWO_LEVELS, 0, id="level 1 of 3"),
+    ],
+)
+def test_a_bound_first_met_below_the_top_or_on_a_later_tail_is_checked(d, rejected, monkeypatch, tmp_path):
+    # Each distinct bound a is checked once per call, where it is first met:
+    # a fault of that one a, and of no other, must still stop the census
+    # and leave no `lattice --out` file.
+    monkeypatch.setattr(twistedcube, "_coordinate_ok", lambda a, v: a != rejected)
+    with pytest.raises(PreconditionViolated, match="^an enumerated lattice point lies outside the cube$"):
+        lattice_points(d)
+    inst, out = write_input(tmp_path / "inst.json", _raw_instance(d)), tmp_path / "census.jsonl"
+    assert main(["lattice", "--instance", inst, "--out", str(out)]) == EXIT_ERROR
+    assert not out.exists()
+
+
 @settings(max_examples=60, deadline=None)
 @given(raw_twist_data())
 def test_enumeration_matches_brute_force(d):
@@ -258,6 +306,11 @@ SHARED_RUNS = TwistData(n=2, c={(1, 2): 10}, ell=(40, 8))
 # Negative runs at level 2 (a = -9, -6, -3 over x_3 = 0..2), whose items
 # carry residual bounds into level 1.
 @example(TwistData(n=3, c={(1, 2): 2, (2, 3): -3}, ell=(4, -9, 3)))
+# Runs of both directions at level 1, several tails to each bound: three
+# tails each to a = 3, 1, -1, -3 (filed value by value), and to
+# a = 40, 30, ..., -40 (swept).
+@example(SHARED_BOUNDS)
+@example(TwistData(n=3, c={(1, 2): 10}, ell=(40, 8, 2)))
 def test_enumeration_matches_the_descent_order_oracle(d):
     assert lattice_points(d) == descent_census(d)
 
@@ -299,11 +352,15 @@ def test_census_densities_and_lines_match_the_oracles(d):
     assert [(tuple(obj["x"]), obj["rho"]) for obj in parsed[:-1]] == list(census.points)
 
 
+def _raw_instance(d: TwistData) -> dict:
+    """d as the JSON of a raw instance file."""
+    return {"n": d.n, "c": {f"{j},{k}": v for (j, k), v in d.c.items()}, "ell": list(d.ell)}
+
+
 def _lattice_out(d: TwistData) -> str:
     """What `lattice --out` writes for d, given as a raw instance file."""
-    raw = {"n": d.n, "c": {f"{j},{k}": v for (j, k), v in d.c.items()}, "ell": list(d.ell)}
     with tempfile.TemporaryDirectory() as tmp:
-        inst, out = write_input(Path(tmp) / "inst.json", raw), Path(tmp) / "census.jsonl"
+        inst, out = write_input(Path(tmp) / "inst.json", _raw_instance(d)), Path(tmp) / "census.jsonl"
         assert main(["lattice", "--instance", inst, "--out", str(out)]) == EXIT_UNTWISTED
         return out.read_text(encoding="utf-8")
 
