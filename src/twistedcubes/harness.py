@@ -231,63 +231,69 @@ def _negative_tail(tail: tuple[int, ...]) -> tuple[bool, bool]:
     return negative, negative
 
 
-def _worker(inst: tuple, t: LieType, w: Word, memo: dict) -> tuple[bool, list[dict]]:
-    """The criterion's verdict and the counterexample records of inst, a
-    (type name, word, weight) triple whose type and word are t and w.
+def _worker(group: tuple, memo: dict, report: SweepReport) -> None:
+    """Check every instance of group, a (type name, type, word, weights)
+    group of iter_groups, and count each into report, its counterexample
+    records in check order.  The group's Word is built once, and the type's
+    Cartan table read at most once, for the detector.
 
-    memo maps the (ell, rows) of each twist data already checked with it,
-    by this call of _check_groups or by an earlier block of the same
-    verify run, to the group's word that last used it, the
-    positions of that word's detector walk, and its _twist_data_checks, so
-    that instances with the same (c, ell) share every check, across words
-    too.  Each instance derives its own twist data, so a fault in
-    derive_twist_data that changes the key misses the memo.  A hit from
-    another word runs the detector kernel on this instance's letters and
-    weight, and this instance makes its own checks unless the walk has the
-    entry's positions and the entry has no problem: so a fault that gives
-    two words one twist data cannot hide behind the entry, and a
-    counterexample carries its own word's problem text.  A hit from the same
-    word shares the entry, so a problem found once is reported for every
-    weight of the word that shares it."""
-    type_name, word_entries, lam = inst
-    d = derive_twist_data(t, w, lam)
-    key = d.ell, d.rows
-    entry = memo.get(key)
-    if entry is None or entry[0] is not w:
-        walk = walks.hesitant_walk(cartan_table(t), word_entries, lam.coefficients)
-        positions = None if walk is None else walk[0]
-        if entry is None or entry[1] != positions or entry[3]:
-            entry = (w, positions, *_twist_data_checks(d, t, w, lam, walk))
-        else:
-            entry = (w, positions, entry[2], entry[3])
-        memo[key] = entry
-    _, _, untwisted, problems = entry
-    if not problems:
-        return untwisted, []
-    instance_json = {"type": type_name, "word": list(word_entries), "weight": list(lam.coefficients)}
-    return untwisted, [{"instance": instance_json, "problem": p} for p in problems]
+    memo files the entries of the twist data already checked with it, by
+    this call of _check_groups or by an earlier block of the same verify
+    run, by the word rows and then by ell: memo[rows][ell] holds the
+    group's word that last used it, the positions of that word's detector
+    walk, and its _twist_data_checks, so that instances with the same
+    (c, ell) share every check, across words too.  The weights of a group
+    share one rows object, so the shelf memo[rows] is looked up again only
+    when the rows object changes, and then by value.  Each instance derives
+    its own twist data, so a fault in derive_twist_data that changes the
+    key misses the memo.  A hit from another word runs the detector kernel
+    on this instance's letters and weight, and this instance makes its own
+    checks unless the walk has the entry's positions and the entry has no
+    problem: so a fault that gives two words one twist data cannot hide
+    behind the entry, and a counterexample carries its own word's problem
+    text.  A hit from the same word shares the entry, so a problem found
+    once is reported for every weight of the word that shares it."""
+    type_name, t, word_entries, weights = group
+    w = Word(word_entries)
+    table = rows = shelf = None
+    untwisted_count = 0
+    for lam in weights:
+        d = derive_twist_data(t, w, lam)
+        if d.rows is not rows:
+            rows = d.rows
+            shelf = memo.setdefault(rows, {})
+        entry = shelf.get(d.ell)
+        if entry is None or entry[0] is not w:
+            if table is None:
+                table = cartan_table(t)
+            walk = walks.hesitant_walk(table, word_entries, lam.coefficients)
+            positions = None if walk is None else walk[0]
+            if entry is None or entry[1] != positions or entry[3]:
+                entry = (w, positions, *_twist_data_checks(d, t, w, lam, walk))
+            else:
+                entry = (w, positions, entry[2], entry[3])
+            shelf[d.ell] = entry
+        _, _, untwisted, problems = entry
+        untwisted_count += untwisted
+        if problems:
+            instance_json = {"type": type_name, "word": list(word_entries), "weight": list(lam.coefficients)}
+            report.counterexamples.extend({"instance": instance_json, "problem": p} for p in problems)
+    report.instances += len(weights)
+    report.untwisted_count += untwisted_count
+    report.twisted_count += len(weights) - untwisted_count
 
 
 def _check_groups(groups, memo: dict | None = None) -> SweepReport:
     """The report of every instance of the (type name, type, word, weights)
-    groups of iter_groups, through _worker with each group's word built
-    once.  One memo serves all the groups: memo when given, the run memo of
-    a serial verify, else a new one that dies with the call, as for a pool
-    worker's chunk and check_instance's one group.  Counterexamples come in
-    check order."""
+    groups of iter_groups, one _worker call per group.  One memo serves all
+    the groups: memo when given, the run memo of a serial verify, else a
+    new one that dies with the call, as for a pool worker's chunk and
+    check_instance's one group.  Counterexamples come in check order."""
     if memo is None:
         memo = {}
     report = SweepReport()
-    for type_name, t, word_entries, weights in groups:
-        w = Word(word_entries)
-        for weight in weights:
-            untwisted, problems = _worker((type_name, word_entries, weight), t, w, memo)
-            report.instances += 1
-            if untwisted:
-                report.untwisted_count += 1
-            else:
-                report.twisted_count += 1
-            report.counterexamples.extend(problems)
+    for group in groups:
+        _worker(group, memo, report)
     return report
 
 

@@ -598,7 +598,7 @@ def test_verify_caps_jobs_at_the_cpu_count(tmp_path, monkeypatch, capsys):
 def test_verify_rejects_jobs_below_one(tmp_path, jobs, monkeypatch, capsys):
     started = []
     monkeypatch.setattr(multiprocessing, "Pool", lambda *args: started.append(args))
-    monkeypatch.setattr(harness, "_worker", lambda inst, t, w, memo: started.append(inst))
+    monkeypatch.setattr(harness, "_worker", lambda group, memo, report: started.append(group))
     spec = write_input(tmp_path / "spec.json", {"lie_types": ["A1"], "max_word_length": 2})
     assert main(["verify", "--spec", spec, "--jobs", jobs]) == EXIT_ERROR
     assert capsys.readouterr().err.startswith(f"error: --jobs must be at least 1, got {jobs}")

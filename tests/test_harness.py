@@ -332,10 +332,10 @@ def test_verify_streams_its_instances(monkeypatch):
             drawn.append(group)
             yield group
 
-    def worker(inst, t, w, memo):
+    def worker(group, memo, report):
         if not first_call:
             first_call.append(len(drawn))
-        return real_worker(inst, t, w, memo)
+        return real_worker(group, memo, report)
 
     monkeypatch.setattr(harness, "iter_groups", counting)
     monkeypatch.setattr(harness, "_worker", worker)
@@ -428,6 +428,27 @@ def test_a_verify_run_checks_each_twist_data_of_the_run_once(
     assert len(detector) == detector_calls
 
 
+@pytest.mark.parametrize(
+    "specs, groups",
+    [(default_specs, 2_292), (_sweep_workload_specs, 4_292)],
+    ids=["default sweep", "sweep workload at seed 1"],
+)
+def test_a_verify_run_checks_each_group_in_one_worker_call(specs, groups, tmp_path, monkeypatch, capsys):
+    # Counted work: one _worker call per (type, word, weights) group, which
+    # reads the Cartan table at most once for the detector, beside the
+    # one read of each criterion call's checks.  A worker call per instance
+    # made 22 967 and 24 967 calls and read 19 369 and 22 110 tables, once
+    # per detector call plus once per criterion call.
+    blocks = specs()
+    workers = record_calls(monkeypatch, harness, "_worker")
+    tables = record_calls(monkeypatch, harness, "cartan_table")
+    calls = record_calls(monkeypatch, cartier, "is_untwisted")
+    code, report = _verify_run(blocks, tmp_path, capsys)
+    assert (code, report["counterexamples"]) == (EXIT_UNTWISTED, [])
+    assert len(workers) == groups == sum(1 for spec in blocks for _ in harness.iter_groups(spec))
+    assert len(tables) <= groups + len(calls)
+
+
 def test_a_clean_sweep_checks_each_group_word_once_and_builds_no_walk_layer_word(monkeypatch):
     # Counted work: each (type, word) group builds one Word, which the word
     # cache of derive_twist_data checks against its type once, and the walk
@@ -485,14 +506,20 @@ def test_verify_parses_each_lie_type_once_per_block(specs, parses, monkeypatch):
 # more often than missed.
 SHARED = SweepSpec(("D4", "F4"), 2, (0, 1))
 
+# 300 seeded draws of A2, B2 and G2 words of length <= 5: each group holds
+# one weight, so every hit, 178 of the 300 instances, is a hit from another
+# group's word, which SHARED rarely makes.
+SAMPLED = SweepSpec(("A2", "B2", "G2"), 5, (0, 1), seed=1, sample_count=300)
 
+
+@pytest.mark.parametrize("spec", [SHARED, SAMPLED], ids=["shared", "sampled"])
 @pytest.mark.parametrize("fault", [None] + sorted(FAULTS))
-def test_sweep_report_equals_the_per_instance_checks(fault, monkeypatch):
+def test_sweep_report_equals_the_per_instance_checks(fault, spec, monkeypatch):
     if fault is not None:
         _, (module, name, replacement), _ = FAULTS[fault]
         monkeypatch.setattr(module, name, replacement)
-    report = verify_equivalence(SHARED)
-    instances = list(iter_instances(SHARED))
+    report = verify_equivalence(spec)
+    instances = list(iter_instances(spec))
     expected = [ce for inst in instances for ce in check_instance(inst)]
     expected.sort(key=lambda ce: json.dumps(ce, sort_keys=True))
     assert report.counterexamples == expected

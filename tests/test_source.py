@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import inspect
 import re
+import subprocess
 import sys
 import textwrap
 from pathlib import Path
@@ -250,6 +251,20 @@ def test_benchmark_generator_reproduces_its_committed_expectations(monkeypatch):
     assert gen._census_expect(load_twist_data(warmup)) == warmup["expect"]
     assert gen._sweep_expect(block) == block["expect"]
     assert gen._twisted_cost(gen._derived(twisted), twisted["expect"]["sigma"]) > 0
+
+
+def test_the_benchmark_smoke_check_passes():
+    # A tiny run of every workload, untraced and traced, against its
+    # committed outputs: a library change that breaks a traced span or a
+    # workload's output check fails here, not in the next benchmark run.
+    smoke = subprocess.run(
+        [sys.executable, str(PERFBENCH / "smoke.py")],
+        cwd=PERFBENCH.parent,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert smoke.returncode == 0, smoke.stdout + smoke.stderr[-2_000:]
 
 
 def test_cli_leaves_integer_checks_to_the_value_types():
