@@ -512,9 +512,7 @@ SHARED = SweepSpec(("D4", "F4"), 2, (0, 1))
 SAMPLED = SweepSpec(("A2", "B2", "G2"), 5, (0, 1), seed=1, sample_count=300)
 
 
-@pytest.mark.parametrize("spec", [SHARED, SAMPLED], ids=["shared", "sampled"])
-@pytest.mark.parametrize("fault", [None] + sorted(FAULTS))
-def test_sweep_report_equals_the_per_instance_checks(fault, spec, monkeypatch):
+def _assert_sweep_report_equals_the_per_instance_checks(fault, spec, monkeypatch):
     if fault is not None:
         _, (module, name, replacement), _ = FAULTS[fault]
         monkeypatch.setattr(module, name, replacement)
@@ -526,6 +524,16 @@ def test_sweep_report_equals_the_per_instance_checks(fault, spec, monkeypatch):
     assert (fault is None) == (expected == [])
     untwisted = sum(cartier.is_untwisted(derived(*inst)).untwisted for inst in instances)
     assert (report.instances, report.untwisted_count) == (len(instances), untwisted)
+
+
+@pytest.mark.parametrize("fault", [None] + sorted(FAULTS))
+def test_sweep_report_equals_the_per_instance_checks(fault, monkeypatch):
+    _assert_sweep_report_equals_the_per_instance_checks(fault, SHARED, monkeypatch)
+
+
+@pytest.mark.parametrize("fault", [None] + sorted(FAULTS))
+def test_sampled_sweep_report_equals_the_per_instance_checks(fault, monkeypatch):
+    _assert_sweep_report_equals_the_per_instance_checks(fault, SAMPLED, monkeypatch)
 
 
 def test_a_shared_fault_is_reported_for_every_instance_of_the_block_that_shares_it(monkeypatch):
