@@ -119,9 +119,11 @@ def is_untwisted(d: TwistData) -> UntwistResult:
     # only entries above k, so m is reused without a reset.  Above the
     # rightmost minus every entry is a plus's 0, so its bound is ell_k.
     m = [0] * n
+    # Built once per call: a range re-iterates, so no sign vector builds one.
+    downward = range(n, 0, -1)
     for signs in itertools.product(PLUS + MINUS, repeat=n):
         below_a_minus = False
-        for k in range(n, 0, -1):
+        for k in downward:
             if signs[k - 1] == PLUS:
                 m[k - 1] = 0
                 continue

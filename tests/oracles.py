@@ -5,8 +5,10 @@ are slow by design, and none of this is part of the installed package."""
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import json
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -536,6 +538,43 @@ def record_calls(monkeypatch, module, name) -> list[tuple[tuple, object]]:
         return result
 
     monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+#: The hot-path kernels, as (module, name): the functions that the
+#: benchmark's workloads spend their time in, below the public wrappers.
+KERNELS = (
+    ("twistedcubes.weightword", "derive_twist_data"),
+    ("twistedcubes.cartier", "is_untwisted"),
+    ("twistedcubes.cartier", "_compute_m"),
+    ("twistedcubes.walks", "hesitant_walk"),
+    ("twistedcubes.walks", "minimal_walk"),
+    ("twistedcubes.walks", "hesitant"),
+    ("twistedcubes.cartier", "walk_to_m"),
+    ("twistedcubes.cartier", "m_to_walk"),
+    ("twistedcubes.twistedcube", "census_buckets"),
+    ("twistedcubes.weightword", "bound"),
+)
+
+
+def record_kernel_calls(monkeypatch) -> dict[tuple[str, str], list[list]]:
+    """record_calls on each kernel of KERNELS under every name a
+    twistedcubes module holds for it, since cli and harness import some of
+    them by name: for each (module, name), one list of calls per name."""
+    holders = [
+        module
+        for name, module in list(sys.modules.items())
+        if name == "twistedcubes" or name.startswith("twistedcubes.")
+    ]
+    calls = {}
+    for module, name in KERNELS:
+        real = getattr(importlib.import_module(module), name)
+        calls[module, name] = [
+            record_calls(monkeypatch, holder, attr)
+            for holder in holders
+            for attr, value in list(vars(holder).items())
+            if value is real
+        ]
     return calls
 
 

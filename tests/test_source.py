@@ -14,16 +14,17 @@ from pathlib import Path
 import pytest
 
 import twistedcubes
-from twistedcubes import harness
+from twistedcubes import cli, harness
 from twistedcubes.cli import build_parser
 
-from oracles import load_twist_data, workload_data
+from oracles import KERNELS, load_twist_data, record_kernel_calls, workload_data
 
 MODULES = sorted(Path(twistedcubes.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 GEN = PERFBENCH / "gen.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 README = Path(__file__).parent.parent / "README.md"
 
 # Public names kept although nothing in the package reads them.
@@ -265,6 +266,44 @@ def test_the_benchmark_smoke_check_passes():
         timeout=300,
     )
     assert smoke.returncode == 0, smoke.stdout + smoke.stderr[-2_000:]
+
+
+# The kernels that one op of each workload must reach, after the per-layer
+# table of perfbench/README.md: the criterion on both check workloads and
+# the sweep, and its failure path through _compute_m and bound wherever a
+# word is twisted; the detector and its minimality check on check-twisted;
+# derive_twist_data under load_instance and on the sweep; both witness
+# round trips on the sweep; the census descent on census and the sweep.
+# check-untwisted's first op is an A3 word at lambda = 0, which never reads
+# the bound kernel.
+WORKLOAD_KERNELS = {
+    "check-untwisted": {"derive_twist_data", "is_untwisted"},
+    "check-twisted": {
+        "derive_twist_data", "is_untwisted", "_compute_m", "bound", "hesitant_walk", "hesitant"
+    },
+    "sweep": {name for _, name in KERNELS},
+    "census": {"derive_twist_data", "census_buckets", "bound"},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_KERNELS))
+def test_each_workload_reaches_its_kernels(workload, monkeypatch, tmp_path, capsys):
+    # A refactor that moves the hot path off a kernel leaves the benchmark's
+    # span on it reading 0; this fails in that refactor's own change.  The
+    # first op of seed 1 runs in-process, its input files written under
+    # tmp_path, and must still give its expected output.
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # Its dataclass looks its module up by name while it is built.
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    ops, _ = workloads.build(workload, 1, tmp_path)
+    op = ops[0]
+    calls = record_kernel_calls(monkeypatch)
+    code = cli.main(op.argv)
+    assert workloads.failed_ops(op, code, capsys.readouterr().out) == 0
+    reached = {name for (_, name), lists in calls.items() if any(lists)}
+    assert WORKLOAD_KERNELS[workload] - reached == set()
 
 
 def test_cli_leaves_integer_checks_to_the_value_types():
