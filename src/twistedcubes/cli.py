@@ -152,8 +152,9 @@ def cmd_lattice(args) -> int:
     d, _ = load_instance(args.instance)
     # Byte for byte what json.dumps({"x": list(point), "rho": rho}) writes.
     # The text of each tail (x_3, ..., x_n) that level 2 files is formatted
-    # once, with both line ends, and x_2 once per bucket; a bucket's lines
-    # are its head, (x_1,) or () at n = 0, joined with those ends.
+    # once, with both line ends, and x_2 once per list that level 1 reads;
+    # the lines of a value of x_1 are its text, '{"x": [' and x_1, joined
+    # with the ends of its list.
     rest = ", %d" * (d.n - 2)
     mark = ", %d" if d.n > 1 else ""
 
@@ -161,12 +162,13 @@ def cmd_lattice(args) -> int:
         text = rest % tail
         return text + '], "rho": 1}\n', text + '], "rho": -1}\n'
 
-    start = '{"x": [%d' if d.n else '{"x": ['
-    buckets, positive, negative = census_buckets(d, lambda head: mark % head, leaf)
+    # n = 0 has no x_1: the value 0 of its one list is written as nothing.
+    start = '{"x": [%d' if d.n else '{"x": [%.0s'
+    (first, lists), positive, negative = census_buckets(d, lambda head: mark % head, leaf)
     totals = {"positive": positive, "negative": negative, "signed": positive - negative}
     with _output(args.out) as out:
-        for head, ends in buckets:
-            line = start % head
+        for v, ends in enumerate(lists, first):
+            line = start % v
             out.write(line + line.join(ends))
         out.write(json.dumps(totals) + "\n")
     return EXIT_UNTWISTED

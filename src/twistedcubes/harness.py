@@ -209,11 +209,13 @@ def _census_problems(d: TwistData) -> list[str]:
     kernel files flags, not points: the hooks flag a negative x_2 and a
     negative entry of (x_3, ..., x_n), level 1 adds the two, and a point
     escapes PD when its x_1 is negative or its object is nonzero."""
-    buckets, _, negative = census_buckets(d, _negative_head, _negative_tail)
+    (first, lists), _, negative = census_buckets(d, _negative_head, _negative_tail)
     problems = []
     if negative:
         problems.append("untwisted census has a point of density != +1")
-    if any((head and head[0] < 0) or any(objects) for head, objects in buckets):
+    # Each value of x_1 from first on holds a point, so a negative first is
+    # a point with x_1 < 0.
+    if first < 0 or any(map(any, lists)):
         problems.append("untwisted census point escapes the weak-inequality polytope")
     return problems
 

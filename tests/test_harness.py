@@ -113,9 +113,10 @@ def _one_more_negative(d, prefix, leaf):
 
 
 def _a_bucket_at_x1_minus_1(d, prefix, leaf):
-    """census_buckets with a bucket at x_1 = -1 before its own."""
-    buckets, positive, negative = twistedcube.census_buckets(d, prefix, leaf)
-    return [((-1,), [0])] + buckets, positive, negative
+    """census_buckets with an unflagged object at the value before its
+    first, x_1 = -1 on an untwisted cube, whose values start at 0."""
+    (first, lists), positive, negative = twistedcube.census_buckets(d, prefix, leaf)
+    return (first - 1, [[0]] + lists), positive, negative
 
 
 # One injected fault per counterexample branch of harness._worker: the

@@ -1,6 +1,8 @@
 import itertools
 import json
 import tempfile
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -128,10 +130,10 @@ def test_census_calls_no_leaf_for_a_tail_without_points(monkeypatch):
     # ell_1 = -1 leaves x_1 no value for any of the six tails x_2 in 0..5,
     # so the census is empty before level 2 files any of them.
     calls.clear()
-    buckets, positive, negative = twistedcube.census_buckets(
+    level, positive, negative = twistedcube.census_buckets(
         TwistData(n=2, ell=(-1, 5)), tuple, twistedcube._signed
     )
-    assert (calls, buckets, positive, negative) == ([], [], 0, 0)
+    assert (calls, level, positive, negative) == ([], (0, []), 0, 0)
 
 
 @pytest.mark.parametrize(
@@ -151,6 +153,27 @@ def test_census_work_on_the_census_workload_is_pinned(kind, reads, leaves, monke
     assert {"positive": positive, "negative": negative, "signed": positive - negative} == inst["expect"]
     assert len(rows) <= reads
     assert len(calls) <= leaves
+
+
+@pytest.mark.parametrize("kind, kib", [("a2", 1_200), ("b2", 720), ("running", 320)])
+def test_census_memory_on_the_census_workload_is_pinned(kind, kib):
+    # Counted memory, not time: the tracemalloc peak of signed_count on the
+    # first instance of each kind of the benchmark's census workload, as an
+    # upper bound.  A level is one list per value of a contiguous range and
+    # its runs are parallel lists of sizes and items; a ((v,), items) pair
+    # per value and a (size, item) pair per run peaked at 2 310 / 1 010 /
+    # 2 465 KiB, against 1 110 / 651 / 284 KiB.
+    d = load_twist_data(workload_data("census")["kinds"][kind][0])
+    # A first call fills what any later one finds in place, so that the
+    # peak is the same whichever test ran before.
+    signed_count(d)
+    tracemalloc.start()
+    try:
+        signed_count(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= kib * 1024, peak / 1024
 
 
 @pytest.mark.parametrize("kind, checks", [("a2", 64), ("b2", 106), ("running", 14)])
@@ -177,7 +200,7 @@ def test_a_row_whose_bound_is_always_minus_one_empties_the_census_at_once(d, mon
     # tail and admits no value: the census returns before reading any bound.
     calls = []
     monkeypatch.setattr(twistedcube, "bound", lambda *args: calls.append(args))
-    assert twistedcube.census_buckets(d, tuple, twistedcube._signed) == ([], 0, 0)
+    assert twistedcube.census_buckets(d, tuple, twistedcube._signed) == ((0, []), 0, 0)
     assert _lattice_out(d) == '{"positive": 0, "negative": 0, "signed": 0}\n'
     assert calls == []
 
@@ -401,20 +424,50 @@ def test_lattice_writer_matches_the_descent_oracle(d):
 
 
 def test_consecutive_buckets_that_share_a_list_read_the_same_items():
-    buckets, _, _ = twistedcube.census_buckets(SHARED_RUNS, tuple, twistedcube._signed)
-    heads = [head for head, _ in buckets]
-    assert heads == [(v,) for v in range(-39, 41)]
-    shared = [i for i in range(len(buckets) - 1) if buckets[i][1] is buckets[i + 1][1]]
+    (first, lists), _, _ = twistedcube.census_buckets(SHARED_RUNS, tuple, twistedcube._signed)
+    values = list(range(first, first + len(lists)))
+    assert values == list(range(-39, 41))
+    shared = [i for i in range(len(lists) - 1) if lists[i] is lists[i + 1]]
     # Both signs share: x_1 = -9..-1 and 1..10, for instance.
-    assert {heads[i][0] < 0 for i in shared} == {True, False}
+    assert {values[i] < 0 for i in shared} == {True, False}
     for i in shared:
-        first, second = (
-            [(x[1:], rho) for x, rho in twistedcube._read_buckets([buckets[k]])] for k in (i, i + 1)
+        here, there = (
+            [(x[1:], rho) for x, rho in twistedcube._read_buckets(SHARED_RUNS.n, values[k], [lists[k]])]
+            for k in (i, i + 1)
         )
-        assert first == second != []
+        assert here == there != []
     census = lattice_points(SHARED_RUNS)
     lines = _lattice_out(SHARED_RUNS).splitlines()
     assert lines[:-1] == [json.dumps({"x": list(x), "rho": rho}) for x, rho in census.points]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(raw_twist_data(max_n=5, ell=(-3, 3)), wide_twist_data()))
+# Only up runs at level 1: six of 0..30 (swept) and three of 0..3.
+@example(TwistData(n=2, ell=(30, 5)))
+@example(TwistData(n=2, ell=(3, 2)))
+# Only down runs at level 1: six of -29..-1 (swept) and three of -3..-1.
+@example(TwistData(n=2, ell=(-30, 5)))
+@example(TwistData(n=2, ell=(-4, 2)))
+# Runs of size 1: the one run 0..0, and 0..0 and -1..-1 beside -2..-1.
+@example(TwistData(n=1, ell=(0,)))
+@example(TwistData(n=2, c={(1, 2): 1}, ell=(0, 3)))
+@example(TwistData(n=0))
+def test_level_one_lists_span_the_x1_range_of_the_points(d):
+    # Every up run starts at 0 and every down run ends at -1, so the values
+    # of x_1 form one interval and each holds a point: census_buckets
+    # returns level 1 as (first, lists) on that ground alone.
+    (first, lists), _, _ = twistedcube.census_buckets(d, tuple, twistedcube._signed)
+    points = descent_census(d).points
+    assert all(lists)
+    if d.n == 0:
+        assert (first, lists) == (0, [[(1,)]])
+        return
+    counts = Counter(x[0] for x, _ in points)
+    assert len(lists) == len(counts)
+    if counts:
+        assert (first, first + len(lists) - 1) == (min(counts), max(counts))
+    assert [len(items) for items in lists] == [counts[first + i] for i in range(len(lists))]
 
 
 @pytest.mark.parametrize(
