@@ -16,7 +16,7 @@ from .errors import CapExceeded, MalformedInput, require_int, require_ints
 from .rootdata import LieType, cartan_table, parse_lie_type
 from .twistedcube import census_buckets
 from .walks import WalkWitness
-from .weightword import DominantWeight, TwistData, Word, derive_twist_data
+from .weightword import DominantWeight, TwistData, Word, _word_constants, derive_twist_data
 
 
 @dataclass(frozen=True)
@@ -147,16 +147,16 @@ def _twist_data_checks(
     walk alone.  Returns the criterion's verdict (True when untwisted) and
     the problems found.
 
-    derive_twist_data has checked w's letters against t, once per word, and
-    lam's rank, so every walk check runs as a kernel on t's Cartan table,
-    the letters and the coefficients: walk is what the detector kernel
-    walks.hesitant_walk gives, walks.minimal_walk minimizes it, and
-    walks.hesitant tests the rebuilt walk, whose letters are read from w
-    once its positions are checked to increase inside w.  Both round trips
-    run as the kernels cartier.walk_to_m and cartier.m_to_walk on d and the
-    harness's own positions and m.  A WalkWitness is built only to print a
-    problem, or to raise the public path's error on rebuilt positions that
-    fail their check."""
+    The worker's word cache has checked w's letters against t, once per
+    word, and lam has t's rank, so every walk check runs as a kernel on t's
+    Cartan table, the letters and the coefficients: walk is what the
+    detector kernel walks.hesitant_walk gives, walks.minimal_walk minimizes
+    it, and walks.hesitant tests the rebuilt walk, whose letters are read
+    from w once its positions are checked to increase inside w.  Both round
+    trips run as the kernels cartier.walk_to_m and cartier.m_to_walk on d
+    and the harness's own positions and m.  A WalkWitness is built only to
+    print a problem, or to raise the public path's error on rebuilt
+    positions that fail their check."""
     problems: list[str] = []
     result = cartier.is_untwisted(d)
     if result.untwisted != (walk is None):
@@ -236,45 +236,49 @@ def _negative_tail(tail: tuple[int, ...]) -> tuple[bool, bool]:
 def _worker(group: tuple, memo: dict, report: SweepReport) -> None:
     """Check every instance of group, a (type name, type, word, weights)
     group of iter_groups, and count each into report, its counterexample
-    records in check order.  The group's Word is built once, and the type's
-    Cartan table read at most once, for the detector.
+    records in check order.  The group's Word is built once, the word cache
+    read once, which checks the letters against the type and gives the
+    word's rows and ell gather, and the type's Cartan table read at most
+    once, for the detector.  iter_groups builds every weight with the
+    type's rank, so no weight's rank is checked again here.
 
     memo files the entries of the twist data already checked with it, by
     this call of _check_groups or by an earlier block of the same verify
     run, by the word rows and then by ell: memo[rows][ell] holds the
     group's word that last used it, the positions of that word's detector
     walk, and its _twist_data_checks, so that instances with the same
-    (c, ell) share every check, across words too.  The weights of a group
-    share one rows object, so the shelf memo[rows] is looked up again only
-    when the rows object changes, and then by value.  Each instance derives
-    its own twist data, so a fault in derive_twist_data that changes the
-    key misses the memo.  A hit from another word runs the detector kernel
-    on this instance's letters and weight, and this instance makes its own
-    checks unless the walk has the entry's positions and the entry has no
+    (c, ell) share every check, across words too.  The shelf memo[rows] is
+    looked up once per group, by value, and each weight's ell is one
+    gather of its coefficients.  A TwistData is derived only for an
+    instance that makes its own checks, with the same word cache, so a
+    fault in the rows or the gather reaches the key and the checked data
+    alike.  A hit from another word runs the detector kernel on this
+    instance's letters and weight, and this instance makes its own checks
+    unless the walk has the entry's positions and the entry has no
     problem: so a fault that gives two words one twist data cannot hide
     behind the entry, and a counterexample carries its own word's problem
     text.  A hit from the same word shares the entry, so a problem found
     once is reported for every weight of the word that shares it."""
     type_name, t, word_entries, weights = group
     w = Word(word_entries)
-    table = rows = shelf = None
+    rows, gather = _word_constants(t, w)
+    shelf = memo.setdefault(rows, {})
+    table = None
     untwisted_count = 0
     for lam in weights:
-        d = derive_twist_data(t, w, lam)
-        if d.rows is not rows:
-            rows = d.rows
-            shelf = memo.setdefault(rows, {})
-        entry = shelf.get(d.ell)
+        ell = gather(lam.coefficients)
+        entry = shelf.get(ell)
         if entry is None or entry[0] is not w:
             if table is None:
                 table = cartan_table(t)
             walk = walks.hesitant_walk(table, word_entries, lam.coefficients)
             positions = None if walk is None else walk[0]
             if entry is None or entry[1] != positions or entry[3]:
+                d = derive_twist_data(t, w, lam)
                 entry = (w, positions, *_twist_data_checks(d, t, w, lam, walk))
             else:
                 entry = (w, positions, entry[2], entry[3])
-            shelf[d.ell] = entry
+            shelf[ell] = entry
         _, _, untwisted, problems = entry
         untwisted_count += untwisted
         if problems:
@@ -302,8 +306,12 @@ def _check_groups(groups, memo: dict | None = None) -> SweepReport:
 def check_instance(inst: Instance) -> list[dict]:
     """All per-instance assertions; returns a list of counterexample records."""
     type_name, word_entries, weight_coeffs = inst
-    group = (type_name, parse_lie_type(type_name), word_entries, (DominantWeight(weight_coeffs),))
-    return _check_groups([group]).counterexamples
+    t, lam = parse_lie_type(type_name), DominantWeight(weight_coeffs)
+    w = Word(word_entries)
+    # The worker trusts a weight's rank, as iter_groups gives it; the rank
+    # is checked before the letters, as at every entry that reads a triple.
+    lam.validate_for(t)
+    return _check_groups([(type_name, t, w.entries, (lam,))]).counterexamples
 
 
 # Consecutive groups per pool task: each chunk is one pickle and one memo.

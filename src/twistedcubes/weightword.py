@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
+from operator import itemgetter
 
 from .errors import DimensionMismatch, IndexOutOfRange, MalformedInput, require_int, require_ints
 from .rootdata import LieType, cartan_table
@@ -138,12 +138,22 @@ def bound(d: TwistData, j: int, x):
 _PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
 
 
-@lru_cache(maxsize=1)
+# The one cached word of _word_constants: its type, its Word and their
+# constants.  A sweep reads them once per group, through a Word of its own.
+_CACHED: list = [None, None, None]
+
+
 def _word_constants(t: LieType, w: Word):
     """The rows of the word w in type t, as the TwistData constructor would
-    build them; they depend on the word alone.  A sweep derives all weights
-    of one word in a row, through one Word, so one cached word is enough;
-    a letter outside the rank raises, and a failure is not cached."""
+    build them, and the word's ell gather: gather(lam.coefficients) is
+    ell = (lam_{w_1}, ..., lam_{w_n}) as a tuple.  Both depend on the word
+    alone.  One word is cached, by the identity of t and w: a sweep reads
+    them once for each group, whose weights share them, and each
+    derive_twist_data call of the group hits.  A letter outside the rank
+    raises, and a failure is not cached."""
+    cached_t, cached_w, constants = _CACHED
+    if t is cached_t and w is cached_w:
+        return constants
     w.validate_for(t)
     # The letters are checked above, so no index below is 0 or negative.
     letters = w.entries
@@ -159,16 +169,27 @@ def _word_constants(t: LieType, w: Word):
                 pair = k, v
                 row.append(_PAIRS.setdefault(pair, pair))
         rows.append(tuple(row))
-    return tuple(rows)
+    # itemgetter gives a bare value for one index, so a word of one letter,
+    # and the empty word, gather a slice of the coefficients.
+    if n > 1:
+        gather = itemgetter(*[i - 1 for i in letters])
+    elif n:
+        gather = itemgetter(slice(letters[0] - 1, letters[0]))
+    else:
+        gather = itemgetter(slice(0))
+    constants = tuple(rows), gather
+    _CACHED[:] = t, w, constants
+    return constants
 
 
 def derive_twist_data(t: LieType, w: Word, lam: DominantWeight) -> TwistData:
-    """The twisted-cube constants of (t, w, lam).  The word's rows are built
-    once for a run of calls on one word and shared, read-only, by every
-    TwistData of that run; each call checks the weight's rank and reads ell."""
+    """The twisted-cube constants of (t, w, lam).  The weight's rank is
+    checked first, then the word's letters, through the word cache, whose
+    rows every TwistData of the word shares, read-only, and whose gather
+    reads ell from the weight."""
     lam.validate_for(t)
-    rows = _word_constants(t, w)
+    rows, gather = _word_constants(t, w)
     d = object.__new__(TwistData)
     # The cached rows are already clean, so __init__ is not run again.
-    vars(d).update(n=len(rows), ell=tuple([lam.coefficients[i - 1] for i in w.entries]), rows=rows)
+    vars(d).update(n=len(rows), ell=gather(lam.coefficients), rows=rows)
     return d

@@ -462,9 +462,11 @@ def _whole_walk(w: Word) -> walks.WalkWitness:
 
 
 # Every entry that reads a (type, word, weight) triple, with the word taken
-# whole as a walk by the two that read a walk.
+# whole as a walk by the two that read a walk, and check_instance reading it
+# as the type's name and the two tuples.
 _TRIPLE_ENTRIES = {
     "derive_twist_data": derive_twist_data,
+    "check_instance": lambda t, w, lam: harness.check_instance((str(t), w.entries, lam.coefficients)),
     "is_lambda_walk": walks.is_lambda_walk,
     "is_hesitant_lambda_walk": walks.is_hesitant_lambda_walk,
     "find_hesitant_lambda_walk": walks.find_hesitant_lambda_walk,

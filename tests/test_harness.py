@@ -298,29 +298,31 @@ def test_census_problems_equal_the_point_by_point_oracle(d):
 
 
 def test_sweep_reads_the_cartan_table_once_per_word(monkeypatch):
-    # A word outside the sweep is the cached one when the count starts.
-    derived("A3", (1, 2, 3), (0, 0, 0))
     tables = record_calls(monkeypatch, weightword, "cartan_table")
     derives = record_calls(monkeypatch, harness, "derive_twist_data")
     calls = record_calls(monkeypatch, cartier, "is_untwisted")
     report = verify_equivalence(SweepSpec(("A2", "B2"), 3, (0, 1)))
-    assert report.instances == len(derives) == 120
+    assert report.instances == 120
     # One read per (type, word) group: 1 + 2 + 4 + 8 words of each type.
     assert len(tables) == 30
-    assert len(calls) == 43
+    # A twist data is derived only for the checks it feeds, and a memo hit
+    # reads its key through the word's gather: deriving for every instance
+    # made 120 calls.
+    assert len(derives) == len(calls) == 43
 
 
 def test_the_default_sweep_reads_the_cartan_table_once_per_word(monkeypatch):
-    # Counted work, as an upper bound: the word cache is built once per
-    # (type, word) group of the stream, and each other weight of the word
-    # hits it.  A cache rebuilt for each weight would read 22 967 tables.
-    weightword._word_constants.cache_clear()
+    # Counted work: the word cache is built once per (type, word) group of
+    # the stream, and each derive of the group hits it.  A cache rebuilt for
+    # each weight would read 22 967 tables.  A twist data is derived once per
+    # check of a block, where deriving for every instance made 22 967 calls.
     tables = record_calls(monkeypatch, weightword, "cartan_table")
     derives = record_calls(monkeypatch, harness, "derive_twist_data")
+    calls = record_calls(monkeypatch, cartier, "is_untwisted")
     for spec in default_specs():
         verify_equivalence(spec)
-    assert len(derives) == 22_967
-    assert len(tables) <= 2_292
+    assert len(derives) == len(calls) == 6_778
+    assert len(tables) == 2_292
 
 
 def test_verify_streams_its_instances(monkeypatch):
@@ -439,28 +441,32 @@ def test_a_verify_run_checks_each_group_in_one_worker_call(specs, groups, tmp_pa
     # reads the Cartan table at most once for the detector, beside the
     # one read of each criterion call's checks.  A worker call per instance
     # made 22 967 and 24 967 calls and read 19 369 and 22 110 tables, once
-    # per detector call plus once per criterion call.
+    # per detector call plus once per criterion call.  Each group builds
+    # the word cache once, and derives a twist data only for the checks.
     blocks = specs()
     workers = record_calls(monkeypatch, harness, "_worker")
     tables = record_calls(monkeypatch, harness, "cartan_table")
+    builds = record_calls(monkeypatch, weightword, "cartan_table")
+    derives = record_calls(monkeypatch, harness, "derive_twist_data")
     calls = record_calls(monkeypatch, cartier, "is_untwisted")
     code, report = _verify_run(blocks, tmp_path, capsys)
     assert (code, report["counterexamples"]) == (EXIT_UNTWISTED, [])
     assert len(workers) == groups == sum(1 for spec in blocks for _ in harness.iter_groups(spec))
+    assert len(builds) == groups
     assert len(tables) <= groups + len(calls)
+    assert len(derives) == len(calls)
 
 
 def test_a_clean_sweep_checks_each_group_word_once_and_builds_no_walk_layer_word(monkeypatch):
     # Counted work: each (type, word) group builds one Word, which the word
-    # cache of derive_twist_data checks against its type once, and the walk
-    # kernels build no Word.  Both round trips run as kernels, so a clean
-    # sweep calls none of the public functions that check their arguments
-    # again.  Checking through the public walk functions made 22 528 letter
-    # checks and 9 508 walk-layer Words here; checking each rebuilt walk
-    # through is_hesitant_lambda_walk made 4 754 more letter checks; a word
-    # cache that built its own Word to check the letters made 2 448 Words.
+    # cache checks against its type once, and the walk kernels build no
+    # Word.  Both round trips run as kernels, so a clean sweep calls none of
+    # the public functions that check their arguments again.  Checking
+    # through the public walk functions made 22 528 letter checks and 9 508
+    # walk-layer Words here; checking each rebuilt walk through
+    # is_hesitant_lambda_walk made 4 754 more letter checks; a word cache
+    # that built its own Word to check the letters made 2 448 Words.
     spec = default_specs()[0]
-    weightword._word_constants.cache_clear()
     checks = record_calls(monkeypatch, Word, "validate_for")
     built = record_calls(monkeypatch, Word, "__post_init__")
     words = record_calls(monkeypatch, walks, "Word")
@@ -480,10 +486,23 @@ def test_a_clean_sweep_checks_each_group_word_once_and_builds_no_walk_layer_word
     report = verify_equivalence(spec)
     assert report.counterexamples == []
     assert groups == 1_224
-    assert len(checks) <= groups
-    assert len(built) <= groups
+    assert len(checks) == groups
+    assert len(built) == groups
     assert words == []
     assert public == [[]] * len(public)
+
+
+def test_every_group_holds_weights_of_its_type_s_rank_and_letters_inside_it():
+    # The worker checks no weight's rank, and reads each weight's ell with
+    # the gather that the word cache builds once it has checked the letters:
+    # so every group of a block, exhaustive or sampled, must give each
+    # weight its type's rank and each letter a place in [1, rank].
+    blocks = default_specs() + _sweep_workload_specs()
+    assert {spec.sample_count is None for spec in blocks} == {True, False}
+    for spec in blocks:
+        for type_name, t, word, weights in harness.iter_groups(spec):
+            assert all(1 <= i <= t.rank for i in word), (type_name, word)
+            assert {len(lam.coefficients) for lam in weights} == {t.rank}, (type_name, weights)
 
 
 @pytest.mark.parametrize(
@@ -555,30 +574,50 @@ def test_a_shared_fault_is_reported_for_every_instance_of_the_block_that_shares_
         assert len(shared_by) == sharing
 
 
-def test_the_memo_key_is_the_whole_twist_data(monkeypatch):
-    # A derive that reads weight coefficients outside the word gives every
-    # weight of a nonempty word its own ell_1; the empty word has no ell.
-    real = harness.derive_twist_data
+def _fault_the_gather(monkeypatch, fault) -> None:
+    """Patch the word cache under both names that hold it, in weightword
+    and in harness, so that the ell gather it gives a word of n letters is
+    fault(gather, n): the fault then reaches the memo key and the twist
+    data derived for the checks."""
+    real = weightword._word_constants
 
-    def leaky(t, w, lam):
-        d = real(t, w, lam)
-        if not d.n:
-            return d
+    def faulty(t, w):
+        rows, gather = real(t, w)
+        return rows, fault(gather, len(rows))
+
+    for module in (weightword, harness):
+        monkeypatch.setattr(module, "_word_constants", faulty)
+
+
+def _leaky_gather(gather, n):
+    """A gather that reads weight coefficients outside the word: every
+    weight of a nonempty word gets its own ell_1; the empty word has no
+    ell."""
+    if not n:
+        return gather
+
+    def leaky(coefficients):
+        ell = gather(coefficients)
         # ell_1 is 0 or 1 and the leak is even and injective in the weight,
         # so their sum is injective too.
-        leak = sum(v << (i + 1) for i, v in enumerate(lam.coefficients))
-        return TwistData(n=d.n, c=d.c, ell=(d.ell[0] + leak,) + d.ell[1:])
+        leak = sum(v << (i + 1) for i, v in enumerate(coefficients))
+        return (ell[0] + leak,) + ell[1:]
 
-    monkeypatch.setattr(harness, "derive_twist_data", leaky)
-    calls = record_calls(monkeypatch, cartier, "is_untwisted")
+    return leaky
+
+
+def test_the_memo_key_is_the_whole_twist_data(monkeypatch):
     spec = SweepSpec(("A2", "B2"), 2, (0, 1))
+    distinct = _distinct_twist_data(spec)
+    _fault_the_gather(monkeypatch, _leaky_gather)
+    calls = record_calls(monkeypatch, cartier, "is_untwisted")
     report = verify_equivalence(spec)
     # Each leaked twist data is checked once, and once more for each other
     # word that hits an entry with a problem, as the leak makes: the empty
     # word and the clean entries are shared by A2 and B2.
     groups = list(harness.iter_groups(spec))
-    leaked = {leaky(t, Word(word), lam) for _, t, word, weights in groups for lam in weights}
-    assert _distinct_twist_data(spec) < len(leaked) == 23
+    leaked = {derive_twist_data(t, Word(word), lam) for _, t, word, weights in groups for lam in weights}
+    assert distinct < len(leaked) == 23
     assert len(leaked) < len(calls) == 28 < report.instances == 56
 
 
@@ -609,8 +648,12 @@ def test_a_block_leaves_no_memory_behind():
     assert after - before < 2_048, after - before
 
 
-# The collision fault: a derive_twist_data that reads every ell_j from
-# lam_1, so that words whose twist data differ get one key.
+# The collision fault: a gather that reads every ell_j from lam_1, so that
+# words whose twist data differ get one key; and the derive that it makes.
+def _gather_lambda_1(gather, n):
+    return lambda coefficients: (coefficients[0],) * n
+
+
 def _ell_from_lambda_1(t, w, lam):
     return derive_twist_data(t, w, DominantWeight((lam.coefficients[0],) * t.rank))
 
@@ -630,7 +673,7 @@ def test_a_twist_data_collision_hides_no_fault(spec, named, monkeypatch):
     # problems differ, makes the instance's own checks.  Without that
     # recheck the block memo named 44, 692 and 66.
     expected = per_word_memo_counterexamples(spec, derive=_ell_from_lambda_1)
-    monkeypatch.setattr(harness, "derive_twist_data", _ell_from_lambda_1)
+    _fault_the_gather(monkeypatch, _gather_lambda_1)
     detector = record_calls(monkeypatch, walks, "hesitant_walk")
     report = verify_equivalence(spec)
     assert _one_detector_call_per_instance(detector)
@@ -665,7 +708,7 @@ def test_the_run_memo_hides_no_fault_in_a_later_block(fault, blocks, tmp_path, m
     # an earlier block is shared only as a hit from another word, which
     # reruns the detector and makes its own checks where they could differ.
     if fault == "twist data collision":
-        monkeypatch.setattr(harness, "derive_twist_data", _ell_from_lambda_1)
+        _fault_the_gather(monkeypatch, _gather_lambda_1)
     elif fault is not None:
         _, (module, name, replacement), _ = FAULTS[fault]
         monkeypatch.setattr(module, name, replacement)
